@@ -8,7 +8,9 @@ configurable decision frequency, fixture environments, and an experiment CLI.
 __version__ = "0.1.0"
 
 from . import agents, approx, ctmdp, dist, envs, estimate
-from ._kernels import BACKEND as KERNEL_BACKEND
+
+# Kept for callers that record which kernels ran: only numpy ones exist.
+KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "agents",
