@@ -215,18 +215,28 @@ def _apply_diffusion(sigma, noise, n):
     return sig * noise
 
 
+def _em_action_step(mdp, t, states, label, delta, noise):
+    """x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) noise for one action label."""
+    b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
+    diff = _apply_diffusion(mdp.diffusion(t, states, label), noise, mdp.state_dim)
+    return states + b * delta + math.sqrt(delta) * diff
+
+
 def _em_apply(mdp, t, states, action_indices, delta, noise):
-    """One EM step on a path bundle with per-path action indices."""
+    """One EM step on a path bundle with per-path action indices.
+
+    A bundle whose paths all play one action is stepped whole; a mixed one
+    is split by action and scattered back.
+    """
+    if action_indices.size and np.all(action_indices == action_indices[0]):
+        label = mdp.actions[action_indices[0]]
+        return _em_action_step(mdp, t, states, label, delta, noise)
     out = np.empty_like(states)
-    n = mdp.state_dim
-    root = math.sqrt(delta)
     for idx in np.unique(action_indices):
         mask = action_indices == idx
-        sub = states[mask]
-        label = mdp.actions[idx]
-        b = np.asarray(mdp.drift(t, sub, label), dtype=np.float64)
-        diff = _apply_diffusion(mdp.diffusion(t, sub, label), noise[mask], n)
-        out[mask] = sub + b * delta + root * diff
+        out[mask] = _em_action_step(
+            mdp, t, states[mask], mdp.actions[idx], delta, noise[mask]
+        )
     return out
 
 
@@ -245,9 +255,7 @@ def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     z = np.asarray(noise, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
-    b = np.asarray(mdp.drift(t, states, a), dtype=np.float64)
-    diff = _apply_diffusion(mdp.diffusion(t, states, a), z, mdp.state_dim)
-    out = states + b * dt + math.sqrt(dt) * diff
+    out = _em_action_step(mdp, t, states, a, dt, z)
     if not np.all(np.isfinite(out)):
         raise SimulationError(f"non-finite state after step at t={t:.8g}")
     return out[0] if single else out
@@ -372,6 +380,28 @@ def _rollout_returns(
     return gains
 
 
+def _rollout_dt(
+    mdp: ContinuousMdp, t: float, cfg: SimConfig, h: float | None = None
+) -> float:
+    """The EM step for rollouts from time t, after validating the start.
+
+    Without a persistence horizon the start must precede the horizon. With
+    one, the window [t, t + h) must end by the horizon and the step must
+    divide h.
+    """
+    if h is None:
+        if t >= mdp.horizon:
+            raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
+        return cfg.resolve_dt()
+    if t + h > mdp.horizon + TIME_TOL:
+        raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
+    dt = cfg.resolve_dt(h)
+    ratio = h / dt
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ValueError(f"dt={dt} does not divide the persistence horizon h={h}")
+    return dt
+
+
 def sample_return(
     mdp: ContinuousMdp, pi, t: float, x, cfg: SimConfig, mode: str = "sample"
 ) -> ReturnSample:
@@ -380,9 +410,7 @@ def sample_return(
     Actions are drawn fresh from pi at every integration step; cfg.dt must
     be set (there is no persistence horizon to derive it from).
     """
-    if t >= mdp.horizon:
-        raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
-    dt = cfg.resolve_dt()
+    dt = _rollout_dt(mdp, t, cfg)
     rng = np.random.default_rng(cfg.seed)
     gains = _rollout_returns(
         mdp, pi, t, x, 1, rng, dt, tail_dt=cfg.tail_dt, mode=mode
@@ -401,12 +429,7 @@ def sample_action_return(
     mode: str = "sample",
 ) -> ReturnSample:
     """One h-persistent action-conditioned return sample."""
-    if t + h > mdp.horizon + TIME_TOL:
-        raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
-    dt = cfg.resolve_dt(h)
-    ratio = h / dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(f"dt={dt} does not divide the persistence horizon h={h}")
+    dt = _rollout_dt(mdp, t, cfg, h)
     rng = np.random.default_rng(cfg.seed)
     gains = _rollout_returns(
         mdp,

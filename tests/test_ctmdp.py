@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ctdrl.ctmdp import (
     FiniteAtomic,
     SimConfig,
     SimulationError,
+    _em_apply,
     _rollout_returns,
     em_step,
     persistent,
@@ -123,6 +126,90 @@ def test_em_step_rejects_nonfinite():
         em_step(env, np.array([0.0]), 0.0, 0, 0.1, np.array([0.0]))
     with pytest.raises(ValueError):
         em_step(brownian_gap_env(), np.array([0.0]), 0.0, 0, 0.0, np.array([0.0]))
+
+
+# --------------------------------------------------------------- _em_apply
+
+
+def em_apply_oracle(mdp, t, states, action_indices, delta, noise):
+    """Masked per-action EM step: each action's paths are gathered, stepped
+    with that action's coefficients and scattered back."""
+    out = np.empty_like(states)
+    n = mdp.state_dim
+    root = math.sqrt(delta)
+    for idx in np.unique(action_indices):
+        mask = action_indices == idx
+        sub = states[mask]
+        label = mdp.actions[idx]
+        b = np.asarray(mdp.drift(t, sub, label), dtype=np.float64)
+        sig = np.asarray(mdp.diffusion(t, sub, label), dtype=np.float64)
+        z = noise[mask]
+        if sig.ndim == 2 and sig.shape == (n, n):
+            diff = z @ sig.T
+        elif sig.ndim == 3:
+            diff = np.einsum("pij,pj->pi", sig, z)
+        else:
+            diff = sig * z
+        out[mask] = sub + b * delta + root * diff
+    return out
+
+
+_LABEL_SCALE = {"hold": 0.0, "buy": 1.0, "sell": -2.5}
+_BASE_MATRIX = np.array([[1.0, 0.0, 0.0], [0.3, 0.7, 0.0], [-0.2, 0.4, 0.9]])
+
+
+def _diffusion(kind):
+    def elementwise(t, X, a):
+        return 0.5 + 0.1 * _LABEL_SCALE[a] * np.sin(X + t)
+
+    def matrix(t, X, a):
+        return (1.0 + 0.25 * _LABEL_SCALE[a]) * _BASE_MATRIX
+
+    def stack(t, X, a):
+        scale = 1.0 + _LABEL_SCALE[a] * np.tanh(X[:, :1, None])
+        return scale * _BASE_MATRIX
+
+    return {"elementwise": elementwise, "matrix": matrix, "stack": stack}[kind]
+
+
+def three_action_env(kind):
+    return ContinuousMdp(
+        state_dim=3,
+        actions=("hold", "buy", "sell"),
+        drift=lambda t, X, a: _LABEL_SCALE[a] * (X - 0.3 * t) ** 2,
+        diffusion=_diffusion(kind),
+        reward=lambda t, X: np.zeros(X.shape[0]),
+        terminal_reward=lambda X: X[:, 0],
+        horizon=1.0,
+    )
+
+
+def _bundle_actions(case, rng, states):
+    if case == "first":
+        return ConstantAction(0).sample_actions(0.1, states, rng)
+    if case == "last":
+        return ConstantAction(2).sample_actions(0.1, states, rng)
+    pol = FiniteAtomic(lambda t, X: np.array([0.2, 0.3, 0.5]))
+    return pol.sample_actions(0.1, states, rng)
+
+
+@pytest.mark.parametrize("kind", ["elementwise", "matrix", "stack"])
+@pytest.mark.parametrize(
+    "case,n_paths",
+    [("first", 257), ("last", 257), ("mixed", 257), ("last", 1), ("first", 0)],
+)
+def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
+    env = three_action_env(kind)
+    rng = np.random.default_rng([n_paths, len(case), len(kind)])
+    states = rng.normal(size=(n_paths, 3))
+    noise = rng.standard_normal((n_paths, 3))
+    acts = _bundle_actions(case, rng, states)
+    if case == "mixed":
+        assert np.unique(acts).size == 3
+    got = _em_apply(env, 0.1, states, acts, 1 / 48, noise)
+    want = em_apply_oracle(env, 0.1, states, acts, 1 / 48, noise)
+    assert got.shape == (n_paths, 3) and got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------ sample_return

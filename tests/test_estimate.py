@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig
-from ctdrl.dist import EmpiricalDist, independent_cdr, mean, rescale, variance, wasserstein
+from ctdrl.dist import (
+    EmpiricalDist,
+    QuantileRep,
+    independent_cdr,
+    mean,
+    rescale,
+    variance,
+    wasserstein,
+)
 from ctdrl.estimate import (
+    _bootstrap_w_se,
     action_gaps,
     fit_rate,
     mc_action_return_dist,
@@ -25,6 +34,12 @@ def test_mc_return_dist_validates_sample_count():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
         mc_return_dist(env, POLICY0, 0.0, [0.0], 1, SimConfig(dt=1 / 32))
+
+
+def test_mc_return_dist_rejects_start_at_horizon():
+    env = brownian_gap_env()
+    with pytest.raises(ValueError, match="before the horizon"):
+        mc_return_dist(env, POLICY0, 1.0, [0.0], 10, SimConfig(dt=1 / 32))
 
 
 def test_mc_action_return_mean_matches_martingale_value():
@@ -166,6 +181,44 @@ def test_estimator_spread_shrinks_with_sample_size():
             acc.append(est.dist_gap)
     ratio = np.std(gaps_n, ddof=1) / np.std(gaps_2n, ddof=1)
     assert 1.2 <= ratio <= 1.7
+
+
+def bootstrap_w_se_oracle(samples_a, samples_b, p, m, n_resamples, rng):
+    """Sequential bootstrap: gather each resample, then take its quantiles."""
+    reps = np.empty(n_resamples)
+    levels = (np.arange(m) + 0.5) / m
+    na, nb = samples_a.size, samples_b.size
+    for i in range(n_resamples):
+        ra = samples_a[rng.integers(0, na, na)]
+        rb = samples_b[rng.integers(0, nb, nb)]
+        qa = np.quantile(ra, levels, method="hazen")
+        qb = np.quantile(rb, levels, method="hazen")
+        reps[i] = wasserstein(p, QuantileRep(qa), QuantileRep(qb))
+    return float(np.std(reps, ddof=1))
+
+
+def _bootstrap_samples(kind, rng):
+    if kind == "continuous":
+        return rng.normal(size=300), rng.normal(0.4, 1.3, size=170)
+    if kind == "ties":
+        # coarse grid, so most values repeat
+        return np.round(rng.normal(size=250), 1), np.round(rng.normal(size=90), 1)
+    if kind == "m_above_n":
+        return rng.normal(size=40), rng.exponential(size=55)
+    # the frozen action's returns are one constant
+    return np.full(120, 0.7), rng.normal(0.7, 0.5, size=200)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", ["continuous", "ties", "m_above_n", "constant"])
+def test_bootstrap_w_se_matches_sequential_oracle(p, kind):
+    samples_a, samples_b = _bootstrap_samples(kind, np.random.default_rng(41))
+    m = 128 if kind == "m_above_n" else 64
+    rng, oracle_rng = np.random.default_rng(42), np.random.default_rng(42)
+    got = _bootstrap_w_se(samples_a, samples_b, p, m, 25, rng)
+    want = bootstrap_w_se_oracle(samples_a, samples_b, p, m, 25, oracle_rng)
+    assert got == want
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_fit_rate_exact_power_laws():
