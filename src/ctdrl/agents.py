@@ -21,6 +21,7 @@ from .dist import DistortionMeasure, EmpiricalDist, QuantileRep, risk_measure, t
 
 __all__ = [
     "Transition",
+    "Batch",
     "ReplayBuffer",
     "ExplorationSchedule",
     "TrainingDiverged",
@@ -55,31 +56,74 @@ class Transition:
     done: bool
 
 
+# Column dtypes of a Batch, in Transition field order.
+_COLUMNS = {
+    "t": np.float64,
+    "x": np.float64,
+    "a": np.int64,
+    "r": np.float64,
+    "x_next": np.float64,
+    "done": np.bool_,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Transitions stacked column-wise, one row per transition."""
+
+    t: np.ndarray
+    x: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    x_next: np.ndarray
+    done: np.ndarray
+
+    @classmethod
+    def stack(cls, transitions):
+        return cls(**{
+            name: np.array([getattr(tr, name) for tr in transitions], dtype=dtype)
+            for name, dtype in _COLUMNS.items()
+        })
+
+    def __len__(self):
+        return self.t.shape[0]
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring with uniform with-replacement sampling."""
+    """Fixed-capacity ring with uniform with-replacement sampling.
+
+    ``ring`` holds one preallocated array per Batch column, allocated on the
+    first add with that transition's state shape. Transition k goes to slot
+    k % capacity, and the first ``len(buffer)`` slots are filled.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items = []
+        self.ring = None
+        self._len = 0
         self._pos = 0
 
     def add(self, tr: Transition):
-        if len(self._items) < self.capacity:
-            self._items.append(tr)
-        else:
-            self._items[self._pos] = tr
-            self._pos = (self._pos + 1) % self.capacity
+        if self.ring is None:
+            self.ring = Batch(**{
+                name: np.empty((self.capacity, *np.shape(getattr(tr, name))), dtype=dtype)
+                for name, dtype in _COLUMNS.items()
+            })
+        for name in _COLUMNS:
+            getattr(self.ring, name)[self._pos] = getattr(tr, name)
+        self._pos = (self._pos + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
 
-    def sample(self, k: int, rng: np.random.Generator):
-        if not self._items:
+    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+        if not self._len:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=k)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(0, self._len, size=k)
+        return Batch(**{name: getattr(self.ring, name)[idx] for name in _COLUMNS})
 
     def __len__(self):
-        return len(self._items)
+        return self._len
 
 
 @dataclass(frozen=True)
@@ -114,17 +158,59 @@ def _zero_terminal(X):
 
 
 class _AgentBase:
+    """What every agent kind shares: the decision interval, discounting,
+    exploration, the network input and the parameter names.
+
+    ``_param_nets`` lists (name prefix, attribute) for each trained network.
+    """
+
+    _param_nets = ()
+
+    def __init__(self, state_dim, n_actions, h, discount, horizon, terminal_reward,
+                 schedule):
+        if h <= 0:
+            raise ValueError("h must be positive")
+        self.state_dim = state_dim
+        self.n_actions = n_actions
+        self.h = h
+        self.discount = discount
+        self.gamma_h = discount**h
+        self.horizon = horizon
+        self.terminal_reward = terminal_reward or _zero_terminal
+        self.schedule = schedule or ExplorationSchedule()
+
     def observe(self, t, X) -> np.ndarray:
-        """Network input: normalized clamped time then the state coordinates."""
+        """Network input: normalized clamped time then the state coordinates.
+
+        ``t`` is one time for every row or an array with one per row; both
+        clamp with the same IEEE operations. Acting passes one time per call,
+        where numpy's scalar ufuncs would cost more than the rest of this.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        tau = min(max(t / self.horizon, 0.0), 1.0)
-        return np.concatenate([np.full((X.shape[0], 1), tau), X], axis=1)
+        tau = t / self.horizon
+        obs = np.empty((X.shape[0], X.shape[1] + 1))
+        if isinstance(tau, float):
+            obs[:, 0] = min(max(tau, 0.0), 1.0)
+        else:
+            obs[:, 0] = np.minimum(np.maximum(tau, 0.0), 1.0)
+        obs[:, 1:] = X
+        return obs
 
     def act_greedy(self, t, x) -> int:
         return int(self.act_greedy_batch(t, np.atleast_2d(x))[0])
 
     def _terminal(self, X):
         return np.asarray(self.terminal_reward(np.atleast_2d(X)), dtype=np.float64)
+
+    def named_params(self) -> dict:
+        """Every trained tensor by name: ``theta.w0``, ``zeta.b1``, ``v.w0``, ..."""
+        out = {}
+        for prefix, attr in self._param_nets:
+            net = getattr(self, attr)
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                out[f"{prefix}.w{i}"] = w
+                out[f"{prefix}.b{i}"] = b
+        return out
 
 
 class DsupAgent(_AgentBase):
@@ -136,6 +222,8 @@ class DsupAgent(_AgentBase):
     difference phi(a) - phi(a*) models the rescaled superiority, so the
     prediction at the greedy action is exactly theta.
     """
+
+    _param_nets = (("theta", "theta"), ("phi", "phi"))
 
     def __init__(
         self,
@@ -155,30 +243,22 @@ class DsupAgent(_AgentBase):
         schedule: ExplorationSchedule | None = None,
         seed: int = 0,
     ):
-        if h <= 0:
-            raise ValueError("h must be positive")
-        self.state_dim = state_dim
-        self.n_actions = n_actions
-        self.h = h
+        super().__init__(state_dim, n_actions, h, discount, horizon, terminal_reward,
+                         schedule)
         self.q = q
         self.m = m
         self.kappa = kappa
-        self.discount = discount
-        self.gamma_h = discount**h
-        self.horizon = horizon
         self.advantage_head = advantage_head
-        self.terminal_reward = terminal_reward or _zero_terminal
         self.risk = risk or DistortionMeasure.expected_value()
         self._risk_w = self.risk.level_weights(m)
-        self.schedule = schedule or ExplorationSchedule()
         rng = np.random.default_rng(seed)
         obs_dim = state_dim + 1
         phi_out = n_actions * m + (n_actions if advantage_head else 0)
         self.theta = Mlp.from_sizes([obs_dim, *hidden, m], rng)
         self.phi = Mlp.from_sizes([obs_dim, *hidden, phi_out], rng)
         self.theta_target = self.theta.copy()
-        self.adam_theta = AdamState(self.theta.params, lr=lr)
-        self.adam_phi = AdamState(self.phi.params, lr=lr)
+        self.adam_theta = AdamState([self.theta.flat], lr=lr)
+        self.adam_phi = AdamState([self.phi.flat], lr=lr)
 
     @property
     def kind(self) -> str:
@@ -208,22 +288,17 @@ class DsupAgent(_AgentBase):
     def act_greedy_batch(self, t, X) -> np.ndarray:
         return self._greedy_indices(self.observe(t, X))
 
+    def _bootstrap(self, obs_next):
+        return self.theta_target.forward(obs_next)
+
     def sync_target(self):
-        self.theta_target = self.theta.copy()
+        np.copyto(self.theta_target.flat, self.theta.flat)
 
     def train_step(self, batch) -> float:
         loss = dsup_update(self, batch)
         if self.advantage_head:
             loss += dau_update(self, batch)
         return loss
-
-    def named_params(self) -> dict:
-        out = {}
-        for net_name, net in (("theta", self.theta), ("phi", self.phi)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out[f"{net_name}.w{i}"] = w
-                out[f"{net_name}.b{i}"] = b
-        return out
 
 
 class QrdqnAgent(_AgentBase):
@@ -232,6 +307,7 @@ class QrdqnAgent(_AgentBase):
     agents so frequency sweeps compare like with like."""
 
     kind = "qrdqn"
+    _param_nets = (("zeta", "zeta"),)
 
     def __init__(
         self,
@@ -249,23 +325,17 @@ class QrdqnAgent(_AgentBase):
         schedule: ExplorationSchedule | None = None,
         seed: int = 0,
     ):
-        self.state_dim = state_dim
-        self.n_actions = n_actions
-        self.h = h
+        super().__init__(state_dim, n_actions, h, discount, horizon, terminal_reward,
+                         schedule)
         self.m = m
         self.kappa = kappa
-        self.discount = discount
-        self.gamma_h = discount**h
-        self.horizon = horizon
-        self.terminal_reward = terminal_reward or _zero_terminal
         self.risk = risk or DistortionMeasure.expected_value()
         self._risk_w = self.risk.level_weights(m)
-        self.schedule = schedule or ExplorationSchedule()
         rng = np.random.default_rng(seed)
         obs_dim = state_dim + 1
         self.zeta = Mlp.from_sizes([obs_dim, *hidden, n_actions * m], rng)
         self.zeta_target = self.zeta.copy()
-        self.adam = AdamState(self.zeta.params, lr=lr)
+        self.adam = AdamState([self.zeta.flat], lr=lr)
 
     def _heads(self, net, obs):
         return net.forward(obs).reshape(obs.shape[0], self.n_actions, self.m)
@@ -274,56 +344,33 @@ class QrdqnAgent(_AgentBase):
         util = _risk_utilities(self._heads(self.zeta, self.observe(t, X)), self._risk_w)
         return np.argmax(util, axis=1)
 
+    def _bootstrap(self, obs_next):
+        """Target-network atoms of the risk-greedy next action."""
+        heads = self._heads(self.zeta_target, obs_next)
+        a_star = np.argmax(_risk_utilities(heads, self._risk_w), axis=1)
+        return heads[np.arange(heads.shape[0]), a_star]
+
     def sync_target(self):
-        self.zeta_target = self.zeta.copy()
+        np.copyto(self.zeta_target.flat, self.zeta.flat)
 
     def target(self, tr: Transition) -> QuantileRep:
-        obs_next = self.observe(tr.t + self.h, tr.x_next)
-        heads = self._heads(self.zeta_target, obs_next)
-        util = _risk_utilities(heads, self._risk_w)
-        a_star = int(np.argmax(util, axis=1)[0])
-        boot = heads[0, a_star]
-        g = float(self._terminal(tr.x_next)[0])
-        done = float(tr.done)
-        atoms = self.h * tr.r + self.gamma_h * ((1.0 - done) * boot + done * g)
-        return QuantileRep(np.broadcast_to(atoms, (self.m,)).copy())
+        return _single_target(self, tr)
 
     def train_step(self, batch) -> float:
         b = len(batch)
-        obs = np.concatenate([self.observe(tr.t, tr.x) for tr in batch])
-        obs_next = np.concatenate(
-            [self.observe(tr.t + self.h, tr.x_next) for tr in batch]
-        )
-        a_idx = np.array([tr.a for tr in batch])
-        r = np.array([tr.r for tr in batch])
-        done = np.array([float(tr.done) for tr in batch])
-        g = np.concatenate([self._terminal(tr.x_next) for tr in batch])
-
+        obs, obs_next, a_idx, r, done, g = _batch_arrays(self, batch)
+        rows = np.arange(b)
         out, cache = self.zeta.forward_cached(obs)
         heads = out.reshape(b, self.n_actions, self.m)
-        pred = heads[np.arange(b), a_idx]
-
-        t_heads = self._heads(self.zeta_target, obs_next)
-        t_util = _risk_utilities(t_heads, self._risk_w)
-        a_star = np.argmax(t_util, axis=1)
-        boot = t_heads[np.arange(b), a_star]
-        tgt = (self.h * r)[:, None] + self.gamma_h * (
-            (1.0 - done)[:, None] * boot + (done * g)[:, None]
-        )
+        pred = heads[rows, a_idx]
+        tgt = _quantile_targets(self, obs_next, r, done, g)
 
         loss, grad_pred = kernels.quantile_huber_batch(pred, tgt, self.kappa)
         grad_heads = np.zeros_like(heads)
-        grad_heads[np.arange(b), a_idx] = grad_pred
+        grad_heads[rows, a_idx] = grad_pred
         grads, _ = self.zeta.backward(cache, grad_heads.reshape(b, -1))
-        adam_step(self.adam, self.zeta.params, grads)
+        _adam(self.adam, self.zeta, grads)
         return float(loss)
-
-    def named_params(self) -> dict:
-        return {
-            f"zeta.{kind}{i}": arr
-            for i, (w, bias) in enumerate(zip(self.zeta.weights, self.zeta.biases))
-            for kind, arr in (("w", w), ("b", bias))
-        }
 
 
 class DauAgent(_AgentBase):
@@ -331,6 +378,7 @@ class DauAgent(_AgentBase):
     advantage network pinned to zero at the greedy action."""
 
     kind = "dau"
+    _param_nets = (("v", "vnet"), ("a", "anet"))
 
     def __init__(
         self,
@@ -345,38 +393,24 @@ class DauAgent(_AgentBase):
         schedule: ExplorationSchedule | None = None,
         seed: int = 0,
     ):
-        self.state_dim = state_dim
-        self.n_actions = n_actions
-        self.h = h
-        self.discount = discount
-        self.gamma_h = discount**h
-        self.horizon = horizon
-        self.terminal_reward = terminal_reward or _zero_terminal
-        self.schedule = schedule or ExplorationSchedule()
+        super().__init__(state_dim, n_actions, h, discount, horizon, terminal_reward,
+                         schedule)
         rng = np.random.default_rng(seed)
         obs_dim = state_dim + 1
         self.vnet = Mlp.from_sizes([obs_dim, *hidden, 1], rng)
         self.anet = Mlp.from_sizes([obs_dim, *hidden, n_actions], rng)
         self.v_target = self.vnet.copy()
-        self.adam_v = AdamState(self.vnet.params, lr=lr)
-        self.adam_a = AdamState(self.anet.params, lr=lr)
+        self.adam_v = AdamState([self.vnet.flat], lr=lr)
+        self.adam_a = AdamState([self.anet.flat], lr=lr)
 
     def act_greedy_batch(self, t, X) -> np.ndarray:
         return np.argmax(self.anet.forward(self.observe(t, X)), axis=1)
 
     def sync_target(self):
-        self.v_target = self.vnet.copy()
+        np.copyto(self.v_target.flat, self.vnet.flat)
 
     def train_step(self, batch) -> float:
         return dau_update(self, batch)
-
-    def named_params(self) -> dict:
-        out = {}
-        for net_name, net in (("v", self.vnet), ("a", self.anet)):
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                out[f"{net_name}.w{i}"] = w
-                out[f"{net_name}.b{i}"] = b
-        return out
 
 
 def greedy_action(agent, t, x) -> int:
@@ -421,24 +455,38 @@ def dsup_target(agent: DsupAgent, tr: Transition) -> QuantileRep:
 
     Computed from the target network; no gradients flow through it.
     """
-    obs_next = agent.observe(tr.t + agent.h, tr.x_next)
-    boot = agent.theta_target.forward(obs_next)[0]
-    g = float(agent._terminal(tr.x_next)[0])
-    done = float(tr.done)
-    atoms = agent.h * tr.r + agent.gamma_h * ((1.0 - done) * boot + done * g)
-    return QuantileRep(np.broadcast_to(atoms, (agent.m,)).copy())
+    return _single_target(agent, tr)
 
 
 def _batch_arrays(agent, batch):
-    obs = np.concatenate([agent.observe(tr.t, tr.x) for tr in batch])
-    obs_next = np.concatenate(
-        [agent.observe(tr.t + agent.h, tr.x_next) for tr in batch]
+    """(obs, obs_next, a, r, done, g) for a Batch or a list of Transitions:
+    network inputs at (t, x) and (t + h, x'), actions, rewards, done flags as
+    0.0/1.0 and terminal rewards g(x')."""
+    if not isinstance(batch, Batch):
+        batch = Batch.stack(batch)
+    obs = agent.observe(batch.t, batch.x)
+    obs_next = agent.observe(batch.t + agent.h, batch.x_next)
+    g = agent._terminal(batch.x_next)
+    return obs, obs_next, batch.a, batch.r, batch.done.astype(np.float64), g
+
+
+def _quantile_targets(agent, obs_next, r, done, g):
+    """h r + gamma**h ((1 - done) boot + done g) per row and atom, with the
+    bootstrap atoms read from the agent's target network."""
+    boot = agent._bootstrap(obs_next)
+    return (agent.h * r)[:, None] + agent.gamma_h * (
+        (1.0 - done)[:, None] * boot + (done * g)[:, None]
     )
-    a_idx = np.array([tr.a for tr in batch])
-    r = np.array([tr.r for tr in batch])
-    done = np.array([float(tr.done) for tr in batch])
-    g = np.concatenate([agent._terminal(tr.x_next) for tr in batch])
-    return obs, obs_next, a_idx, r, done, g
+
+
+def _single_target(agent, tr: Transition) -> QuantileRep:
+    _, obs_next, _, r, done, g = _batch_arrays(agent, [tr])
+    return QuantileRep(_quantile_targets(agent, obs_next, r, done, g)[0])
+
+
+def _adam(state: AdamState, net: Mlp, grads):
+    """One Adam step on all of a network's parameters at once."""
+    adam_step(state, [net.flat], [grads.flat])
 
 
 def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
@@ -465,10 +513,7 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
     scale = agent.h**agent.q
     pred = theta_out + scale * (heads[rows, a_idx] - heads[rows, a_star])
 
-    boot = agent.theta_target.forward(obs_next)
-    tgt = (agent.h * r)[:, None] + agent.gamma_h * (
-        (1.0 - done)[:, None] * boot + (done * g)[:, None]
-    )
+    tgt = _quantile_targets(agent, obs_next, r, done, g)
 
     loss, grad_pred = kernels.quantile_huber_batch(pred, tgt, agent.kappa)
 
@@ -485,8 +530,8 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
 def dsup_update(agent: DsupAgent, batch) -> float:
     """One joint Adam step on theta and phi from the quantile-Huber loss."""
     loss, grads, _ = dsup_loss_grads(agent, batch)
-    adam_step(agent.adam_theta, agent.theta.params, grads["theta"])
-    adam_step(agent.adam_phi, agent.phi.params, grads["phi"])
+    _adam(agent.adam_theta, agent.theta, grads["theta"])
+    _adam(agent.adam_phi, agent.phi, grads["phi"])
     return loss
 
 
@@ -555,10 +600,10 @@ def dau_update(agent, batch) -> float:
     """One Adam step on the advantage Bellman error."""
     loss, grads, _ = dau_loss_grads(agent, batch)
     if isinstance(agent, DsupAgent):
-        adam_step(agent.adam_phi, agent.phi.params, grads["phi"])
+        _adam(agent.adam_phi, agent.phi, grads["phi"])
     else:
-        adam_step(agent.adam_v, agent.vnet.params, grads["v"])
-        adam_step(agent.adam_a, agent.anet.params, grads["a"])
+        _adam(agent.adam_v, agent.vnet, grads["v"])
+        _adam(agent.adam_a, agent.anet, grads["a"])
     return loss
 
 
@@ -665,7 +710,7 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
                 fresh = False
             a = explore_action(agent, t_cur, x_cur, rng, env_steps)
             x_next, r, done = _env_step_single(env, t_cur, x_cur, a, h, rng)
-            tr = Transition(t_cur, np.array(x_cur), a, r, np.array(x_next), done)
+            tr = Transition(t_cur, x_cur, a, r, x_next, done)
             store_subsampled(buffer, tr, min(1.0, h), rng)
             env_steps += 1
             t_cur += h

@@ -24,21 +24,45 @@ class LossReport:
     param_grads: list | None = None
 
 
+class ParamGrads(list):
+    """Per-tensor gradients in ``Mlp.params`` order, each a view into the one
+    vector ``flat`` laid out like ``Mlp.flat``."""
+
+    def __init__(self, views, flat):
+        super().__init__(views)
+        self.flat = flat
+
+
 class Mlp:
     """Affine layers with rectifier hidden activations and identity output.
 
-    Parameters are kept as alternating [W0, b0, W1, b1, ...]; each W has
-    shape (fan_in, fan_out).
+    All parameters live in one float64 vector ``flat``, laid out as
+    [W0, b0, W1, b1, ...] with each W of shape (fan_in, fan_out) in row-major
+    order; ``weights`` and ``biases`` are views into it.
     """
 
     def __init__(self, weights, biases):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need matching nonempty weight/bias lists")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        for w, b in zip(self.weights, self.biases):
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError("weight/bias shape mismatch")
+        self._shapes = [w.shape for w in weights]
+        self.flat = np.empty(sum((i + 1) * o for i, o in self._shapes))
+        self.weights, self.biases = self._split(self.flat)
+        self.set_params([p for wb in zip(weights, biases) for p in wb])
+
+    def _split(self, vec):
+        """Weight and bias views into a vector laid out like ``flat``."""
+        weights, biases, off = [], [], 0
+        for fan_in, fan_out in self._shapes:
+            weights.append(vec[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
+            off += fan_in * fan_out
+            biases.append(vec[off : off + fan_out])
+            off += fan_out
+        return weights, biases
 
     @classmethod
     def from_sizes(cls, sizes, rng: np.random.Generator):
@@ -58,33 +82,40 @@ class Mlp:
 
     @property
     def sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self._shapes[0][0]] + [o for _, o in self._shapes]
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self._shapes[0][0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self._shapes[-1][1]
 
     def parameter_count(self) -> int:
-        return sum((w.shape[0] + 1) * w.shape[1] for w in self.weights)
+        return self.flat.size
 
     @property
     def params(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def set_params(self, params):
-        for i in range(len(self.weights)):
-            self.weights[i] = np.asarray(params[2 * i], dtype=np.float64)
-            self.biases[i] = np.asarray(params[2 * i + 1], dtype=np.float64)
+        """Copy [W0, b0, W1, b1, ...] into the parameter views."""
+        views = self.params
+        if len(params) != len(views):
+            raise ValueError(f"expected {len(views)} tensors, got {len(params)}")
+        for dst, src in zip(views, params):
+            if np.shape(src) != dst.shape:
+                raise ValueError(f"shape {np.shape(src)} does not match {dst.shape}")
+        for dst, src in zip(views, params):
+            dst[...] = src
 
     def copy(self):
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        new = Mlp.__new__(Mlp)
+        new._shapes = self._shapes
+        new.flat = self.flat.copy()
+        new.weights, new.biases = new._split(new.flat)
+        return new
 
     def _promote(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -114,24 +145,30 @@ class Mlp:
         return out, (acts, single)
 
     def backward(self, cache, grad_out):
-        """Reverse accumulation: gradients per parameter plus d/d(input)."""
+        """Reverse accumulation: gradients per parameter plus d/d(input).
+
+        The parameter gradients are views into one vector allocated per call,
+        so gradients from an earlier call stay valid.
+        """
         acts, single = cache
         g = np.asarray(grad_out, dtype=np.float64)
         if single:
             g = g[None, :]
-        param_grads = [None] * (2 * len(self.weights))
+        flat = np.empty_like(self.flat)
+        grad_w, grad_b = self._split(flat)
         for i in range(len(self.weights) - 1, -1, -1):
             if i < len(self.weights) - 1:
                 g = g * (acts[i + 1] > 0.0)
-            param_grads[2 * i] = acts[i].T @ g
-            param_grads[2 * i + 1] = g.sum(axis=0)
+            np.matmul(acts[i].T, g, out=grad_w[i])
+            np.sum(g, axis=0, out=grad_b[i])
             g = g @ self.weights[i].T
         grad_in = g[0] if single else g
-        return param_grads, grad_in
+        return ParamGrads([p for wb in zip(grad_w, grad_b) for p in wb], flat), grad_in
 
 
 class AdamState:
-    """First/second moment accumulators with bias correction."""
+    """First/second moment accumulators with bias correction, plus two
+    scratch vectors per tensor so that a step allocates nothing."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -141,23 +178,41 @@ class AdamState:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
 
 def adam_step(state: AdamState, params, grads):
-    """One Adam update; mutates params and state in place."""
+    """One Adam update; mutates params and state in place.
+
+    The in-place form of
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p -= lr (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+    with the same operations in the same order, so results are bitwise those
+    of the expression form.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("param/grad/state lengths differ")
+    for p, g in zip(params, grads):
+        if p.shape != np.shape(g):
+            raise ValueError("param/grad shape mismatch")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != np.shape(g):
-            raise ValueError("param/grad shape mismatch")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1**t)
-        v_hat = state.v[i] / (1 - b2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state._scratch):
+        m *= b1
+        np.multiply(g, 1 - b1, out=s1)
+        m += s1
+        np.multiply(g, 1 - b2, out=s1)
+        s1 *= g
+        v *= b2
+        v += s1
+        np.divide(m, 1 - b1**t, out=s1)
+        np.divide(v, 1 - b2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 *= state.lr
+        s1 /= s2
+        p -= s1
     return params
 
 

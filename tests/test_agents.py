@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from ctdrl.agents import (
+    Batch,
     DauAgent,
     DsupAgent,
     ExplorationSchedule,
@@ -23,6 +24,7 @@ from ctdrl.agents import (
     shifted_dsup_greedy,
     store_subsampled,
     train,
+    _batch_arrays,
 )
 from ctdrl.dist import DistortionMeasure
 from ctdrl.envs import GbmParams, OptionTradingEnv
@@ -332,13 +334,127 @@ def test_replay_buffer_ring_overwrite():
     for i in range(5):
         buf.add(single_transition(r=float(i)))
     assert len(buf) == 3
-    stored = sorted(tr.r for tr in buf._items)
+    stored = sorted(buf.ring.r[: len(buf)])
     assert stored == [2.0, 3.0, 4.0]
     rng = np.random.default_rng(0)
     sample = buf.sample(10, rng)
     assert len(sample) == 10
     with pytest.raises(ValueError):
         ReplayBuffer(0)
+
+
+class ListRing:
+    """Ring of Transition objects in a list: the slot order ReplayBuffer
+    keeps, so the same rng draws pick the same transitions."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.pos = 0
+
+    def add(self, tr):
+        if len(self.items) < self.capacity:
+            self.items.append(tr)
+        else:
+            self.items[self.pos] = tr
+            self.pos = (self.pos + 1) % self.capacity
+
+    def sample(self, k, rng):
+        idx = rng.integers(0, len(self.items), size=k)
+        return [self.items[i] for i in idx]
+
+
+def batch_arrays_oracle(agent, batch):
+    """Per-transition network inputs and terminal rewards, concatenated."""
+
+    def observe(t, X):
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        tau = min(max(t / agent.horizon, 0.0), 1.0)
+        return np.concatenate([np.full((X.shape[0], 1), tau), X], axis=1)
+
+    obs = np.concatenate([observe(tr.t, tr.x) for tr in batch])
+    obs_next = np.concatenate([observe(tr.t + agent.h, tr.x_next) for tr in batch])
+    a_idx = np.array([tr.a for tr in batch])
+    r = np.array([tr.r for tr in batch])
+    done = np.array([float(tr.done) for tr in batch])
+    g = np.concatenate([agent._terminal(tr.x_next) for tr in batch])
+    return obs, obs_next, a_idx, r, done, g
+
+
+def random_transitions(rng, n, state_dim=2, horizon=1.0):
+    # times run past the horizon so the clamp of the time input is exercised
+    return [
+        Transition(
+            float(rng.uniform(0.0, 1.3 * horizon)),
+            rng.normal(size=state_dim) + 1.0,
+            int(rng.integers(3)),
+            float(rng.normal()),
+            rng.normal(size=state_dim) + 1.0,
+            bool(rng.random() < 0.3),
+        )
+        for _ in range(n)
+    ]
+
+
+def assert_same_transitions(batch, transitions):
+    np.testing.assert_array_equal(batch.t, [tr.t for tr in transitions])
+    np.testing.assert_array_equal(batch.x, [tr.x for tr in transitions])
+    np.testing.assert_array_equal(batch.a, [tr.a for tr in transitions])
+    np.testing.assert_array_equal(batch.r, [tr.r for tr in transitions])
+    np.testing.assert_array_equal(batch.x_next, [tr.x_next for tr in transitions])
+    np.testing.assert_array_equal(batch.done, [tr.done for tr in transitions])
+
+
+def test_replay_buffer_samples_what_the_list_ring_samples():
+    rng = np.random.default_rng(13)
+    transitions = random_transitions(rng, 23)
+    buf, oracle = ReplayBuffer(7), ListRing(7)
+    for n_added, tr in enumerate(transitions, start=1):
+        buf.add(tr)
+        oracle.add(tr)
+        assert len(buf) == len(oracle.items)
+        if n_added in (1, 4, 7, 8, 15, 23):  # before, at and after wrap-around
+            seed = 100 + n_added
+            got = buf.sample(11, np.random.default_rng(seed))
+            want = oracle.sample(11, np.random.default_rng(seed))
+            assert isinstance(got, Batch) and len(got) == 11
+            assert_same_transitions(got, want)
+            assert got.a.dtype == np.int64 and got.done.dtype == np.bool_
+
+
+def test_replay_buffer_copies_on_insert():
+    x = np.array([1.0, 2.0])
+    buf = ReplayBuffer(4)
+    buf.add(Transition(0.0, x, 0, 0.0, x, False))
+    x[:] = -1.0
+    np.testing.assert_array_equal(buf.ring.x[0], [1.0, 2.0])
+    np.testing.assert_array_equal(buf.ring.x_next[0], [1.0, 2.0])
+
+
+def test_batch_arrays_match_per_transition_oracle_bitwise():
+    env = OptionTradingEnv(GbmParams(0.0, 0.2), horizon=1.0)
+    common = dict(state_dim=2, n_actions=3, h=0.3, hidden=(5,), discount=0.97,
+                  horizon=1.0, terminal_reward=env.terminal_reward, seed=0)
+    kinds = [
+        DsupAgent(m=4, advantage_head=True, **common),
+        QrdqnAgent(m=4, **common),
+        DauAgent(**common),
+    ]
+    rng = np.random.default_rng(14)
+    buf, oracle = ReplayBuffer(16), ListRing(16)
+    for tr in random_transitions(rng, 40):
+        buf.add(tr)
+        oracle.add(tr)
+    for agent in kinds:
+        for seed in range(3):
+            sample = buf.sample(32, np.random.default_rng(seed))
+            listed = oracle.sample(32, np.random.default_rng(seed))
+            want = batch_arrays_oracle(agent, listed)
+            for got in (_batch_arrays(agent, sample), _batch_arrays(agent, listed)):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.array_equal(g, w)
 
 
 def test_store_subsampled_rules():
@@ -355,6 +471,57 @@ def test_store_subsampled_rules():
     for _ in range(offers):
         kept += store_subsampled(buf, single_transition(done=False), 0.1, rng)
     assert abs(kept / offers - 0.1) < 0.01
+
+
+@pytest.mark.parametrize("h", [0.0, -0.25])
+def test_every_agent_kind_rejects_nonpositive_h(h):
+    for cls in (DsupAgent, QrdqnAgent, DauAgent):
+        with pytest.raises(ValueError, match="h must be positive"):
+            cls(state_dim=1, n_actions=2, h=h, hidden=(4,))
+
+
+def test_sync_target_copies_into_the_target_views():
+    agents = [
+        (make_agent(m=3, seed=15), "theta", "theta_target"),
+        (QrdqnAgent(state_dim=1, n_actions=2, h=0.25, m=3, hidden=(4,), seed=15),
+         "zeta", "zeta_target"),
+        (DauAgent(state_dim=1, n_actions=2, h=0.25, hidden=(4,), seed=15),
+         "vnet", "v_target"),
+    ]
+    for agent, online_name, target_name in agents:
+        online = getattr(agent, online_name)
+        online.flat += 0.5
+        agent.sync_target()
+        target = getattr(agent, target_name)
+        np.testing.assert_array_equal(target.flat, online.flat)
+        assert not np.shares_memory(target.flat, online.flat)
+        for p in target.params:
+            assert np.shares_memory(p, target.flat)
+        for p in online.params:
+            assert np.shares_memory(p, online.flat)
+
+
+def test_named_params_names_and_views():
+    qr = QrdqnAgent(state_dim=1, n_actions=2, h=0.25, m=3, hidden=(4,), seed=0)
+    dau = DauAgent(state_dim=1, n_actions=2, h=0.25, hidden=(4,), seed=0)
+    cases = [
+        (make_agent(), ["theta", "phi"], ["theta", "phi"]),
+        (qr, ["zeta"], ["zeta"]),
+        (dau, ["v", "a"], ["vnet", "anet"]),
+    ]
+    for agent, prefixes, attrs in cases:
+        named = agent.named_params()
+        nets = [getattr(agent, attr) for attr in attrs]
+        assert list(named) == [
+            f"{prefix}.{kind}{i}"
+            for prefix, net in zip(prefixes, nets)
+            for i in range(len(net.weights))
+            for kind in "wb"
+        ]
+        for prefix, net in zip(prefixes, nets):
+            for i in range(len(net.weights)):
+                assert named[f"{prefix}.w{i}"] is net.weights[i]
+                assert named[f"{prefix}.b{i}"] is net.biases[i]
 
 
 # -------------------------------------------------------- structure checks

@@ -206,6 +206,120 @@ def test_adam_shape_validation():
         adam_step(state, params, [np.zeros(4)])
 
 
+def adam_step_oracle(state, params, grads):
+    """Adam in expression form, allocating its temporaries: the arithmetic
+    adam_step must reproduce bit for bit."""
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
+        m_hat = state.m[i] / (1 - b1**t)
+        v_hat = state.v[i] / (1 - b2**t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_adam_step_matches_expression_oracle_bitwise(flat):
+    rng = np.random.default_rng(41)
+    net = Mlp.from_sizes([3, 7, 4], rng)
+    ref = net.copy()
+    params = [net.flat] if flat else net.params
+    ref_params = [ref.flat] if flat else ref.params
+    state = AdamState(params, lr=3e-3)
+    ref_state = AdamState(ref_params, lr=3e-3)
+    scales = [1.0, 0.0, 1e-3, 1e160, 1.0, 0.0, 1e6]  # zero and overflowing g*g
+    for scale in scales:
+        grads = [scale * rng.standard_normal(p.shape) for p in params]
+        with np.errstate(over="ignore"):
+            adam_step(state, params, grads)
+            adam_step_oracle(ref_state, ref_params, grads)
+        for got, want in zip(params + state.m + state.v,
+                             ref_params + ref_state.m + ref_state.v):
+            assert np.array_equal(got, want)
+    assert state.step_count == ref_state.step_count == len(scales)
+    assert np.all(np.isfinite(net.flat))
+
+
+def test_flat_adam_equals_per_tensor_adam_bitwise():
+    rng = np.random.default_rng(42)
+    flat_net = Mlp.from_sizes([2, 5, 3], rng)
+    split_net = flat_net.copy()
+    flat_state = AdamState([flat_net.flat], lr=1e-2)
+    split_state = AdamState(split_net.params, lr=1e-2)
+    x = rng.standard_normal((6, 2))
+    for _ in range(5):
+        probe = rng.standard_normal((6, 3))
+        grads, _ = flat_net.backward(flat_net.forward_cached(x)[1], probe)
+        adam_step(flat_state, [flat_net.flat], [grads.flat])
+        grads, _ = split_net.backward(split_net.forward_cached(x)[1], probe)
+        adam_step(split_state, split_net.params, list(grads))
+    assert np.array_equal(flat_net.flat, split_net.flat)
+
+
+# ------------------------------------------------------- flat parameters
+
+
+def assert_views_of_flat(net):
+    views = net.params
+    assert len(views) == 2 * len(net.weights)
+    for view in views:
+        assert np.shares_memory(view, net.flat)
+    assert sum(v.size for v in views) == net.flat.size
+    np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), net.flat)
+
+
+def test_parameters_stay_views_of_flat():
+    rng = np.random.default_rng(43)
+    net = Mlp.from_sizes([3, 6, 2], rng)
+    assert_views_of_flat(net)
+
+    clone = net.copy()
+    assert_views_of_flat(clone)
+    assert not np.shares_memory(clone.flat, net.flat)
+    np.testing.assert_array_equal(clone.flat, net.flat)
+
+    new = [rng.standard_normal(p.shape) for p in net.params]
+    net.set_params(new)
+    assert_views_of_flat(net)
+    for got, want in zip(net.params, new):
+        np.testing.assert_array_equal(got, want)
+
+    grads, _ = net.backward(net.forward_cached(rng.standard_normal((4, 3)))[1],
+                            rng.standard_normal((4, 2)))
+    state = AdamState([net.flat], lr=1e-2)
+    adam_step(state, [net.flat], [grads.flat])
+    assert_views_of_flat(net)
+    assert not np.array_equal(net.params[0], new[0])
+
+
+def test_set_params_rejects_wrong_shapes():
+    net = Mlp.zeros([2, 3, 1])
+    params = [p + 1.0 for p in net.params]
+    with pytest.raises(ValueError):
+        net.set_params(params[:-1])
+    params[2] = np.zeros((1, 3))
+    with pytest.raises(ValueError):
+        net.set_params(params)
+    np.testing.assert_array_equal(net.flat, 0.0)
+
+
+def test_backward_gradients_are_views_of_a_fresh_flat_vector():
+    rng = np.random.default_rng(44)
+    net = Mlp.from_sizes([3, 5, 2], rng)
+    x = rng.standard_normal((4, 3))
+    first, _ = net.backward(net.forward_cached(x)[1], np.ones((4, 2)))
+    kept = [g.copy() for g in first]
+    for g, p in zip(first, net.params):
+        assert g.shape == p.shape
+        assert np.shares_memory(g, first.flat)
+    second, _ = net.backward(net.forward_cached(2.0 * x)[1], -np.ones((4, 2)))
+    assert not np.shares_memory(first.flat, second.flat)
+    for g, k in zip(first, kept):
+        np.testing.assert_array_equal(g, k)
+
+
 # -------------------------------------------------------------- checkpoints
 
 
