@@ -1,8 +1,9 @@
 """Value-based learners at decision frequency 1/h.
 
-Four agent kinds share the same training loop: a quantile return model with a
-superiority proxy (optionally carrying an advantage head on a shared torso),
-a plain quantile-regression baseline, and an advantage-updating baseline.
+Four agent kinds share the same learner core and training loop: a quantile
+return model with a superiority proxy (optionally carrying an advantage head
+on a shared torso), a plain quantile-regression baseline, and an
+advantage-updating baseline.
 All updates are pure functions of (parameters, batch, rng draw) so runs are
 bitwise reproducible under fixed seeds.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "dsup_target",
     "dsup_loss_grads",
     "dsup_update",
+    "qrdqn_loss_grads",
     "dau_loss_grads",
     "dau_update",
     "store_subsampled",
@@ -46,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Transition:
+class Transition(NamedTuple):
     t: float
     x: np.ndarray
     a: int
@@ -107,12 +109,12 @@ class ReplayBuffer:
 
     def add(self, tr: Transition):
         if self.ring is None:
-            self.ring = Batch(**{
-                name: np.empty((self.capacity, *np.shape(getattr(tr, name))), dtype=dtype)
-                for name, dtype in _COLUMNS.items()
-            })
-        for name in _COLUMNS:
-            getattr(self.ring, name)[self._pos] = getattr(tr, name)
+            self.ring = Batch(*(
+                np.empty((self.capacity, *np.shape(value)), dtype=dtype)
+                for value, dtype in zip(tr, _COLUMNS.values())
+            ))
+        for name, value in zip(_COLUMNS, tr):
+            getattr(self.ring, name)[self._pos] = value
         self._pos = (self._pos + 1) % self.capacity
         self._len = min(self._len + 1, self.capacity)
 
@@ -159,12 +161,14 @@ def _zero_terminal(X):
 
 class _AgentBase:
     """What every agent kind shares: the decision interval, discounting,
-    exploration, the network input and the parameter names.
+    exploration, the network input and the training mechanics.
 
-    ``_param_nets`` lists (name prefix, attribute) for each trained network.
+    ``_nets`` has one row (name prefix, network attribute, target attribute
+    or None) per trained network. Once a kind has built its networks it calls
+    ``_init_learner``; everything else about training is written here once.
     """
 
-    _param_nets = ()
+    _nets = ()
 
     def __init__(self, state_dim, n_actions, h, discount, horizon, terminal_reward,
                  schedule):
@@ -202,15 +206,45 @@ class _AgentBase:
     def _terminal(self, X):
         return np.asarray(self.terminal_reward(np.atleast_2d(X)), dtype=np.float64)
 
+    def _init_learner(self, lr, losses):
+        """Target copies, one AdamState per prefix in ``adam``, and the loss
+        functions a train step runs, in order."""
+        self._losses = losses
+        self.adam = {}
+        for prefix, attr, target in self._nets:
+            net = getattr(self, attr)
+            if target:
+                setattr(self, target, net.copy())
+            self.adam[prefix] = AdamState([net.flat], lr=lr)
+
+    def sync_target(self):
+        for _, attr, target in self._nets:
+            if target:
+                np.copyto(getattr(self, target).flat, getattr(self, attr).flat)
+
     def named_params(self) -> dict:
         """Every trained tensor by name: ``theta.w0``, ``zeta.b1``, ``v.w0``, ..."""
         out = {}
-        for prefix, attr in self._param_nets:
+        for prefix, attr, _ in self._nets:
             net = getattr(self, attr)
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                 out[f"{prefix}.w{i}"] = w
                 out[f"{prefix}.b{i}"] = b
         return out
+
+    def _update(self, loss_grads, batch) -> float:
+        """One Adam step on every network that ``loss_grads`` returns
+        gradients for; returns the loss."""
+        loss, grads, _ = loss_grads(self, batch)
+        for prefix, attr, _ in self._nets:
+            if prefix in grads:
+                adam_step(self.adam[prefix], [getattr(self, attr).flat],
+                          [grads[prefix].flat])
+        return loss
+
+    def train_step(self, batch) -> float:
+        """One update per loss function of the kind; returns the summed loss."""
+        return sum(self._update(loss_grads, batch) for loss_grads in self._losses)
 
 
 class DsupAgent(_AgentBase):
@@ -223,7 +257,7 @@ class DsupAgent(_AgentBase):
     prediction at the greedy action is exactly theta.
     """
 
-    _param_nets = (("theta", "theta"), ("phi", "phi"))
+    _nets = (("theta", "theta", "theta_target"), ("phi", "phi", None))
 
     def __init__(
         self,
@@ -256,9 +290,8 @@ class DsupAgent(_AgentBase):
         phi_out = n_actions * m + (n_actions if advantage_head else 0)
         self.theta = Mlp.from_sizes([obs_dim, *hidden, m], rng)
         self.phi = Mlp.from_sizes([obs_dim, *hidden, phi_out], rng)
-        self.theta_target = self.theta.copy()
-        self.adam_theta = AdamState([self.theta.flat], lr=lr)
-        self.adam_phi = AdamState([self.phi.flat], lr=lr)
+        losses = (dsup_loss_grads, dau_loss_grads) if advantage_head else (dsup_loss_grads,)
+        self._init_learner(lr, losses)
 
     @property
     def kind(self) -> str:
@@ -280,25 +313,17 @@ class DsupAgent(_AgentBase):
             util = util + (1.0 - self.h ** (1.0 - self.q)) * adv
         return util
 
-    def _greedy_indices(self, obs):
+    def _greedy(self, obs, shifted: bool):
+        """(risk-greedy action per row, proxy heads), with the utilities
+        shifted by the advantage head when ``shifted``."""
         heads, adv = self._phi_split(self.phi.forward(obs))
-        util = self._utilities(heads, adv, shifted=self.advantage_head)
-        return np.argmax(util, axis=1)
+        return np.argmax(self._utilities(heads, adv, shifted), axis=1), heads
 
     def act_greedy_batch(self, t, X) -> np.ndarray:
-        return self._greedy_indices(self.observe(t, X))
+        return self._greedy(self.observe(t, X), self.advantage_head)[0]
 
     def _bootstrap(self, obs_next):
         return self.theta_target.forward(obs_next)
-
-    def sync_target(self):
-        np.copyto(self.theta_target.flat, self.theta.flat)
-
-    def train_step(self, batch) -> float:
-        loss = dsup_update(self, batch)
-        if self.advantage_head:
-            loss += dau_update(self, batch)
-        return loss
 
 
 class QrdqnAgent(_AgentBase):
@@ -307,7 +332,7 @@ class QrdqnAgent(_AgentBase):
     agents so frequency sweeps compare like with like."""
 
     kind = "qrdqn"
-    _param_nets = (("zeta", "zeta"),)
+    _nets = (("zeta", "zeta", "zeta_target"),)
 
     def __init__(
         self,
@@ -334,8 +359,7 @@ class QrdqnAgent(_AgentBase):
         rng = np.random.default_rng(seed)
         obs_dim = state_dim + 1
         self.zeta = Mlp.from_sizes([obs_dim, *hidden, n_actions * m], rng)
-        self.zeta_target = self.zeta.copy()
-        self.adam = AdamState([self.zeta.flat], lr=lr)
+        self._init_learner(lr, (qrdqn_loss_grads,))
 
     def _heads(self, net, obs):
         return net.forward(obs).reshape(obs.shape[0], self.n_actions, self.m)
@@ -350,27 +374,8 @@ class QrdqnAgent(_AgentBase):
         a_star = np.argmax(_risk_utilities(heads, self._risk_w), axis=1)
         return heads[np.arange(heads.shape[0]), a_star]
 
-    def sync_target(self):
-        np.copyto(self.zeta_target.flat, self.zeta.flat)
-
     def target(self, tr: Transition) -> QuantileRep:
         return _single_target(self, tr)
-
-    def train_step(self, batch) -> float:
-        b = len(batch)
-        obs, obs_next, a_idx, r, done, g = _batch_arrays(self, batch)
-        rows = np.arange(b)
-        out, cache = self.zeta.forward_cached(obs)
-        heads = out.reshape(b, self.n_actions, self.m)
-        pred = heads[rows, a_idx]
-        tgt = _quantile_targets(self, obs_next, r, done, g)
-
-        loss, grad_pred = kernels.quantile_huber_batch(pred, tgt, self.kappa)
-        grad_heads = np.zeros_like(heads)
-        grad_heads[rows, a_idx] = grad_pred
-        grads, _ = self.zeta.backward(cache, grad_heads.reshape(b, -1))
-        _adam(self.adam, self.zeta, grads)
-        return float(loss)
 
 
 class DauAgent(_AgentBase):
@@ -378,7 +383,7 @@ class DauAgent(_AgentBase):
     advantage network pinned to zero at the greedy action."""
 
     kind = "dau"
-    _param_nets = (("v", "vnet"), ("a", "anet"))
+    _nets = (("v", "vnet", "v_target"), ("a", "anet", None))
 
     def __init__(
         self,
@@ -399,36 +404,21 @@ class DauAgent(_AgentBase):
         obs_dim = state_dim + 1
         self.vnet = Mlp.from_sizes([obs_dim, *hidden, 1], rng)
         self.anet = Mlp.from_sizes([obs_dim, *hidden, n_actions], rng)
-        self.v_target = self.vnet.copy()
-        self.adam_v = AdamState([self.vnet.flat], lr=lr)
-        self.adam_a = AdamState([self.anet.flat], lr=lr)
+        self._init_learner(lr, (dau_loss_grads,))
 
     def act_greedy_batch(self, t, X) -> np.ndarray:
         return np.argmax(self.anet.forward(self.observe(t, X)), axis=1)
 
-    def sync_target(self):
-        np.copyto(self.v_target.flat, self.vnet.flat)
-
-    def train_step(self, batch) -> float:
-        return dau_update(self, batch)
-
 
 def greedy_action(agent, t, x) -> int:
     """Risk-greedy action from the raw proxy heads; ties go to the lowest index."""
-    obs = agent.observe(t, x)
-    heads, adv = agent._phi_split(agent.phi.forward(obs))
-    util = agent._utilities(heads, adv, shifted=False)
-    return int(np.argmax(util, axis=1)[0])
+    return int(agent._greedy(agent.observe(t, x), False)[0][0])
 
 
 def shifted_dsup_greedy(agent, t, x) -> int:
-    """Greedy over proxy heads shifted by (1 - h**(1-q)) times the advantage."""
-    if not getattr(agent, "advantage_head", False):
-        raise ValueError("agent has no advantage head")
-    obs = agent.observe(t, x)
-    heads, adv = agent._phi_split(agent.phi.forward(obs))
-    util = agent._utilities(heads, adv, shifted=True)
-    return int(np.argmax(util, axis=1)[0])
+    """Greedy over proxy heads shifted by (1 - h**(1-q)) times the advantage;
+    raises ValueError when the agent has no advantage head."""
+    return int(agent._greedy(agent.observe(t, x), True)[0][0])
 
 
 def explore_action(agent, t, x, rng: np.random.Generator, step: int) -> int:
@@ -443,11 +433,9 @@ def dsup_prediction(agent: DsupAgent, t, x, a: int) -> QuantileRep:
     """theta(t, x) + h**q (phi(t, x, a) - phi(t, x, a*)); equals theta at a*."""
     obs = agent.observe(t, x)
     theta = agent.theta.forward(obs)[0]
-    heads, adv = agent._phi_split(agent.phi.forward(obs))
-    util = agent._utilities(heads, adv, shifted=agent.advantage_head)
-    a_star = int(np.argmax(util, axis=1)[0])
+    a_star, heads = agent._greedy(obs, agent.advantage_head)
     scale = agent.h**agent.q
-    return QuantileRep(theta + scale * (heads[0, a] - heads[0, a_star]))
+    return QuantileRep(theta + scale * (heads[0, a] - heads[0, a_star[0]]))
 
 
 def dsup_target(agent: DsupAgent, tr: Transition) -> QuantileRep:
@@ -462,6 +450,8 @@ def _batch_arrays(agent, batch):
     """(obs, obs_next, a, r, done, g) for a Batch or a list of Transitions:
     network inputs at (t, x) and (t + h, x'), actions, rewards, done flags as
     0.0/1.0 and terminal rewards g(x')."""
+    if not len(batch):
+        raise ValueError("batch must be nonempty")
     if not isinstance(batch, Batch):
         batch = Batch.stack(batch)
     obs = agent.observe(batch.t, batch.x)
@@ -484,11 +474,6 @@ def _single_target(agent, tr: Transition) -> QuantileRep:
     return QuantileRep(_quantile_targets(agent, obs_next, r, done, g)[0])
 
 
-def _adam(state: AdamState, net: Mlp, grads):
-    """One Adam step on all of a network's parameters at once."""
-    adam_step(state, [net.flat], [grads.flat])
-
-
 def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
     """Quantile-Huber loss over a batch plus gradients per network.
 
@@ -497,10 +482,8 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
     treated as constant inside the update. The bootstrap is read from the
     frozen theta copy. Returns (loss, {"theta": grads, "phi": grads}, a_star).
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    b = len(batch)
     obs, obs_next, a_idx, r, done, g = _batch_arrays(agent, batch)
+    b = len(a_idx)
 
     theta_out, theta_cache = agent.theta.forward_cached(obs)
     phi_out, phi_cache = agent.phi.forward_cached(obs)
@@ -529,10 +512,30 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
 
 def dsup_update(agent: DsupAgent, batch) -> float:
     """One joint Adam step on theta and phi from the quantile-Huber loss."""
-    loss, grads, _ = dsup_loss_grads(agent, batch)
-    _adam(agent.adam_theta, agent.theta, grads["theta"])
-    _adam(agent.adam_phi, agent.phi, grads["phi"])
-    return loss
+    return agent._update(dsup_loss_grads, batch)
+
+
+def qrdqn_loss_grads(agent: QrdqnAgent, batch, a_star=None):
+    """Quantile-Huber loss of the taken action's head against the target
+    network's risk-greedy atoms, plus gradients for zeta.
+
+    No greedy index at the current state enters this loss; ``a_star`` is
+    passed through unchanged so that every loss function has one signature.
+    Returns (loss, {"zeta": grads}, a_star).
+    """
+    obs, obs_next, a_idx, r, done, g = _batch_arrays(agent, batch)
+    b = len(a_idx)
+    rows = np.arange(b)
+    out, cache = agent.zeta.forward_cached(obs)
+    heads = out.reshape(b, agent.n_actions, agent.m)
+    pred = heads[rows, a_idx]
+    tgt = _quantile_targets(agent, obs_next, r, done, g)
+
+    loss, grad_pred = kernels.quantile_huber_batch(pred, tgt, agent.kappa)
+    grad_heads = np.zeros_like(heads)
+    grad_heads[rows, a_idx] = grad_pred
+    grads, _ = agent.zeta.backward(cache, grad_heads.reshape(b, -1))
+    return float(loss), {"zeta": grads}, a_star
 
 
 def dau_loss_grads(agent, batch, a_star=None):
@@ -543,68 +546,50 @@ def dau_loss_grads(agent, batch, a_star=None):
     phi torso only. The standalone advantage agent owns a scalar V network
     and bootstraps from its frozen copy; both its networks get gradients.
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    b = len(batch)
     obs, obs_next, a_idx, r, done, g = _batch_arrays(agent, batch)
-    rows = np.arange(b)
-    h = agent.h
-
-    if isinstance(agent, DsupAgent):
+    b = len(a_idx)
+    shared = isinstance(agent, DsupAgent)
+    if shared:
         if not agent.advantage_head:
             raise ValueError("agent has no advantage head")
         phi_out, phi_cache = agent.phi.forward_cached(obs)
         heads, adv = agent._phi_split(phi_out)
         if a_star is None:
-            util = agent._utilities(heads, adv, shifted=True)
-            a_star = np.argmax(util, axis=1)
-        a_vals = adv[rows, a_idx] - adv[rows, a_star]
+            a_star = np.argmax(agent._utilities(heads, adv, shifted=True), axis=1)
         v_now = agent.theta.forward(obs).mean(axis=1)
         v_next = agent.theta.forward(obs_next).mean(axis=1)
-        q = v_now + h * a_vals
-        tq = h * r + agent.gamma_h * ((1.0 - done) * v_next + done * g)
-        diff = q - tq
-        loss = 0.5 * float(np.mean(diff**2))
-        dq = diff / b
-        grad_adv = np.zeros_like(adv)
-        grad_adv[rows, a_idx] += h * dq
-        grad_adv[rows, a_star] -= h * dq
+    elif isinstance(agent, DauAgent):
+        v_out, v_cache = agent.vnet.forward_cached(obs)
+        adv, a_cache = agent.anet.forward_cached(obs)
+        if a_star is None:
+            a_star = np.argmax(adv, axis=1)
+        v_now = v_out[:, 0]
+        v_next = agent.v_target.forward(obs_next)[:, 0]
+    else:
+        raise TypeError(f"no advantage update for agent type {type(agent)}")
+
+    rows = np.arange(b)
+    h = agent.h
+    q = v_now + h * (adv[rows, a_idx] - adv[rows, a_star])
+    tq = h * r + agent.gamma_h * ((1.0 - done) * v_next + done * g)
+    diff = q - tq
+    loss = 0.5 * float(np.mean(diff**2))
+    dq = diff / b
+    grad_adv = np.zeros_like(adv)
+    grad_adv[rows, a_idx] += h * dq
+    grad_adv[rows, a_star] -= h * dq
+    if shared:
         grad_phi_out = np.zeros_like(phi_out)
         grad_phi_out[:, agent.n_actions * agent.m :] = grad_adv
-        phi_grads, _ = agent.phi.backward(phi_cache, grad_phi_out)
-        return loss, {"phi": phi_grads}, a_star
-
-    if isinstance(agent, DauAgent):
-        v_out, v_cache = agent.vnet.forward_cached(obs)
-        a_out, a_cache = agent.anet.forward_cached(obs)
-        if a_star is None:
-            a_star = np.argmax(a_out, axis=1)
-        a_vals = a_out[rows, a_idx] - a_out[rows, a_star]
-        q = v_out[:, 0] + h * a_vals
-        v_next = agent.v_target.forward(obs_next)[:, 0]
-        tq = h * r + agent.gamma_h * ((1.0 - done) * v_next + done * g)
-        diff = q - tq
-        loss = 0.5 * float(np.mean(diff**2))
-        dq = diff / b
-        v_grads, _ = agent.vnet.backward(v_cache, dq[:, None])
-        grad_a = np.zeros_like(a_out)
-        grad_a[rows, a_idx] += h * dq
-        grad_a[rows, a_star] -= h * dq
-        a_grads, _ = agent.anet.backward(a_cache, grad_a)
-        return loss, {"v": v_grads, "a": a_grads}, a_star
-
-    raise TypeError(f"no advantage update for agent type {type(agent)}")
+        return loss, {"phi": agent.phi.backward(phi_cache, grad_phi_out)[0]}, a_star
+    v_grads, _ = agent.vnet.backward(v_cache, dq[:, None])
+    a_grads, _ = agent.anet.backward(a_cache, grad_adv)
+    return loss, {"v": v_grads, "a": a_grads}, a_star
 
 
 def dau_update(agent, batch) -> float:
     """One Adam step on the advantage Bellman error."""
-    loss, grads, _ = dau_loss_grads(agent, batch)
-    if isinstance(agent, DsupAgent):
-        _adam(agent.adam_phi, agent.phi, grads["phi"])
-    else:
-        _adam(agent.adam_v, agent.vnet, grads["v"])
-        _adam(agent.adam_a, agent.anet, grads["a"])
-    return loss
+    return agent._update(dau_loss_grads, batch)
 
 
 def store_subsampled(buffer: ReplayBuffer, tr: Transition, h: float, rng) -> bool:

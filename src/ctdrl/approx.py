@@ -21,7 +21,6 @@ CHECKPOINT_VERSION = "ctdrl-checkpoint-1"
 class LossReport:
     loss: float
     grad_pred: np.ndarray
-    param_grads: list | None = None
 
 
 class ParamGrads(list):
@@ -81,16 +80,8 @@ class Mlp:
         return cls(weights, biases)
 
     @property
-    def sizes(self):
-        return [self._shapes[0][0]] + [o for _, o in self._shapes]
-
-    @property
     def in_dim(self) -> int:
         return self._shapes[0][0]
-
-    @property
-    def out_dim(self) -> int:
-        return self._shapes[-1][1]
 
     def parameter_count(self) -> int:
         return self.flat.size

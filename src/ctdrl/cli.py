@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ AGENT_KINDS = ("qrdqn", "dau", "dsup", "dau+dsup")
 ENV_NAMES = ("brownian_gap", "illustration")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ResultRow:
     experiment: str
     seed: int
@@ -54,38 +54,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_results_csv(path, rows):
+def _write_csv(path, schema, row_type, rows):
+    """Schema line, a header of the row dataclass's fields, one line per row."""
+    names = [f.name for f in dataclasses.fields(row_type)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(RESULTS_SCHEMA + "\n")
+        fh.write(schema + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["experiment", "seed", "h", "metric", "value", "stderr"])
+        writer.writerow(names)
         for r in rows:
-            writer.writerow(
-                [r.experiment, r.seed, _fmt(r.h), r.metric, _fmt(r.value), _fmt(r.stderr)]
-            )
+            writer.writerow([_fmt(getattr(r, name)) for name in names])
+
+
+def write_results_csv(path, rows):
+    _write_csv(path, RESULTS_SCHEMA, ResultRow, rows)
 
 
 def write_trainlog_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(TRAINLOG_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["wall_step", "env_time", "loss", "eval_mean_return",
-             "eval_cvar_return", "epsilon"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.wall_step, _fmt(r.env_time), _fmt(r.loss),
-                 _fmt(r.eval_mean_return), _fmt(r.eval_cvar_return), _fmt(r.epsilon)]
-            )
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_int(s):
-    return int(s)
+    _write_csv(path, TRAINLOG_SCHEMA, agents.TrainRow, rows)
 
 
 def _parse_str(s):
@@ -119,38 +104,38 @@ def _parse_int_list(s):
 # Field tables: key -> (parser, default).
 GAP_RATES_FIELDS = {
     "env": (_parse_str, "brownian_gap"),
-    "horizon": (_parse_float, 1.0),
-    "discount": (_parse_float, 1.0),
-    "drift": (_parse_float, 10.0),
-    "move_diffusion": (_parse_float, 1.0),
-    "t": (_parse_float, 0.0),
-    "x": (_parse_float, 0.0),
-    "base_action": (_parse_int, 0),
+    "horizon": (float, 1.0),
+    "discount": (float, 1.0),
+    "drift": (float, 10.0),
+    "move_diffusion": (float, 1.0),
+    "t": (float, 0.0),
+    "x": (float, 0.0),
+    "base_action": (int, 0),
     "h_grid": (_parse_float_list, [2.0**-k for k in range(2, 8)]),
-    "n_paths": (_parse_int, 10_000),
-    "p": (_parse_int, 1),
-    "m": (_parse_int, 512),
-    "bootstrap": (_parse_int, 200),
-    "substeps": (_parse_int, 32),
-    "dt_floor": (_parse_float, 1e-4),
+    "n_paths": (int, 10_000),
+    "p": (int, 1),
+    "m": (int, 512),
+    "bootstrap": (int, 200),
+    "substeps": (int, 32),
+    "dt_floor": (float, 1e-4),
     "tail_dt": (_parse_opt_float, None),
     "seeds": (_parse_int_list, [0]),
 }
 
 SUPERIORITY_FIELDS = {
     "omega_grid": (_parse_float_list, [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
-    "n_paths": (_parse_int, 10_000),
-    "m": (_parse_int, 512),
-    "horizon": (_parse_float, 10.0),
-    "discount": (_parse_float, 1.0),
-    "drift": (_parse_float, 10.0),
-    "move_diffusion": (_parse_float, 1.0),
-    "t": (_parse_float, 0.0),
-    "x": (_parse_float, 0.0),
-    "action": (_parse_int, 1),
-    "base_action": (_parse_int, 0),
-    "substeps": (_parse_int, 16),
-    "dt_floor": (_parse_float, 1e-4),
+    "n_paths": (int, 10_000),
+    "m": (int, 512),
+    "horizon": (float, 10.0),
+    "discount": (float, 1.0),
+    "drift": (float, 10.0),
+    "move_diffusion": (float, 1.0),
+    "t": (float, 0.0),
+    "x": (float, 0.0),
+    "action": (int, 1),
+    "base_action": (int, 0),
+    "substeps": (int, 16),
+    "dt_floor": (float, 1e-4),
     "tail_dt": (_parse_opt_float, 0.05),
     "write_quantiles": (_parse_bool, True),
     "seeds": (_parse_int_list, [0]),
@@ -158,41 +143,41 @@ SUPERIORITY_FIELDS = {
 
 TRAIN_FIELDS = {
     "agent": (_parse_str, "dsup"),
-    "q": (_parse_float, 0.5),
+    "q": (float, 0.5),
     "omega_grid": (_parse_float_list, [5.0]),
     "seeds": (_parse_int_list, [0]),
-    "updates": (_parse_int, 5000),
-    "batch_size": (_parse_int, 32),
-    "buffer_capacity": (_parse_int, 20_000),
-    "target_period": (_parse_int, 1000),
-    "lr": (_parse_float, 1e-4),
-    "m": (_parse_int, 100),
-    "kappa": (_parse_float, 1.0),
+    "updates": (int, 5000),
+    "batch_size": (int, 32),
+    "buffer_capacity": (int, 20_000),
+    "target_period": (int, 1000),
+    "lr": (float, 1e-4),
+    "m": (int, 100),
+    "kappa": (float, 1.0),
     "hidden": (_parse_int_list, [100, 100]),
     "risk": (_parse_str, "mean"),
-    "risk_alpha": (_parse_float, 1.0),
-    "eps_start": (_parse_float, 1.0),
-    "eps_end": (_parse_float, 0.02),
-    "eps_fraction": (_parse_float, 0.1),
-    "eval_every": (_parse_int, 1000),
-    "eval_episodes": (_parse_int, 100),
-    "eval_cvar_alpha": (_parse_float, 0.25),
-    "final_eval_episodes": (_parse_int, 200),
-    "train_mu": (_parse_float, 0.0),
-    "train_sigma": (_parse_float, 0.2),
-    "eval_mu": (_parse_float, 0.0),
-    "eval_sigma": (_parse_float, 0.2),
+    "risk_alpha": (float, 1.0),
+    "eps_start": (float, 1.0),
+    "eps_end": (float, 0.02),
+    "eps_fraction": (float, 0.1),
+    "eval_every": (int, 1000),
+    "eval_episodes": (int, 100),
+    "eval_cvar_alpha": (float, 0.25),
+    "final_eval_episodes": (int, 200),
+    "train_mu": (float, 0.0),
+    "train_sigma": (float, 0.2),
+    "eval_mu": (float, 0.0),
+    "eval_sigma": (float, 0.2),
     "price_csv": (_parse_str, ""),
-    "price_dt": (_parse_float, 1.0),
-    "split": (_parse_float, 0.5),
-    "horizon": (_parse_float, 100.0),
-    "discount": (_parse_float, 0.999),
-    "start_price": (_parse_float, 1.0),
+    "price_dt": (float, 1.0),
+    "split": (float, 0.5),
+    "horizon": (float, 100.0),
+    "discount": (float, 0.999),
+    "start_price": (float, 1.0),
 }
 
 ESTIMATE_GBM_FIELDS = {
     "csv": (_parse_str, ""),
-    "dt": (_parse_float, 1.0),
+    "dt": (float, 1.0),
 }
 
 COMMAND_FIELDS = {

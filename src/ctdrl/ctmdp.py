@@ -3,8 +3,8 @@
 Coefficient callables are vectorized over paths: drift(t, X, a) and
 diffusion(t, X, a) receive X of shape (paths, n) and a single action label,
 reward(t, X) and terminal_reward(X) likewise. Diffusion may return anything
-broadcastable against X (treated elementwise) or an (n, n) / (paths, n, n)
-matrix stack.
+broadcastable against X (treated elementwise), one (n, n) matrix shared by
+every path, or a (paths, n, n) matrix stack.
 
 Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(s, X_s)
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
@@ -204,11 +204,25 @@ def persistent(pi, h: float, a: int, t0: float) -> PersistentModification:
     return PersistentModification(pi, h, a, t0)
 
 
-def _apply_diffusion(sigma, noise, n):
-    """Diffusion output times noise, by shape: an (n, n) result is a matrix,
-    an (paths, n, n) result a matrix stack, anything else elementwise."""
-    sig = np.asarray(sigma, dtype=np.float64)
-    if sig.ndim == 2 and sig.shape == (n, n):
+def _diffusion(mdp, t, states, label):
+    """sigma(t, states, a) and whether it is one (n, n) matrix shared by all
+    paths; otherwise it is a (paths, n, n) stack or an elementwise factor.
+
+    For a bundle of exactly n > 1 paths an (n, n) result could be either, so
+    the diffusion is evaluated again on the first path alone: a shared matrix
+    keeps its shape there and a per-path result does not.
+    """
+    n = mdp.state_dim
+    sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
+    shared = sig.shape == (n, n)
+    if shared and n > 1 and states.shape[0] == n:
+        shared = np.shape(mdp.diffusion(t, states[:1], label)) == (n, n)
+    return sig, shared
+
+
+def _apply_diffusion(sig, shared, noise):
+    """Diffusion times noise for a shared matrix, a stack or an elementwise factor."""
+    if shared:
         return noise @ sig.T
     if sig.ndim == 3:
         return np.einsum("pij,pj->pi", sig, noise)
@@ -218,7 +232,7 @@ def _apply_diffusion(sigma, noise, n):
 def _em_action_step(mdp, t, states, label, delta, noise):
     """x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) noise for one action label."""
     b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
-    diff = _apply_diffusion(mdp.diffusion(t, states, label), noise, mdp.state_dim)
+    diff = _apply_diffusion(*_diffusion(mdp, t, states, label), noise)
     return states + b * delta + math.sqrt(delta) * diff
 
 
@@ -278,20 +292,19 @@ def policy_averaged_coefficients(mdp: ContinuousMdp, policy, t: float, states):
     for idx, label in enumerate(mdp.actions):
         b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
         b_avg += probs[:, idx : idx + 1] * np.broadcast_to(b, (n_paths, n))
-        sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
-        if sig.ndim >= 2 and (sig.shape == (n, n) or sig.ndim == 3):
+        sig, shared = _diffusion(mdp, t, states, label)
+        if shared or sig.ndim == 3:
             all_elementwise = False
-        sigmas.append(sig)
+        sigmas.append((sig, shared))
     if all_elementwise:
         msq = np.zeros((n_paths, n))
-        for idx in range(mdp.n_actions):
-            sq = np.broadcast_to(sigmas[idx] ** 2, (n_paths, n))
+        for idx, (sig, _) in enumerate(sigmas):
+            sq = np.broadcast_to(sig**2, (n_paths, n))
             msq += probs[:, idx : idx + 1] * sq
         return b_avg, np.sqrt(msq)
     msq = np.zeros((n_paths, n, n))
-    for idx in range(mdp.n_actions):
-        sig = sigmas[idx]
-        if sig.ndim == 2 and sig.shape == (n, n):
+    for idx, (sig, shared) in enumerate(sigmas):
+        if shared:
             mat = np.broadcast_to(sig @ sig.T, (n_paths, n, n))
         elif sig.ndim == 3:
             mat = np.einsum("pij,pkj->pik", sig, sig)
@@ -364,10 +377,7 @@ def _rollout_returns(
                 states = _em_apply(mdp, s, states, acts, delta, noise)
             else:
                 b, sig = policy_averaged_coefficients(mdp, policy, s, states)
-                if sig.ndim == 3:
-                    diff = np.einsum("pij,pj->pi", sig, noise)
-                else:
-                    diff = sig * noise
+                diff = _apply_diffusion(sig, False, noise)
                 states = states + b * delta + math.sqrt(delta) * diff
             if not np.all(np.isfinite(states)):
                 raise SimulationError(f"non-finite state at t={s + delta:.8g}")

@@ -114,9 +114,6 @@ class OptionTradingEnv:
     def reset(self, rng=None) -> np.ndarray:
         return np.array([self.start_price])
 
-    def running_reward(self, t, X) -> np.ndarray:
-        return np.zeros(np.shape(X)[0])
-
     def terminal_reward(self, X) -> np.ndarray:
         X = np.atleast_2d(X)
         return np.maximum(0.0, 1.0 - X[:, 0])

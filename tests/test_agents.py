@@ -21,6 +21,7 @@ from ctdrl.agents import (
     evaluate_policy,
     explore_action,
     greedy_action,
+    qrdqn_loss_grads,
     shifted_dsup_greedy,
     store_subsampled,
     train,
@@ -201,6 +202,32 @@ def test_dsup_gradients_match_finite_differences():
                 flat_p[idx] = old
                 fd = (up - down) / (2 * step)
                 assert flat_g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def test_qrdqn_gradients_match_finite_differences():
+    rng = np.random.default_rng(11)
+    agent = QrdqnAgent(state_dim=1, n_actions=2, h=0.25, m=5, hidden=(6,),
+                       discount=0.99, horizon=1.0, seed=4)
+    batch = [
+        single_transition(t=0.0, x=0.2, a=0, r=0.4, x_next=0.3, done=False),
+        single_transition(t=0.25, x=-0.5, a=1, r=-0.2, x_next=0.1, done=True),
+        single_transition(t=0.5, x=0.6, a=1, r=0.9, x_next=0.7, done=False),
+    ]
+    loss, grads, a_star = qrdqn_loss_grads(agent, batch)
+    assert list(grads) == ["zeta"] and a_star is None
+    step = 1e-5
+    for gi, p in zip(grads["zeta"], agent.zeta.params):
+        flat_g, flat_p = gi.ravel(), p.ravel()
+        check = rng.choice(flat_p.size, size=min(10, flat_p.size), replace=False)
+        for idx in check:
+            old = flat_p[idx]
+            flat_p[idx] = old + step
+            up = qrdqn_loss_grads(agent, batch)[0]
+            flat_p[idx] = old - step
+            down = qrdqn_loss_grads(agent, batch)[0]
+            flat_p[idx] = old
+            fd = (up - down) / (2 * step)
+            assert flat_g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_dsup_overfits_single_transition():

@@ -212,6 +212,67 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     assert np.array_equal(got, want)
 
 
+# --------------------------------------------------------- diffusion shapes
+
+_CORR = np.array([[1.0, 0.0], [0.9, 0.1]])
+
+
+def square_diffusion_env(kind):
+    """Two-dimensional env whose diffusion is (paths, 2) per path or one
+    shared 2x2 matrix; a bundle of 2 paths makes both results (2, 2)."""
+    def per_path(t, X, a):
+        return (1.0 + a) * np.abs(X)
+
+    def matrix(t, X, a):
+        return (1.0 + a) * _CORR
+
+    return ContinuousMdp(
+        state_dim=2,
+        actions=(0, 1),
+        drift=lambda t, X, a: 0.0,
+        diffusion={"per_path": per_path, "matrix": matrix}[kind],
+        reward=lambda t, X: np.zeros(X.shape[0]),
+        terminal_reward=lambda X: X[:, 0],
+        horizon=1.0,
+    )
+
+
+def test_per_path_diffusion_on_two_paths_hand_value():
+    env = square_diffusion_env("per_path")
+    out = em_step(env, np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0, 0, 1.0, np.eye(2))
+    np.testing.assert_array_equal(out, [[2.0, 2.0], [3.0, 8.0]])
+
+
+@pytest.mark.parametrize("n_paths", [2, 3])
+@pytest.mark.parametrize("kind", ["per_path", "matrix"])
+def test_square_diffusion_is_read_by_kind_not_by_path_count(kind, n_paths):
+    env = square_diffusion_env(kind)
+    rng = np.random.default_rng([n_paths, len(kind)])
+    states = rng.normal(size=(2 * n_paths, 2))
+    noise = rng.standard_normal((2 * n_paths, 2))
+    acts = np.tile([0, 1], n_paths)  # each action's sub-bundle has n_paths paths
+    scale = (1.0 + acts)[:, None]
+    if kind == "per_path":
+        want = states + scale * np.abs(states) * noise
+    else:
+        want = states + scale * (noise @ _CORR.T)
+
+    head = slice(0, 2 * n_paths, 2)  # the paths playing action 0
+    np.testing.assert_allclose(em_step(env, states[head], 0.0, 0, 1.0, noise[head]),
+                               want[head], rtol=1e-14)
+    np.testing.assert_allclose(_em_apply(env, 0.0, states, acts, 1.0, noise), want,
+                               rtol=1e-14)
+
+    pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
+    _, sig = policy_averaged_coefficients(env, pol, 0.0, states[head])
+    if kind == "per_path":
+        assert sig.shape == (n_paths, 2)
+        np.testing.assert_allclose(sig, np.sqrt(2.5) * np.abs(states[head]), rtol=1e-14)
+    else:
+        assert sig.shape == (n_paths, 2, 2)
+        np.testing.assert_allclose(sig[0] @ sig[0].T, 2.5 * _CORR @ _CORR.T, rtol=1e-12)
+
+
 # ------------------------------------------------------------ sample_return
 
 
