@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels as kernels
 from .approx import AdamState, Mlp, adam_step
 from .ctmdp import TIME_TOL, substream
-from .dist import DistortionMeasure, EmpiricalDist, QuantileRep, risk_measure, to_quantile_rep
+from .dist import DistortionMeasure, EmpiricalDist, risk_measure, to_quantile_rep
 
 __all__ = [
     "Transition",
@@ -32,16 +32,10 @@ __all__ = [
     "DauAgent",
     "TrainConfig",
     "TrainRow",
-    "greedy_action",
     "explore_action",
-    "shifted_dsup_greedy",
-    "dsup_prediction",
-    "dsup_target",
     "dsup_loss_grads",
-    "dsup_update",
     "qrdqn_loss_grads",
     "dau_loss_grads",
-    "dau_update",
     "store_subsampled",
     "train",
     "evaluate",
@@ -374,9 +368,6 @@ class QrdqnAgent(_AgentBase):
         a_star = np.argmax(_risk_utilities(heads, self._risk_w), axis=1)
         return heads[np.arange(heads.shape[0]), a_star]
 
-    def target(self, tr: Transition) -> QuantileRep:
-        return _single_target(self, tr)
-
 
 class DauAgent(_AgentBase):
     """Advantage-updating baseline: a scalar value network and a per-action
@@ -410,40 +401,12 @@ class DauAgent(_AgentBase):
         return np.argmax(self.anet.forward(self.observe(t, X)), axis=1)
 
 
-def greedy_action(agent, t, x) -> int:
-    """Risk-greedy action from the raw proxy heads; ties go to the lowest index."""
-    return int(agent._greedy(agent.observe(t, x), False)[0][0])
-
-
-def shifted_dsup_greedy(agent, t, x) -> int:
-    """Greedy over proxy heads shifted by (1 - h**(1-q)) times the advantage;
-    raises ValueError when the agent has no advantage head."""
-    return int(agent._greedy(agent.observe(t, x), True)[0][0])
-
-
 def explore_action(agent, t, x, rng: np.random.Generator, step: int) -> int:
     """Epsilon-greedy: uniform over actions with probability epsilon(step)."""
     eps = agent.schedule.epsilon(step)
     if rng.random() < eps:
         return int(rng.integers(agent.n_actions))
     return agent.act_greedy(t, x)
-
-
-def dsup_prediction(agent: DsupAgent, t, x, a: int) -> QuantileRep:
-    """theta(t, x) + h**q (phi(t, x, a) - phi(t, x, a*)); equals theta at a*."""
-    obs = agent.observe(t, x)
-    theta = agent.theta.forward(obs)[0]
-    a_star, heads = agent._greedy(obs, agent.advantage_head)
-    scale = agent.h**agent.q
-    return QuantileRep(theta + scale * (heads[0, a] - heads[0, a_star[0]]))
-
-
-def dsup_target(agent: DsupAgent, tr: Transition) -> QuantileRep:
-    """h r + gamma**h ((1 - done) theta_bar(t+h, x') + done g(x')), per atom.
-
-    Computed from the target network; no gradients flow through it.
-    """
-    return _single_target(agent, tr)
 
 
 def _batch_arrays(agent, batch):
@@ -467,11 +430,6 @@ def _quantile_targets(agent, obs_next, r, done, g):
     return (agent.h * r)[:, None] + agent.gamma_h * (
         (1.0 - done)[:, None] * boot + (done * g)[:, None]
     )
-
-
-def _single_target(agent, tr: Transition) -> QuantileRep:
-    _, obs_next, _, r, done, g = _batch_arrays(agent, [tr])
-    return QuantileRep(_quantile_targets(agent, obs_next, r, done, g)[0])
 
 
 def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
@@ -508,11 +466,6 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
     grad_phi_out[:, : agent.n_actions * agent.m] = grad_heads.reshape(b, -1)
     phi_grads, _ = agent.phi.backward(phi_cache, grad_phi_out)
     return float(loss), {"theta": theta_grads, "phi": phi_grads}, a_star
-
-
-def dsup_update(agent: DsupAgent, batch) -> float:
-    """One joint Adam step on theta and phi from the quantile-Huber loss."""
-    return agent._update(dsup_loss_grads, batch)
 
 
 def qrdqn_loss_grads(agent: QrdqnAgent, batch, a_star=None):
@@ -585,11 +538,6 @@ def dau_loss_grads(agent, batch, a_star=None):
     v_grads, _ = agent.vnet.backward(v_cache, dq[:, None])
     a_grads, _ = agent.anet.backward(a_cache, grad_adv)
     return loss, {"v": v_grads, "a": a_grads}, a_star
-
-
-def dau_update(agent, batch) -> float:
-    """One Adam step on the advantage Bellman error."""
-    return agent._update(dau_loss_grads, batch)
 
 
 def store_subsampled(buffer: ReplayBuffer, tr: Transition, h: float, rng) -> bool:

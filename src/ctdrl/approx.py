@@ -1,26 +1,15 @@
 """Minimal function-approximation stack.
 
 Fixed rectifier MLPs with module-local reverse-mode gradients, a bias-corrected
-Adam optimizer, the quantile Huber loss, and a versioned checkpoint format.
+Adam optimizer, and a versioned checkpoint format.
 No general autodiff: two fixed architectures do not justify a tape system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import _kernels as kernels
-from .dist import QuantileRep
-
 CHECKPOINT_VERSION = "ctdrl-checkpoint-1"
-
-
-@dataclass
-class LossReport:
-    loss: float
-    grad_pred: np.ndarray
 
 
 class ParamGrads(list):
@@ -205,23 +194,6 @@ def adam_step(state: AdamState, params, grads):
         s1 /= s2
         p -= s1
     return params
-
-
-def _atoms(x):
-    return x.values if isinstance(x, QuantileRep) else np.asarray(x, dtype=np.float64)
-
-
-def quantile_huber(pred, target, kappa: float = 1.0) -> LossReport:
-    """Quantile Huber loss between a prediction rep and a target rep.
-
-    loss = (1/(m * m' * kappa)) sum_ij |tau_i - 1{u_ij < 0}| * L_kappa(u_ij)
-    with u_ij = target_j - pred_i and tau_i = (i - 1/2)/m. The gradient is
-    with respect to the prediction atoms (positional, no sorting).
-    """
-    p = _atoms(pred)
-    t = _atoms(target)
-    loss, grad = kernels.quantile_huber_batch(p[None, :], t[None, :], kappa)
-    return LossReport(loss=float(loss), grad_pred=grad[0])
 
 
 def save_checkpoint(path, named_arrays: dict):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, agents, envs, estimate
-from .ctmdp import SimConfig, ConstantAction, SimulationError, substream
+from .ctmdp import TIME_TOL, SimConfig, ConstantAction, SimulationError, substream
 from .dist import (
     DistortionMeasure,
     advantage_shift,
@@ -248,29 +248,52 @@ def _cell_seed(seed: int, *key) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _below(cfg, **lows):
+    """An error for each key whose value is below its lower bound."""
+    return [f"{key} must be >= {low}, got {cfg[key]}"
+            for key, low in lows.items() if cfg[key] < low]
+
+
+def _mdp_errors(cfg, hs, action_keys):
+    """Errors in the keys that fix a gap env and its rollouts: the horizon,
+    the discount, the start time t (every window [t, t + h) must end by the
+    horizon), tail_dt, and the action indices (both envs have actions 0, 1)."""
+    errors = []
+    if cfg["horizon"] <= 0:
+        errors.append(f"horizon must be positive, got {cfg['horizon']}")
+    elif hs and cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
+        errors.append(f"t + h must not exceed the horizon {cfg['horizon']}, "
+                      f"got t={cfg['t']} and h={max(hs)}")
+    if not 0.0 < cfg["discount"] <= 1.0:
+        errors.append(f"discount must be in (0, 1], got {cfg['discount']}")
+    if cfg["tail_dt"] is not None and cfg["tail_dt"] <= 0:
+        errors.append(f"tail_dt must be positive or none, got {cfg['tail_dt']}")
+    for key in action_keys:
+        if cfg[key] not in (0, 1):
+            errors.append(f"{key} must be 0 or 1, got {cfg[key]}")
+    return errors
+
+
 def _build_gap_env(cfg):
     if cfg["env"] == "brownian_gap":
         return envs.brownian_gap_env(horizon=cfg["horizon"], discount=cfg["discount"])
-    if cfg["env"] == "illustration":
-        return envs.illustration_env(
-            horizon=cfg["horizon"],
-            discount=cfg["discount"],
-            drift=cfg["drift"],
-            move_diffusion=cfg["move_diffusion"],
-        )
-    raise ValidationFailure([f"unknown env: {cfg['env']!r} (choose from {ENV_NAMES})"])
+    return envs.illustration_env(
+        horizon=cfg["horizon"],
+        discount=cfg["discount"],
+        drift=cfg["drift"],
+        move_diffusion=cfg["move_diffusion"],
+    )
 
 
 def cmd_gap_rates(cfg, out_dir: Path) -> int:
-    errors = []
+    errors = _below(cfg, n_paths=2, m=1, bootstrap=2, substeps=1)
+    errors += _mdp_errors(cfg, cfg["h_grid"], ["base_action"])
     if cfg["env"] not in ENV_NAMES:
         errors.append(f"env must be one of {ENV_NAMES}, got {cfg['env']!r}")
     if not cfg["h_grid"]:
         errors.append("h_grid must be nonempty")
     if any(h <= 0 for h in cfg["h_grid"]):
         errors.append("h_grid entries must be positive")
-    if cfg["n_paths"] < 2:
-        errors.append("n_paths must be >= 2")
     if cfg["p"] not in (1, 2):
         errors.append("p must be 1 or 2")
     if errors:
@@ -307,13 +330,13 @@ def cmd_gap_rates(cfg, out_dir: Path) -> int:
 
 
 def cmd_superiority_demo(cfg, out_dir: Path) -> int:
-    errors = []
+    errors = _below(cfg, n_paths=2, m=1, substeps=1)
+    hs = [1.0 / w for w in cfg["omega_grid"] if w > 0]
+    errors += _mdp_errors(cfg, hs, ["action", "base_action"])
     if not cfg["omega_grid"]:
         errors.append("omega_grid must be nonempty")
     if any(w <= 0 for w in cfg["omega_grid"]):
         errors.append("omega_grid entries must be positive")
-    if cfg["n_paths"] < 2:
-        errors.append("n_paths must be >= 2")
     if errors:
         raise ValidationFailure(errors)
     mdp = envs.illustration_env(
@@ -376,23 +399,22 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
 def _gbm_params_from_cfg(cfg):
     """Train/eval GBM parameters: estimated from a price CSV split when one is
     given, otherwise taken directly from the config."""
-    if cfg["price_csv"]:
-        try:
-            _, prices = envs.load_price_csv(cfg["price_csv"])
-        except (ValueError, OSError) as exc:
-            raise ValidationFailure([str(exc)]) from exc
+    try:
+        if not cfg["price_csv"]:
+            return (
+                envs.GbmParams(cfg["train_mu"], cfg["train_sigma"]),
+                envs.GbmParams(cfg["eval_mu"], cfg["eval_sigma"]),
+            )
+        _, prices = envs.load_price_csv(cfg["price_csv"])
         k = int(len(prices) * cfg["split"])
         if k < 3 or len(prices) - k < 3:
-            raise ValidationFailure(
-                ["price_csv split leaves fewer than 3 prices on one side"]
-            )
+            raise ValueError("price_csv split leaves fewer than 3 prices on one side")
         train_params = envs.estimate_gbm(prices[:k], cfg["price_dt"])
         eval_params = envs.estimate_gbm(prices[k:], cfg["price_dt"])
         return train_params, eval_params
-    return (
-        envs.GbmParams(cfg["train_mu"], cfg["train_sigma"]),
-        envs.GbmParams(cfg["eval_mu"], cfg["eval_sigma"]),
-    )
+    except (ValueError, OSError) as exc:
+        keys = "price_csv" if cfg["price_csv"] else "train_sigma, eval_sigma"
+        raise ValidationFailure([f"{keys}: {exc}"]) from exc
 
 
 def build_agent(kind, cfg, h, terminal_reward, decay_steps, seed):
@@ -431,23 +453,32 @@ def build_agent(kind, cfg, h, terminal_reward, decay_steps, seed):
 
 
 def cmd_train(cfg, out_dir: Path) -> int:
-    errors = []
+    errors = _below(cfg, updates=0, batch_size=1, buffer_capacity=1, m=1,
+                    final_eval_episodes=1)
+    if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
+        errors.append("eval_episodes must be >= 1 when eval_every > 0")
+    for key in ("horizon", "start_price"):
+        if cfg[key] <= 0:
+            errors.append(f"{key} must be positive, got {cfg[key]}")
+    if not 0.0 < cfg["eval_cvar_alpha"] <= 1.0:
+        errors.append("eval_cvar_alpha must be in (0, 1]")
     if cfg["agent"] not in AGENT_KINDS:
         errors.append(f"agent must be one of {AGENT_KINDS}, got {cfg['agent']!r}")
     if not cfg["omega_grid"]:
         errors.append("omega_grid must be nonempty")
     if any(w <= 0 for w in cfg["omega_grid"]):
         errors.append("omega_grid entries must be positive")
-    if cfg["updates"] < 0:
-        errors.append("updates must be >= 0")
     if cfg["risk"] not in ("mean", "cvar"):
         errors.append(f"risk must be mean or cvar, got {cfg['risk']!r}")
     if cfg["risk"] == "cvar" and not 0.0 < cfg["risk_alpha"] <= 1.0:
         errors.append("risk_alpha must be in (0, 1]")
+    try:
+        train_params, eval_params = _gbm_params_from_cfg(cfg)
+    except ValidationFailure as exc:
+        errors += exc.errors
     if errors:
         raise ValidationFailure(errors)
 
-    train_params, eval_params = _gbm_params_from_cfg(cfg)
     rows = []
     exit_code = 0
     for seed in cfg["seeds"]:

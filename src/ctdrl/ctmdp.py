@@ -27,15 +27,11 @@ __all__ = [
     "PersistentModification",
     "persistent",
     "em_step",
-    "sample_return",
-    "sample_action_return",
     "policy_averaged_coefficients",
     "substream",
 ]
 
 TIME_TOL = 1e-9
-
-ReturnSample = float
 
 
 class SimulationError(RuntimeError):
@@ -410,47 +406,3 @@ def _rollout_dt(
     if abs(ratio - round(ratio)) > 1e-9:
         raise ValueError(f"dt={dt} does not divide the persistence horizon h={h}")
     return dt
-
-
-def sample_return(
-    mdp: ContinuousMdp, pi, t: float, x, cfg: SimConfig, mode: str = "sample"
-) -> ReturnSample:
-    """One discounted return sample under pi from (t, x).
-
-    Actions are drawn fresh from pi at every integration step; cfg.dt must
-    be set (there is no persistence horizon to derive it from).
-    """
-    dt = _rollout_dt(mdp, t, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    gains = _rollout_returns(
-        mdp, pi, t, x, 1, rng, dt, tail_dt=cfg.tail_dt, mode=mode
-    )
-    return float(gains[0])
-
-
-def sample_action_return(
-    mdp: ContinuousMdp,
-    pi,
-    t: float,
-    x,
-    a: int,
-    h: float,
-    cfg: SimConfig,
-    mode: str = "sample",
-) -> ReturnSample:
-    """One h-persistent action-conditioned return sample."""
-    dt = _rollout_dt(mdp, t, cfg, h)
-    rng = np.random.default_rng(cfg.seed)
-    gains = _rollout_returns(
-        mdp,
-        persistent(pi, h, a, t),
-        t,
-        x,
-        1,
-        rng,
-        dt,
-        tail_dt=cfg.tail_dt,
-        window_end=t + h,
-        mode=mode,
-    )
-    return float(gains[0])

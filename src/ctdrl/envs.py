@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmdp import TIME_TOL, ContinuousMdp, SimConfig, _em_apply
+from .ctmdp import TIME_TOL, ContinuousMdp
 
 __all__ = [
     "GbmParams",
@@ -21,8 +21,6 @@ __all__ = [
     "illustration_env",
     "brownian_gap_w1_oracle",
     "OptionTradingEnv",
-    "MdpEpisodicEnv",
-    "option_step",
     "estimate_gbm",
     "load_price_csv",
     "save_price_csv",
@@ -99,14 +97,13 @@ class OptionTradingEnv:
     Executing (or reaching the horizon) ends the episode and pays
     max(0, 1 - price) through the terminal-reward channel; running reward is
     identically zero. Prices step by the exact GBM solution so positivity is
-    guaranteed; an Euler mode exists behind a flag.
+    guaranteed.
     """
 
     gbm: GbmParams
     horizon: float = 100.0
     start_price: float = 1.0
     discount: float = 0.999
-    euler: bool = False
 
     n_actions = 2
     state_dim = 1
@@ -117,15 +114,6 @@ class OptionTradingEnv:
     def terminal_reward(self, X) -> np.ndarray:
         X = np.atleast_2d(X)
         return np.maximum(0.0, 1.0 - X[:, 0])
-
-    def _evolve(self, prices, delta, rng):
-        mu, sig = self.gbm.mu, self.gbm.sigma
-        noise = rng.standard_normal(prices.shape)
-        if self.euler:
-            return prices * (1.0 + mu * delta + sig * math.sqrt(delta) * noise)
-        return prices * np.exp(
-            (mu - 0.5 * sig**2) * delta + sig * math.sqrt(delta) * noise
-        )
 
     def step_batch(self, t, X, actions, h, rng):
         """Advance a bundle of episodes one decision step.
@@ -146,66 +134,15 @@ class OptionTradingEnv:
         hold = ~execute
         if np.any(hold):
             delta = min(h, self.horizon - t)
-            out[hold, 0] = self._evolve(X[hold, 0], delta, rng)
+            mu, sig = self.gbm.mu, self.gbm.sigma
+            prices = X[hold, 0]
+            noise = rng.standard_normal(prices.shape)
+            out[hold, 0] = prices * np.exp(
+                (mu - 0.5 * sig**2) * delta + sig * math.sqrt(delta) * noise
+            )
         if t + h >= self.horizon - TIME_TOL:
             done[:] = True
         return out, np.zeros(X.shape[0]), done
-
-
-def option_step(env: OptionTradingEnv, x: float, t: float, a: int, h: float, rng):
-    """Single-episode step: (price', running reward, done)."""
-    if x <= 0:
-        raise ValueError(f"price must be positive, got {x}")
-    X, rew, done = env.step_batch(t, np.array([[x]]), np.array([a]), h, rng)
-    return float(X[0, 0]), float(rew[0]), bool(done[0])
-
-
-class MdpEpisodicEnv:
-    """Decision-resolution wrapper around a ContinuousMdp.
-
-    Each decision applies one action for h time units, integrated with EM
-    substeps; the running reward reported for the step is the left-endpoint
-    rate r(t, x).
-    """
-
-    def __init__(self, mdp: ContinuousMdp, x0, cfg: SimConfig | None = None):
-        self.mdp = mdp
-        self.x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-        self.cfg = cfg if cfg is not None else SimConfig()
-        self.horizon = mdp.horizon
-        self.discount = mdp.discount
-        self.n_actions = mdp.n_actions
-        self.state_dim = mdp.state_dim
-
-    def reset(self, rng=None) -> np.ndarray:
-        return self.x0.copy()
-
-    def running_reward(self, t, X) -> np.ndarray:
-        return np.broadcast_to(
-            np.asarray(self.mdp.reward(t, np.atleast_2d(X)), dtype=np.float64),
-            (np.atleast_2d(X).shape[0],),
-        ).copy()
-
-    def terminal_reward(self, X) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.broadcast_to(
-            np.asarray(self.mdp.terminal_reward(X), dtype=np.float64), (X.shape[0],)
-        ).copy()
-
-    def step_batch(self, t, X, actions, h, rng):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        actions = np.asarray(actions, dtype=np.intp)
-        delta_total = min(h, self.horizon - t)
-        dt = self.cfg.resolve_dt(h)
-        k = max(1, int(round(delta_total / dt)))
-        sub = delta_total / k
-        rew = self.running_reward(t, X)
-        cur = X
-        for j in range(k):
-            noise = rng.standard_normal(cur.shape)
-            cur = _em_apply(self.mdp, t + j * sub, cur, actions, sub, noise)
-        done = np.full(X.shape[0], t + h >= self.horizon - TIME_TOL)
-        return cur, rew, done
 
 
 def estimate_gbm(prices, dt: float) -> GbmParams:

@@ -13,19 +13,14 @@ from ctdrl.agents import (
     TrainingDiverged,
     Transition,
     dau_loss_grads,
-    dau_update,
     dsup_loss_grads,
-    dsup_prediction,
-    dsup_target,
-    dsup_update,
     evaluate_policy,
     explore_action,
-    greedy_action,
     qrdqn_loss_grads,
-    shifted_dsup_greedy,
     store_subsampled,
     train,
     _batch_arrays,
+    _quantile_targets,
 )
 from ctdrl.dist import DistortionMeasure
 from ctdrl.envs import GbmParams, OptionTradingEnv
@@ -69,27 +64,44 @@ def single_transition(t=0.0, x=0.0, a=0, r=0.0, x_next=0.0, done=False):
     return Transition(t, np.array([x]), a, r, np.array([x_next]), done)
 
 
+def greedy(agent, t, x, shifted=False):
+    return int(agent._greedy(agent.observe(t, x), shifted)[0][0])
+
+
+def dsup_prediction(agent, t, x, a):
+    """Oracle: theta(t, x) + h**q (phi(t, x, a) - phi(t, x, a*)) at one state."""
+    obs = agent.observe(t, x)
+    a_star, heads = agent._greedy(obs, agent.advantage_head)
+    scale = agent.h**agent.q
+    return agent.theta.forward(obs)[0] + scale * (heads[0, a] - heads[0, a_star[0]])
+
+
+def td_target(agent, tr):
+    _, obs_next, _, r, done, g = _batch_arrays(agent, [tr])
+    return _quantile_targets(agent, obs_next, r, done, g)[0]
+
+
 # ---------------------------------------------------------------- greedy
 
 
 def test_greedy_action_tie_breaks_to_lowest_index():
     agent = pin_heads(make_agent())
-    assert greedy_action(agent, 0.1, [0.3]) == 0
+    assert greedy(agent, 0.1, [0.3]) == 0
 
 
 def test_greedy_action_follows_means():
     agent = pin_heads(make_agent(m=2), phi_heads=[[1.0, 1.0], [3.0, 3.0]])
-    assert greedy_action(agent, 0.0, [0.0]) == 1
+    assert greedy(agent, 0.0, [0.0]) == 1
 
 
 def test_greedy_action_cvar_prefers_light_left_tail():
     agent = make_agent(m=4, risk=DistortionMeasure.cvar(0.25))
     pin_heads(agent, phi_heads=[[0.0, 0.0, 0.0, 0.0], [-2.0, 1.0, 1.0, 1.0]])
-    assert greedy_action(agent, 0.0, [0.0]) == 0
+    assert greedy(agent, 0.0, [0.0]) == 0
     mean_agent = pin_heads(
         make_agent(m=4), phi_heads=[[0.0, 0.0, 0.0, 0.0], [-2.0, 1.0, 1.0, 1.0]]
     )
-    assert greedy_action(mean_agent, 0.0, [0.0]) == 1
+    assert greedy(mean_agent, 0.0, [0.0]) == 1
 
 
 def test_explore_action_endpoints():
@@ -122,12 +134,10 @@ def test_dsup_prediction_pins_to_theta_at_greedy():
     for head in (False, True):
         agent = make_agent(m=6, advantage_head=head, seed=3)
         t, x = 0.3, [0.7]
-        a_star = (
-            shifted_dsup_greedy(agent, t, x) if head else greedy_action(agent, t, x)
-        )
+        a_star = greedy(agent, t, x, shifted=head)
         pred = dsup_prediction(agent, t, x, a_star)
         theta = agent.theta.forward(agent.observe(t, x))[0]
-        np.testing.assert_array_equal(pred.values, theta)
+        np.testing.assert_array_equal(pred, theta)
 
 
 def test_dsup_prediction_h_one_drops_rescale():
@@ -135,7 +145,7 @@ def test_dsup_prediction_h_one_drops_rescale():
     pin_heads(agent, theta_bias=[0.5, 0.5], phi_heads=[[1.0, 2.0], [4.0, 3.0]])
     # utilities 1.5 vs 3.5 so the greedy head is index 1
     pred = dsup_prediction(agent, 0.0, [0.0], 0)
-    np.testing.assert_allclose(pred.values, [0.5 + (1 - 4), 0.5 + (2 - 3)])
+    np.testing.assert_allclose(pred, [0.5 + (1 - 4), 0.5 + (2 - 3)])
 
 
 def test_dsup_prediction_hand_value_with_shifted_greedy():
@@ -143,29 +153,29 @@ def test_dsup_prediction_hand_value_with_shifted_greedy():
     # low head; prediction at the other action is 0.25**0.5 * ([2,2]-[1,1])
     agent = make_agent(m=2, h=0.25, q=0.5, advantage_head=True)
     pin_heads(agent, phi_heads=[[2.0, 2.0], [1.0, 1.0]], adv=[0.0, 10.0])
-    assert shifted_dsup_greedy(agent, 0.0, [0.0]) == 1
+    assert greedy(agent, 0.0, [0.0], shifted=True) == 1
     pred = dsup_prediction(agent, 0.0, [0.0], 0)
-    np.testing.assert_allclose(pred.values, [0.5, 0.5])
+    np.testing.assert_allclose(pred, [0.5, 0.5])
 
 
 def test_dsup_target_examples():
     agent = make_agent(m=3, h=0.5, discount=1.0)
     pin_heads(agent)
-    done_zero = dsup_target(agent, single_transition(a=0, r=0.0, done=True))
-    np.testing.assert_array_equal(done_zero.values, 0.0)
+    done_zero = td_target(agent, single_transition(a=0, r=0.0, done=True))
+    np.testing.assert_array_equal(done_zero, 0.0)
 
     agent2 = make_agent(m=3, h=0.5, discount=0.9)
     pin_heads(agent2, theta_bias=[2.0, 2.0, 2.0])
-    tgt = dsup_target(agent2, single_transition(r=3.0, done=False))
-    np.testing.assert_allclose(tgt.values, 0.5 * 3.0 + 0.9**0.5 * 2.0)
+    tgt = td_target(agent2, single_transition(r=3.0, done=False))
+    np.testing.assert_allclose(tgt, 0.5 * 3.0 + 0.9**0.5 * 2.0)
 
     agent3 = DsupAgent(
         state_dim=1, n_actions=2, h=0.5, q=0.5, m=2, hidden=(4,),
         discount=1.0, horizon=1.0, seed=0,
         terminal_reward=lambda X: np.ones(np.atleast_2d(X).shape[0]),
     )
-    tgt3 = dsup_target(agent3, single_transition(r=2.0, done=True))
-    np.testing.assert_allclose(tgt3.values, 2.0)  # 0.5*2 + 1*1
+    tgt3 = td_target(agent3, single_transition(r=2.0, done=True))
+    np.testing.assert_allclose(tgt3, 2.0)  # 0.5*2 + 1*1
 
 
 def test_dsup_update_zero_loss_leaves_params_unchanged():
@@ -173,7 +183,7 @@ def test_dsup_update_zero_loss_leaves_params_unchanged():
     pin_heads(agent, theta_bias=[1.0, 1.0, 1.0])
     tr = single_transition(a=0, r=0.0, done=False)
     before = [p.copy() for p in agent.theta.params + agent.phi.params]
-    loss = dsup_update(agent, [tr])
+    loss = agent.train_step([tr])
     assert loss == 0.0
     for p, b in zip(agent.theta.params + agent.phi.params, before):
         np.testing.assert_array_equal(p, b)
@@ -233,7 +243,7 @@ def test_qrdqn_gradients_match_finite_differences():
 def test_dsup_overfits_single_transition():
     agent = make_agent(m=4, h=0.5, lr=3e-3, seed=5)
     tr = single_transition(a=1, r=1.0, x_next=0.4, done=True)
-    losses = [dsup_update(agent, [tr]) for _ in range(400)]
+    losses = [agent.train_step([tr]) for _ in range(400)]
     tail = losses[50:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert losses[-1] < 0.05 * losses[0]
@@ -316,10 +326,10 @@ def test_dau_gradients_match_finite_differences():
 def test_dau_update_requires_advantage_capable_agent():
     plain = make_agent()
     with pytest.raises(ValueError):
-        dau_update(plain, [single_transition()])
+        dau_loss_grads(plain, [single_transition()])
     qr = QrdqnAgent(state_dim=1, n_actions=2, h=0.25, m=4, hidden=(4,), seed=0)
     with pytest.raises(TypeError):
-        dau_update(qr, [single_transition()])
+        dau_loss_grads(qr, [single_transition()])
 
 
 # --------------------------------------------------------------- shifted
@@ -331,26 +341,26 @@ def test_shifted_greedy_equals_plain_greedy_at_q_one():
     for _ in range(25):
         t = float(rng.uniform(0, 1))
         x = [float(rng.normal())]
-        assert shifted_dsup_greedy(agent, t, x) == greedy_action(agent, t, x)
+        assert greedy(agent, t, x, shifted=True) == greedy(agent, t, x)
 
 
 def test_shifted_greedy_follows_dominant_advantage():
     agent = make_agent(m=3, h=0.01, q=0.5, advantage_head=True)
     pin_heads(agent, adv=[0.0, 5.0])
-    assert shifted_dsup_greedy(agent, 0.0, [0.0]) == 1
-    assert greedy_action(agent, 0.0, [0.0]) == 0
+    assert greedy(agent, 0.0, [0.0], shifted=True) == 1
+    assert greedy(agent, 0.0, [0.0]) == 0
 
 
 def test_shifted_greedy_hand_computed():
     agent = make_agent(m=2, h=0.01, q=0.5, advantage_head=True)
     pin_heads(agent, phi_heads=[[1.0, 1.0], [0.0, 0.0]], adv=[0.0, 30.0])
     # shift factor 1 - 0.01**0.5 = 0.9: utilities 1.0 vs 0 + 27
-    assert shifted_dsup_greedy(agent, 0.0, [0.0]) == 1
+    assert greedy(agent, 0.0, [0.0], shifted=True) == 1
 
 
 def test_shifted_greedy_requires_head():
     with pytest.raises(ValueError):
-        shifted_dsup_greedy(make_agent(), 0.0, [0.0])
+        greedy(make_agent(), 0.0, [0.0], shifted=True)
 
 
 # ----------------------------------------------------------------- replay
@@ -576,9 +586,7 @@ def test_qrdqn_target_reduces_to_dsup_target_on_shared_bootstrap():
         single_transition(r=0.7, done=False),
         single_transition(r=0.0, x_next=0.5, done=True),
     ):
-        np.testing.assert_array_equal(
-            qr.target(tr).values, dsup_target(ds, tr).values
-        )
+        np.testing.assert_array_equal(td_target(qr, tr), td_target(ds, tr))
 
 
 def test_rescale_consistency_of_prediction_family():
@@ -588,8 +596,8 @@ def test_rescale_consistency_of_prediction_family():
     t, x = 0.4, [0.2]
     obs = agent.observe(t, x)
     heads, _ = agent._phi_split(agent.phi.forward(obs))
-    a_star = greedy_action(agent, t, x)
-    preds = [dsup_prediction(agent, t, x, a).values for a in range(3)]
+    a_star = greedy(agent, t, x)
+    preds = [dsup_prediction(agent, t, x, a) for a in range(3)]
     deltas = [heads[0, a] - heads[0, a_star] for a in range(3)]
     for p in (1, 2):
         for i in range(3):
@@ -607,8 +615,7 @@ def test_updates_are_bitwise_reproducible():
     agents_pair = [make_agent(m=5, seed=11, advantage_head=True) for _ in range(2)]
     for agent in agents_pair:
         for _ in range(3):
-            dsup_update(agent, batch)
-            dau_update(agent, batch)
+            agent.train_step(batch)
     for pa, pb in zip(agents_pair[0].phi.params, agents_pair[1].phi.params):
         np.testing.assert_array_equal(pa, pb)
     for pa, pb in zip(agents_pair[0].theta.params, agents_pair[1].theta.params):
@@ -620,7 +627,7 @@ def test_no_gradient_reaches_target_network():
     batch = [single_transition(a=1, r=0.3, x_next=0.2, done=False)]
     before = [p.copy() for p in agent.theta_target.params]
     for _ in range(5):
-        dsup_update(agent, batch)
+        agent.train_step(batch)
     for p, b in zip(agent.theta_target.params, before):
         np.testing.assert_array_equal(p, b)
 

@@ -6,10 +6,15 @@ from ctdrl.approx import (
     Mlp,
     adam_step,
     load_checkpoint,
-    quantile_huber,
     save_checkpoint,
 )
-from ctdrl.dist import QuantileRep
+from ctdrl._kernels import quantile_huber_batch
+
+
+def quantile_huber(pred, target, kappa):
+    """The batched kernel on one row: (loss, gradient row)."""
+    loss, grad = quantile_huber_batch(np.atleast_2d(pred), np.atleast_2d(target), kappa)
+    return loss, grad[0]
 
 
 def test_zero_network_outputs_zero():
@@ -105,20 +110,20 @@ def test_backward_matches_finite_differences():
 
 
 def test_quantile_huber_zero_at_match():
-    report = quantile_huber(QuantileRep([1.7]), QuantileRep([1.7]), kappa=1.0)
-    assert report.loss == 0.0
-    np.testing.assert_array_equal(report.grad_pred, [0.0])
+    loss, grad = quantile_huber([1.7], [1.7], kappa=1.0)
+    assert loss == 0.0
+    np.testing.assert_array_equal(grad, [0.0])
 
 
 def test_quantile_huber_hand_value():
     # m = m' = 1: tau = 0.5, u = 0.4 -> 0.5 * 0.4^2 / 2 = 0.04
-    report = quantile_huber(QuantileRep([0.0]), QuantileRep([0.4]), kappa=1.0)
-    assert report.loss == pytest.approx(0.04)
+    loss, _ = quantile_huber([0.0], [0.4], kappa=1.0)
+    assert loss == pytest.approx(0.04)
 
 
 def test_quantile_huber_rejects_bad_kappa():
     with pytest.raises(ValueError):
-        quantile_huber(QuantileRep([0.0]), QuantileRep([1.0]), kappa=0.0)
+        quantile_huber([0.0], [1.0], kappa=0.0)
 
 
 def test_quantile_huber_gradient_matches_central_differences():
@@ -130,7 +135,7 @@ def test_quantile_huber_gradient_matches_central_differences():
         pred = rng.normal(size=m) * 2
         target = rng.normal(size=mp) * 2
         kappa = float(rng.uniform(0.5, 1.5))
-        report = quantile_huber(QuantileRep(pred), QuantileRep(target), kappa)
+        _, grad = quantile_huber(pred, target, kappa)
         fd = np.zeros(m)
         for i in range(m):
             up = pred.copy()
@@ -138,30 +143,30 @@ def test_quantile_huber_gradient_matches_central_differences():
             down = pred.copy()
             down[i] -= step
             fd[i] = (
-                quantile_huber(QuantileRep(up), QuantileRep(target), kappa).loss
-                - quantile_huber(QuantileRep(down), QuantileRep(target), kappa).loss
+                quantile_huber(up, target, kappa)[0]
+                - quantile_huber(down, target, kappa)[0]
             ) / (2 * step)
-        denom = max(np.linalg.norm(fd), np.linalg.norm(report.grad_pred), 1e-12)
-        assert np.linalg.norm(fd - report.grad_pred) / denom < 1e-4
+        denom = max(np.linalg.norm(fd), np.linalg.norm(grad), 1e-12)
+        assert np.linalg.norm(fd - grad) / denom < 1e-4
 
 
 def test_quantile_huber_target_permutation_invariance():
     rng = np.random.default_rng(22)
-    pred = QuantileRep(rng.normal(size=6))
+    pred = rng.normal(size=6)
     target = rng.normal(size=9)
-    base = quantile_huber(pred, QuantileRep(target), 1.0)
-    shuffled = quantile_huber(pred, QuantileRep(rng.permutation(target)), 1.0)
-    assert base.loss == pytest.approx(shuffled.loss, rel=1e-12)
-    np.testing.assert_allclose(base.grad_pred, shuffled.grad_pred, rtol=1e-12)
+    base_loss, base_grad = quantile_huber(pred, target, 1.0)
+    loss, grad = quantile_huber(pred, rng.permutation(target), 1.0)
+    assert base_loss == pytest.approx(loss, rel=1e-12)
+    np.testing.assert_allclose(base_grad, grad, rtol=1e-12)
 
 
 def test_quantile_huber_translation_invariance():
     rng = np.random.default_rng(23)
     pred = rng.normal(size=4)
     target = rng.normal(size=6)
-    base = quantile_huber(QuantileRep(pred), QuantileRep(target), 1.0)
-    moved = quantile_huber(QuantileRep(pred + 3.7), QuantileRep(target + 3.7), 1.0)
-    assert base.loss == pytest.approx(moved.loss, rel=1e-12)
+    base_loss, _ = quantile_huber(pred, target, 1.0)
+    moved_loss, _ = quantile_huber(pred + 3.7, target + 3.7, 1.0)
+    assert base_loss == pytest.approx(moved_loss, rel=1e-12)
 
 
 # ------------------------------------------------------------------- adam

@@ -4,10 +4,15 @@
 at call time. A refactor that renames a target, or routes calls around it,
 would silently zero that layer's metrics. These tests put a call counter on
 every target, then run a tiny gap-rates sweep and one tiny training cell per
-agent kind.
+agent kind. The names ``perfbench/worker.py`` calls directly are covered by
+running its setup for each workload.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +20,10 @@ import pytest
 
 from ctdrl import cli
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SPANS = _ROOT / "perfbench" / "spans.py"
+_BENCHMARK = json.loads((_ROOT / "BENCHMARK.json").read_text())
+_WORKLOADS = [workload["name"] for workload in _BENCHMARK["workloads"]]
 _spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
@@ -67,3 +75,14 @@ def test_every_hook_target_resolves():
 @pytest.mark.parametrize("target", TARGETS)
 def test_hook_target_is_reached(calls, target):
     assert calls[target] > 0
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_worker_setup_runs(workload):
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "worker.py"), "--workload", workload,
+         "--seed", "0", "--spawned", repr(time.monotonic()), "--setup-only"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "kernel_backend" in json.loads(proc.stdout.splitlines()[-1])

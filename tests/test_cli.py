@@ -68,6 +68,51 @@ def test_validation_rejects_empty_h_grid(tmp_path, capsys):
     assert "h_grid" in capsys.readouterr().err
 
 
+BAD_VALUES = [
+    ("gap-rates", "substeps", "0"),
+    ("gap-rates", "m", "0"),
+    ("gap-rates", "tail_dt", "-1"),
+    ("gap-rates", "horizon", "-1"),
+    ("gap-rates", "base_action", "7"),
+    ("gap-rates", "t", "5"),
+    ("gap-rates", "bootstrap", "1"),
+    ("gap-rates", "discount", "0"),
+    ("superiority-demo", "m", "0"),
+    ("superiority-demo", "substeps", "0"),
+    ("superiority-demo", "horizon", "0"),
+    ("superiority-demo", "action", "5"),
+    ("superiority-demo", "base_action", "-3"),
+    ("superiority-demo", "t", "20"),
+    ("superiority-demo", "tail_dt", "0"),
+    ("train", "batch_size", "0"),
+    ("train", "buffer_capacity", "0"),
+    ("train", "m", "0"),
+    ("train", "final_eval_episodes", "0"),
+    ("train", "eval_episodes", "0"),
+    ("train", "horizon", "0"),
+    ("train", "start_price", "0"),
+    ("train", "eval_cvar_alpha", "0"),
+    ("train", "train_sigma", "-1"),
+]
+
+
+@pytest.mark.parametrize("command, key, value", BAD_VALUES)
+def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, value):
+    assert run([command, "--out", str(tmp_path / "x"), "--set", f"{key}={value}"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_train_lists_price_csv_errors_with_the_others(tmp_path, capsys):
+    code = run([
+        "train", "--out", str(tmp_path / "x"),
+        "--set", "agent=bogus", "--set", "price_csv=/nonexistent.csv",
+        "--set", "batch_size=0",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "agent" in err and "price_csv" in err and "batch_size" in err
+
+
 def test_gap_rates_illustration_env(tmp_path):
     out = tmp_path / "run"
     code = run([

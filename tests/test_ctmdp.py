@@ -15,11 +15,10 @@ from ctdrl.ctmdp import (
     em_step,
     persistent,
     policy_averaged_coefficients,
-    sample_action_return,
-    sample_return,
     substream,
 )
 from ctdrl.envs import illustration_env, brownian_gap_env
+from ctdrl.estimate import mc_action_return_dist, mc_return_dist
 
 
 def constant_env(c, horizon=1.0, discount=1.0):
@@ -273,7 +272,7 @@ def test_square_diffusion_is_read_by_kind_not_by_path_count(kind, n_paths):
         np.testing.assert_allclose(sig[0] @ sig[0].T, 2.5 * _CORR @ _CORR.T, rtol=1e-12)
 
 
-# ------------------------------------------------------------ sample_return
+# ----------------------------------------------------------- mc_return_dist
 
 
 def test_sample_return_unit_reward_integrates_time():
@@ -286,38 +285,38 @@ def test_sample_return_unit_reward_integrates_time():
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=2.0,
     )
-    got = sample_return(env, ConstantAction(0), 0.5, [0.0], SimConfig(dt=0.01))
-    assert got == pytest.approx(1.5, abs=1e-9)
+    got = mc_return_dist(env, ConstantAction(0), 0.5, [0.0], 2, SimConfig(dt=0.01))
+    np.testing.assert_allclose(got.samples, 1.5, rtol=0, atol=1e-9)
 
 
 def test_sample_return_linear_drift_terminal_reward():
     c, t0, horizon, gamma = 2.0, 0.25, 1.0, 0.9
     env = constant_env(c, horizon=horizon, discount=gamma)
-    got = sample_return(env, ConstantAction(0), t0, [1.0], SimConfig(dt=0.0125))
+    got = mc_return_dist(env, ConstantAction(0), t0, [1.0], 2, SimConfig(dt=0.0125))
     expect = gamma ** (horizon - t0) * (1.0 + c * (horizon - t0))
-    assert got == pytest.approx(expect, rel=1e-9)
+    np.testing.assert_allclose(got.samples, expect, rtol=1e-9)
 
 
 def test_sample_return_frozen_gap_env_exact():
     env = brownian_gap_env(horizon=1.0, discount=1.0)
     x = 0.8
-    got = sample_return(env, ConstantAction(0), 0.0, [x], SimConfig(dt=1 / 64))
-    assert got == pytest.approx(x * 1.0, rel=1e-12)
+    got = mc_return_dist(env, ConstantAction(0), 0.0, [x], 2, SimConfig(dt=1 / 64))
+    np.testing.assert_allclose(got.samples, x * 1.0, rtol=1e-12)
 
 
 def test_sample_return_discounted_frozen_state():
     gamma = 0.9
     env = brownian_gap_env(horizon=1.0, discount=gamma)
     x = 2.0
-    got = sample_return(env, ConstantAction(0), 0.0, [x], SimConfig(dt=1e-3))
+    got = mc_return_dist(env, ConstantAction(0), 0.0, [x], 2, SimConfig(dt=1e-3))
     exact = x * (gamma - 1.0) / np.log(gamma)
-    assert got == pytest.approx(exact, rel=1e-3)
+    np.testing.assert_allclose(got.samples, exact, rtol=1e-3)
 
 
 def test_sample_return_rejects_start_past_horizon():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        sample_return(env, ConstantAction(0), 1.0, [0.0], SimConfig(dt=0.1))
+        mc_return_dist(env, ConstantAction(0), 1.0, [0.0], 2, SimConfig(dt=0.1))
 
 
 # ------------------------------------------------- action-conditioned return
@@ -325,19 +324,21 @@ def test_sample_return_rejects_start_past_horizon():
 
 def test_action_return_full_horizon_matches_plain_return():
     env = brownian_gap_env()
-    cfg = SimConfig(dt=1 / 32, seed=7)
-    via_action = sample_action_return(env, ConstantAction(1), 0.0, [0.0], 1, 1.0, cfg)
-    via_plain = sample_return(env, ConstantAction(1), 0.0, [0.0], cfg)
-    assert via_action == via_plain
+    pi = persistent(ConstantAction(1), 1.0, 1, 0.0)
+    via_action = _rollout_returns(env, pi, 0.0, [0.0], 4, substream(7), dt=1 / 32,
+                                  window_end=1.0)
+    via_plain = _rollout_returns(env, ConstantAction(1), 0.0, [0.0], 4, substream(7),
+                                 dt=1 / 32)
+    np.testing.assert_array_equal(via_action, via_plain)
 
 
 def test_action_return_matching_deterministic_policy_identical_law():
     env = brownian_gap_env()
-    cfg = SimConfig(dt=1 / 32, seed=11)
     pi = ConstantAction(1)
-    a_cond = sample_action_return(env, pi, 0.0, [0.0], 1, 0.25, cfg)
-    plain = sample_return(env, pi, 0.0, [0.0], cfg)
-    assert a_cond == plain
+    a_cond = _rollout_returns(env, persistent(pi, 0.25, 1, 0.0), 0.0, [0.0], 4,
+                              substream(11), dt=1 / 32, window_end=0.25)
+    plain = _rollout_returns(env, pi, 0.0, [0.0], 4, substream(11), dt=1 / 32)
+    np.testing.assert_array_equal(a_cond, plain)
 
 
 def test_action_return_mean_is_martingale_value():
@@ -361,9 +362,11 @@ def test_action_return_mean_is_martingale_value():
 def test_action_return_validations():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        sample_action_return(env, ConstantAction(0), 0.9, [0.0], 1, 0.25, SimConfig(dt=0.01))
+        mc_action_return_dist(env, ConstantAction(0), 0.9, [0.0], 1, 0.25, 2,
+                              SimConfig(dt=0.01))
     with pytest.raises(ValueError):
-        sample_action_return(env, ConstantAction(0), 0.0, [0.0], 1, 0.25, SimConfig(dt=0.11))
+        mc_action_return_dist(env, ConstantAction(0), 0.0, [0.0], 1, 0.25, 2,
+                              SimConfig(dt=0.11))
 
 
 # ------------------------------------------------------------------ policies

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from ctdrl.ctmdp import ConstantAction, SimConfig, sample_return, substream
+from ctdrl.ctmdp import ConstantAction, SimConfig, substream
 from ctdrl.envs import (
     GbmParams,
-    MdpEpisodicEnv,
     OptionTradingEnv,
     estimate_gbm,
     illustration_env,
     load_price_csv,
-    option_step,
     save_price_csv,
     brownian_gap_env,
     brownian_gap_w1_oracle,
@@ -22,12 +20,12 @@ def test_brownian_gap_env_frozen_return_closed_form():
     for gamma in (1.0, 0.9):
         env = brownian_gap_env(horizon=1.0, discount=gamma)
         x = 1.3
-        got = sample_return(env, ConstantAction(0), 0.0, [x], SimConfig(dt=1e-3))
+        got = mc_return_dist(env, ConstantAction(0), 0.0, [x], 2, SimConfig(dt=1e-3))
         if gamma == 1.0:
             expect = x
         else:
             expect = x * (gamma - 1.0) / np.log(gamma)
-        assert got == pytest.approx(expect, rel=2e-3)
+        np.testing.assert_allclose(got.samples, expect, rtol=2e-3)
 
 
 def test_brownian_gap_w1_oracle_value():
@@ -69,24 +67,21 @@ def make_option_env(**kw):
 def test_option_step_execute_pays_through_terminal_channel():
     env = make_option_env()
     rng = np.random.default_rng(0)
-    x2, reward, done = option_step(env, 0.8, 10.0, 1, 0.2, rng)
-    assert done and reward == 0.0
-    assert env.terminal_reward(np.array([[x2]]))[0] == pytest.approx(0.2)
-    x2, _, done = option_step(env, 1.3, 10.0, 1, 0.2, rng)
-    assert done
-    assert env.terminal_reward(np.array([[x2]]))[0] == 0.0
+    X, reward, done = env.step_batch(10.0, [[0.8], [1.3]], [1, 1], 0.2, rng)
+    assert done.all() and (reward == 0.0).all()
+    np.testing.assert_allclose(env.terminal_reward(X), [0.2, 0.0])
 
 
 def test_option_step_hold_deterministic_flat_gbm():
     env = make_option_env(gbm=GbmParams(0.0, 0.0))
     rng = np.random.default_rng(0)
-    x, t = 1.0, 0.0
-    done = False
-    while not done:
-        x, _, done = option_step(env, x, t, 0, 10.0, rng)
+    X, t = [[1.0]], 0.0
+    done = [False]
+    while not done[0]:
+        X, _, done = env.step_batch(t, X, [0], 10.0, rng)
         t += 10.0
-    assert x == pytest.approx(1.0)
-    assert env.terminal_reward(np.array([[x]]))[0] == 0.0
+    assert X[0, 0] == pytest.approx(1.0)
+    assert env.terminal_reward(X)[0] == 0.0
     assert t == pytest.approx(env.horizon)
 
 
@@ -94,9 +89,9 @@ def test_option_step_validations():
     env = make_option_env()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        option_step(env, -0.5, 0.0, 0, 0.2, rng)
+        env.step_batch(0.0, [[-0.5]], [0], 0.2, rng)
     with pytest.raises(ValueError):
-        option_step(env, 1.0, 100.0, 0, 0.2, rng)
+        env.step_batch(100.0, [[1.0]], [0], 0.2, rng)
 
 
 def test_option_prices_stay_positive_under_exact_stepping():
@@ -108,16 +103,6 @@ def test_option_prices_stay_positive_under_exact_stepping():
         X, _, done = env.step_batch(t, X, np.zeros(500, dtype=int), 0.2, rng)
         t += 0.2
     assert np.all(X[:, 0] > 0)
-
-
-def test_option_euler_mode_differs_from_exact():
-    rng1 = np.random.default_rng(3)
-    rng2 = np.random.default_rng(3)
-    exact = make_option_env()
-    euler = make_option_env(euler=True)
-    xe, _, _ = option_step(exact, 1.0, 0.0, 0, 0.2, rng1)
-    xu, _, _ = option_step(euler, 1.0, 0.0, 0, 0.2, rng2)
-    assert xe != xu
 
 
 def test_gbm_params_validation():
@@ -198,31 +183,3 @@ def test_price_csv_rejects_bad_rows(tmp_path):
     path.write_text("step,price\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data"):
         load_price_csv(path)
-
-
-# ------------------------------------------------------------- episodic wrap
-
-
-def test_mdp_episodic_env_steps_and_terminates():
-    env = MdpEpisodicEnv(brownian_gap_env(), x0=[0.4], cfg=SimConfig(substeps=4))
-    rng = np.random.default_rng(0)
-    X = np.atleast_2d(env.reset(rng))
-    t, done = 0.0, np.array([False])
-    steps = 0
-    while not done.all():
-        X, rew, done = env.step_batch(t, X, np.array([0]), 0.25, rng)
-        assert rew[0] == pytest.approx(0.4)
-        t += 0.25
-        steps += 1
-    assert steps == 4
-    np.testing.assert_allclose(X, 0.4)
-
-
-def test_mdp_episodic_env_truncates_final_step():
-    env = MdpEpisodicEnv(brownian_gap_env(horizon=0.3), x0=[0.0],
-                         cfg=SimConfig(substeps=4))
-    rng = np.random.default_rng(1)
-    X, _, done = env.step_batch(0.0, np.array([[0.0]]), np.array([0]), 0.25, rng)
-    assert not done[0]
-    X, _, done = env.step_batch(0.25, X, np.array([0]), 0.25, rng)
-    assert done[0]
