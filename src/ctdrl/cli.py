@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, agents, envs, estimate
-from .ctmdp import TIME_TOL, SimConfig, ConstantAction, SimulationError, substream
+from .ctmdp import (
+    TIME_TOL, SimConfig, ConstantAction, SimulationError, _window_dt, substream,
+)
 from .dist import (
     DistortionMeasure,
     advantage_shift,
@@ -257,8 +259,17 @@ def _below(cfg, **lows):
 def _mdp_errors(cfg, hs, action_keys):
     """Errors in the keys that fix a gap env and its rollouts: the horizon,
     the discount, the start time t (every window [t, t + h) must end by the
-    horizon), tail_dt, and the action indices (both envs have actions 0, 1)."""
+    horizon), the EM step that substeps and dt_floor give each h (it must
+    divide h), tail_dt, and the action indices (both envs have actions 0, 1)."""
     errors = []
+    if cfg["substeps"] >= 1:
+        sim = SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"])
+        try:
+            for h in hs:
+                if h > 0:
+                    _window_dt(sim, h)
+        except ValueError as exc:
+            errors.append(f"dt_floor={cfg['dt_floor']} with substeps={cfg['substeps']}: {exc}")
     if cfg["horizon"] <= 0:
         errors.append(f"horizon must be positive, got {cfg['horizon']}")
     elif hs and cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
@@ -454,7 +465,11 @@ def build_agent(kind, cfg, h, terminal_reward, decay_steps, seed):
 
 def cmd_train(cfg, out_dir: Path) -> int:
     errors = _below(cfg, updates=0, batch_size=1, buffer_capacity=1, m=1,
-                    final_eval_episodes=1)
+                    final_eval_episodes=1, target_period=0, eps_fraction=0)
+    if any(width < 1 for width in cfg["hidden"]):
+        errors.append(f"hidden entries must be >= 1, got {cfg['hidden']}")
+    if not 0.0 < cfg["discount"] <= 1.0:
+        errors.append(f"discount must be in (0, 1], got {cfg['discount']}")
     if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
         errors.append("eval_episodes must be >= 1 when eval_every > 0")
     for key in ("horizon", "start_price"):

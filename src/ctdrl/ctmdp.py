@@ -401,6 +401,11 @@ def _rollout_dt(
         return cfg.resolve_dt()
     if t + h > mdp.horizon + TIME_TOL:
         raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
+    return _window_dt(cfg, h)
+
+
+def _window_dt(cfg: SimConfig, h: float) -> float:
+    """cfg's EM step for the persistence horizon h, which it must divide."""
     dt = cfg.resolve_dt(h)
     ratio = h / dt
     if abs(ratio - round(ratio)) > 1e-9:

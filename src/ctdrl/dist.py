@@ -275,11 +275,53 @@ def variance(obj) -> float:
     return float(np.var(vals, ddof=1))
 
 
+def _hazen(n: int, m: int):
+    """numpy's ``method="hazen"`` quantiles at the m midpoint levels of n
+    sorted values, bit for bit, as a reader built once per (n, m).
+
+    ``read(sorted_values)`` interpolates the order statistics directly.
+    ``read(sorted_values, cum_counts)`` reads them from the implicit sorted
+    sample that repeats ``sorted_values[j]`` ``counts[j]`` times, where
+    ``cum_counts`` is the cumulative sum of counts totalling n.
+    """
+    levels = (np.arange(m) + 0.5) / m
+    # numpy's virtual index n*tau + (alpha + tau*(1 - alpha - beta)) - 1 with
+    # alpha = beta = 1/2, in its own rounding order.
+    virtual = n * levels + 0.5 - 1
+    prev = np.floor(virtual)
+    # numpy's clipping: an index at or above n - 1 reads the last value (it
+    # stores -1), one below 0 reads the first; gamma uses the stored index.
+    above, below = virtual >= n - 1, virtual < 0
+    prev[above] = -1
+    prev[below] = 0
+    gamma = virtual - prev
+    one_minus_gamma = 1 - gamma
+    upper = gamma >= 0.5
+    lo = np.where(above, n - 1, prev).astype(np.intp)
+    hi = np.where(above | below, lo, lo + 1)
+    ranks = np.concatenate((lo, hi))
+
+    def read(sorted_values, cum_counts=None):
+        if cum_counts is None:
+            a, b = sorted_values[lo], sorted_values[hi]
+        else:
+            pos = np.searchsorted(cum_counts, ranks, side="right")
+            a, b = sorted_values[pos[:m]], sorted_values[pos[m:]]
+        # numpy's _lerp: a + d*gamma, or b - d*(1 - gamma) where gamma >= 1/2
+        d = b - a
+        out = a + d * gamma
+        np.subtract(b, d * one_minus_gamma, out=out, where=upper)
+        return out
+
+    return read
+
+
 def to_quantile_rep(dist: EmpiricalDist, m: int) -> QuantileRep:
     """Empirical quantiles at midpoint levels (i - 1/2)/m, interpolated
-    linearly between order statistics. At m = n this recovers the sorted
-    samples exactly."""
+    linearly between order statistics (numpy's ``method="hazen"``). At
+    m = n this recovers the sorted samples exactly. Samples holding zeros of
+    both signs may give a zero of the other sign than np.quantile, which
+    partitions where this sorts."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    levels = (np.arange(m) + 0.5) / m
-    return QuantileRep(np.quantile(dist.samples, levels, method="hazen"))
+    return QuantileRep(_hazen(dist.n, m)(np.sort(dist.samples)))

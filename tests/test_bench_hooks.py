@@ -5,13 +5,17 @@ at call time. A refactor that renames a target, or routes calls around it,
 would silently zero that layer's metrics. These tests put a call counter on
 every target, then run a tiny gap-rates sweep and one tiny training cell per
 agent kind. The names ``perfbench/worker.py`` calls directly are covered by
-running its setup for each workload.
+running its setup for each workload. Counters that read a target's
+positional arguments are pinned to the parameter names at those positions.
 """
 
+import ast
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
+import textwrap
 import time
 from collections import Counter
 from pathlib import Path
@@ -29,6 +33,19 @@ spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
 
 TARGETS = [target for _, targets, _ in spans.HOOKS for target in targets]
+
+# The parameter at each position a counter (or a span-name function) reads
+# from its target's positional arguments. Renaming or reordering one of these
+# parameters changes what the counter measures while the hook still installs.
+COUNTED_PARAMS = {
+    "ctdrl.estimate:_bootstrap_w_se": {4: "n_resamples"},
+    "ctdrl.ctmdp:_em_apply": {2: "states", 3: "action_indices"},
+    "ctdrl._kernels:quantile_huber_batch": {0: "pred", 1: "target"},
+    "ctdrl.approx:Mlp.forward_cached": {1: "x"},
+    "ctdrl.agents:adam_step": {1: "params"},
+    "ctdrl.agents:train": {2: "total_updates"},
+    "ctdrl.envs:OptionTradingEnv.step_batch": {2: "X"},
+}
 
 TINY_GAP_RATES = ["h_grid=0.25,0.125", "n_paths=200", "bootstrap=5", "m=32"]
 TINY_TRAIN = ["updates=10", "batch_size=4", "eval_every=5", "eval_episodes=3",
@@ -75,6 +92,31 @@ def test_every_hook_target_resolves():
 @pytest.mark.parametrize("target", TARGETS)
 def test_hook_target_is_reached(calls, target):
     assert calls[target] > 0
+
+
+def _positions_read(fn):
+    """The constant indices fn's source reads from a name ``args``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and isinstance(node.slice, ast.Constant)}
+
+
+def test_counted_params_lists_every_positional_read():
+    reads = {}
+    for name, targets, count in spans.HOOKS:
+        positions = set()
+        for fn in (name, count):
+            if callable(fn):
+                positions |= _positions_read(fn)
+        reads.update((target, positions) for target in targets if positions)
+    assert reads == {target: set(params) for target, params in COUNTED_PARAMS.items()}
+
+
+@pytest.mark.parametrize("target", sorted(COUNTED_PARAMS))
+def test_counted_argument_keeps_its_parameter_name(target):
+    params = list(inspect.signature(spans.resolve(target)[2]).parameters)
+    assert {pos: params[pos] for pos in COUNTED_PARAMS[target]} == COUNTED_PARAMS[target]
 
 
 @pytest.mark.parametrize("workload", _WORKLOADS)

@@ -77,6 +77,7 @@ BAD_VALUES = [
     ("gap-rates", "t", "5"),
     ("gap-rates", "bootstrap", "1"),
     ("gap-rates", "discount", "0"),
+    ("gap-rates", "dt_floor", "0.1"),
     ("superiority-demo", "m", "0"),
     ("superiority-demo", "substeps", "0"),
     ("superiority-demo", "horizon", "0"),
@@ -84,6 +85,7 @@ BAD_VALUES = [
     ("superiority-demo", "base_action", "-3"),
     ("superiority-demo", "t", "20"),
     ("superiority-demo", "tail_dt", "0"),
+    ("superiority-demo", "dt_floor", "0.1"),
     ("train", "batch_size", "0"),
     ("train", "buffer_capacity", "0"),
     ("train", "m", "0"),
@@ -93,6 +95,12 @@ BAD_VALUES = [
     ("train", "start_price", "0"),
     ("train", "eval_cvar_alpha", "0"),
     ("train", "train_sigma", "-1"),
+    ("train", "hidden", "0"),
+    ("train", "hidden", "100,0"),
+    ("train", "discount", "0"),
+    ("train", "discount", "1.5"),
+    ("train", "target_period", "-1"),
+    ("train", "eps_fraction", "-1"),
 ]
 
 
@@ -100,6 +108,18 @@ BAD_VALUES = [
 def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, value):
     assert run([command, "--out", str(tmp_path / "x"), "--set", f"{key}={value}"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_train_lists_every_bad_network_and_schedule_key(tmp_path, capsys):
+    code = run([
+        "train", "--out", str(tmp_path / "x"),
+        "--set", "hidden=0", "--set", "discount=0",
+        "--set", "target_period=-1", "--set", "eps_fraction=-1",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    for key in ("hidden", "discount", "target_period", "eps_fraction"):
+        assert key in err
 
 
 def test_train_lists_price_csv_errors_with_the_others(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctdrl.dist import (
+    _hazen,
     Cdr,
     DistortionMeasure,
     EmpiricalDist,
@@ -373,3 +374,50 @@ def test_to_quantile_rep_midpoint_convention():
     assert np.all(np.diff(small.values) >= 0)
     with pytest.raises(ValueError):
         to_quantile_rep(EmpiricalDist(samples), 0)
+
+
+# ----------------------------------------------------------- hazen quantiles
+
+HAZEN_M = [1, 2, 5, 512, 1000]
+
+
+def _hazen_samples(kind, n, rng):
+    """Samples of one kind, and whether their zeros all share one sign."""
+    if kind == "continuous":
+        return rng.normal(size=n), True
+    if kind == "grid":
+        # coarse rounding: long runs of ties, and zeros of both signs
+        return np.round(rng.normal(size=n), 1), False
+    # every third value a zero of one sign, so n = 1 is that zero alone
+    zero = -0.0 if kind == "minus_zero" else 0.0
+    return np.where(np.arange(n) % 3 == 0, zero, rng.choice([-1.5, 2.0], size=n)), True
+
+
+def _assert_hazen_equal(got, want, one_zero_sign):
+    assert np.array_equal(got, want)
+    if one_zero_sign:
+        # with one sign of zero the sorted values are unique bit for bit, so
+        # the signs of zero results must match numpy's too; with both signs,
+        # a sort and numpy's partition may order -0.0 and 0.0 differently
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 511, 512, 513, 10000])
+def test_hazen_matches_numpy_quantile(n):
+    rng = np.random.default_rng(n)
+    for kind in ("continuous", "grid", "minus_zero", "plus_zero"):
+        samples, one_sign = _hazen_samples(kind, n, rng)
+        order = np.argsort(samples, kind="stable")
+        idx = rng.integers(0, n, n)
+        cum_counts = np.cumsum(np.bincount(idx, minlength=n)[order])
+        for m in HAZEN_M:
+            levels = (np.arange(m) + 0.5) / m
+            want = np.quantile(samples, levels, method="hazen")
+            read = _hazen(n, m)
+            _assert_hazen_equal(read(np.sort(samples)), want, one_sign)
+            _assert_hazen_equal(to_quantile_rep(EmpiricalDist(samples), m).values,
+                                want, one_sign)
+            # the implicit resample samples[idx] read from its index counts
+            _assert_hazen_equal(read(samples[order], cum_counts),
+                                np.quantile(samples[idx], levels, method="hazen"),
+                                one_sign)

@@ -205,12 +205,15 @@ def _bootstrap_samples(kind, rng):
         return np.round(rng.normal(size=250), 1), np.round(rng.normal(size=90), 1)
     if kind == "m_above_n":
         return rng.normal(size=40), rng.exponential(size=55)
+    if kind == "m_equals_n":
+        return rng.normal(size=64), rng.gumbel(size=64)
     # the frozen action's returns are one constant
     return np.full(120, 0.7), rng.normal(0.7, 0.5, size=200)
 
 
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("kind", ["continuous", "ties", "m_above_n", "constant"])
+@pytest.mark.parametrize("kind", ["continuous", "ties", "m_above_n", "m_equals_n",
+                                  "constant"])
 def test_bootstrap_w_se_matches_sequential_oracle(p, kind):
     samples_a, samples_b = _bootstrap_samples(kind, np.random.default_rng(41))
     m = 128 if kind == "m_above_n" else 64
