@@ -130,11 +130,14 @@ class ExplorationSchedule:
     eps_end: float = 0.02
     decay_steps: int = 10_000
 
-    def epsilon(self, step: int) -> float:
+    def epsilon(self, step):
+        """Epsilon at one step (a float) or at each of an array of steps."""
         if self.decay_steps <= 0:
-            return self.eps_end
-        frac = min(1.0, max(0.0, step / self.decay_steps))
-        return self.eps_start + (self.eps_end - self.eps_start) * frac
+            eps = np.full(np.shape(step), self.eps_end)
+        else:
+            frac = np.clip(np.divide(step, self.decay_steps), 0.0, 1.0)
+            eps = self.eps_start + (self.eps_end - self.eps_start) * frac
+        return float(eps) if np.ndim(step) == 0 else eps
 
 
 class TrainingDiverged(RuntimeError):
@@ -401,12 +404,15 @@ class DauAgent(_AgentBase):
         return np.argmax(self.anet.forward(self.observe(t, X)), axis=1)
 
 
-def explore_action(agent, t, x, rng: np.random.Generator, step: int) -> int:
-    """Epsilon-greedy: uniform over actions with probability epsilon(step)."""
-    eps = agent.schedule.epsilon(step)
-    if rng.random() < eps:
-        return int(rng.integers(agent.n_actions))
-    return agent.act_greedy(t, x)
+def explore_action(agent, t, X, eps, coins, random_actions) -> np.ndarray:
+    """Batched epsilon-greedy: row k takes ``random_actions[k]`` when
+    ``coins[k] < eps[k]`` and otherwise the greedy action at (t[k], X[k]).
+    All the greedy rows share one forward."""
+    actions = np.array(random_actions, dtype=np.int64)
+    greedy = ~(coins < eps)
+    if greedy.any():
+        actions[greedy] = agent.act_greedy_batch(t[greedy], X[greedy])
+    return actions
 
 
 def _batch_arrays(agent, batch):
@@ -571,11 +577,6 @@ class TrainRow:
     epsilon: float
 
 
-def _env_step_single(env, t, x, a, h, rng):
-    X, r, done = env.step_batch(t, np.atleast_2d(x), np.array([a]), h, rng)
-    return X[0], float(r[0]), bool(done[0])
-
-
 def evaluate_policy(env, action_fn, episodes: int, rng, h: float, cvar_alpha=0.25):
     """Mean and CVaR of discounted returns over lockstep greedy episodes.
 
@@ -615,9 +616,84 @@ def evaluate(agent, env, episodes: int, rng, cvar_alpha=0.25):
     return mean_ret, cvar_ret
 
 
+# Rows of the first greedy forward along an episode; later forwards double.
+_FIRST_CHUNK = 8
+
+
+def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions,
+                rng):
+    """Run one window of interactions with frozen networks; returns the
+    (t, x) the next window goes on from, or None to start at reset.
+
+    Every interaction stores its transition through ``store_subsampled`` on
+    ``rng``, in order. A run of episodes that stop at the reset state costs
+    no forward beyond one greedy action there per window; an episode that
+    holds walks its hold path in chunks that double in size, one batched
+    epsilon-greedy over each, and ends at its first stop or at the horizon.
+    """
+    h = agent.h
+    n = noise.size
+    explore = coins < eps
+    reset_actions = None  # each row's action if it falls at the reset state
+    i = 0
+    while i < n:
+        known = 0  # leading rows of the chunk whose action is already known
+        if start is None:
+            if reset_actions is None:
+                a_reset = 0 if explore.all() else agent.act_greedy(0.0, x0)
+                reset_actions = np.where(explore, random_actions, a_reset)
+                holds_at_reset = np.flatnonzero(reset_actions == 0)
+            k = np.searchsorted(holds_at_reset, i)
+            j = int(holds_at_reset[k]) if k < holds_at_reset.size else n
+            for a in reset_actions[i:j].tolist():
+                store_subsampled(buffer, Transition(0.0, x0, a, 0.0, x0, True), h, rng)
+            if j == n:
+                return None
+            i, start, known = j, (0.0, x0), 1
+        t, x = start
+        size = _FIRST_CHUNK
+        while True:
+            e = min(n, i + size)
+            # Times by repeated addition of h, as a per-step clock counts them.
+            times = np.cumsum(np.concatenate(([t], np.full(e - i - 1, h))))
+            X, ends = env.hold_path(times, x, noise[i:e], h)
+            actions = np.zeros(e - i, dtype=np.int64)
+            actions[known:] = explore_action(
+                agent, times[known:], X[known:-1], eps[i + known:e],
+                coins[i + known:e], random_actions[i + known:e])
+            known = 0
+            stop = actions != 0
+            done = stop | ends
+            last = int(np.argmax(done)) if done.any() else e - i - 1
+            for k, (tk, a, s, d) in enumerate(zip(times[:last + 1].tolist(),
+                                                  actions.tolist(), stop.tolist(),
+                                                  done.tolist())):
+                tr = Transition(tk, X[k], a, 0.0, X[k] if s else X[k + 1], d)
+                store_subsampled(buffer, tr, h, rng)
+            i += last + 1
+            if done[last]:
+                start = None
+                break
+            t, x = times[-1] + h, X[-1]
+            if i == n:
+                return t, x
+            size *= 2
+    return None
+
+
 def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
-    """Interleaved interaction and learning, one gradient step per
+    """Interleaved interaction and learning, one gradient step per window of
     floor(1/h) env interactions; returns the evaluation log rows.
+
+    The env is an optimal-stopping problem: action 0 holds along
+    ``env.hold_path``, any other action stops the episode where it stands,
+    running rewards are zero and ``env.reset()`` is one fixed state. The
+    networks are frozen within a window, so each window's interactions run
+    as one batch (``_act_window``) on four random streams,
+    ``substream(cfg.seed, 21, k)``: k = 0 env noise, 1 exploration,
+    2 replay subsampling, 3 replay sampling. A window draws one normal per
+    interaction whatever the action, then its epsilon-coins, then its
+    random actions, one call each.
 
     Raises TrainingDiverged (with the partial log attached) on a non-finite
     loss.
@@ -625,32 +701,28 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     log = []
     if total_updates <= 0:
         return log
-    rng = substream(cfg.seed, 21)
+    env_rng, explore_rng, subsample_rng, replay_rng = (
+        substream(cfg.seed, 21, k) for k in range(4))
     buffer = ReplayBuffer(cfg.buffer_capacity)
     h = agent.h
     interactions_per_update = max(1, int(math.floor(1.0 / h + 1e-9)))
+    window = np.arange(interactions_per_update)
+    x0 = env.reset()
     env_steps = 0
     updates = 0
     last_loss = float("nan")
-    fresh = True
-    t_cur = 0.0
-    x_cur = None
+    state = None
     for u in range(total_updates):
-        for _ in range(interactions_per_update):
-            if fresh:
-                x_cur = env.reset(rng)
-                t_cur = 0.0
-                fresh = False
-            a = explore_action(agent, t_cur, x_cur, rng, env_steps)
-            x_next, r, done = _env_step_single(env, t_cur, x_cur, a, h, rng)
-            tr = Transition(t_cur, x_cur, a, r, x_next, done)
-            store_subsampled(buffer, tr, min(1.0, h), rng)
-            env_steps += 1
-            t_cur += h
-            x_cur = x_next
-            fresh = done
+        noise = env_rng.standard_normal(interactions_per_update)
+        coins = explore_rng.random(interactions_per_update)
+        random_actions = explore_rng.integers(agent.n_actions,
+                                              size=interactions_per_update)
+        eps = agent.schedule.epsilon(env_steps + window)
+        state = _act_window(agent, env, buffer, x0, state, noise, eps, coins,
+                            random_actions, subsample_rng)
+        env_steps += interactions_per_update
         if len(buffer) >= cfg.batch_size:
-            batch = buffer.sample(cfg.batch_size, rng)
+            batch = buffer.sample(cfg.batch_size, replay_rng)
             last_loss = agent.train_step(batch)
             if not math.isfinite(last_loss):
                 raise TrainingDiverged(f"non-finite loss at update {updates}", log)

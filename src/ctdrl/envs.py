@@ -133,16 +133,31 @@ class OptionTradingEnv:
         done[execute] = True
         hold = ~execute
         if np.any(hold):
-            delta = min(h, self.horizon - t)
-            mu, sig = self.gbm.mu, self.gbm.sigma
             prices = X[hold, 0]
             noise = rng.standard_normal(prices.shape)
-            out[hold, 0] = prices * np.exp(
-                (mu - 0.5 * sig**2) * delta + sig * math.sqrt(delta) * noise
-            )
+            out[hold, 0] = prices * self._gbm_factor(min(h, self.horizon - t), noise)
         if t + h >= self.horizon - TIME_TOL:
             done[:] = True
         return out, np.zeros(X.shape[0]), done
+
+    def hold_path(self, times, x, noise, h):
+        """Prices of an episode that holds at each of ``times`` from price
+        ``x``, the k-th hold stepping on ``noise[k]``, and whether each hold
+        ends the episode at the horizon.
+
+        Row k of the (len(times) + 1, 1) price array is the price after k
+        holds. One cumprod over [x, f_0, f_1, ...] multiplies in the same
+        order as step_batch holding one step at a time, so the prices are
+        the same to the last bit. Rows past the horizon are not meaningful.
+        """
+        delta = np.clip(self.horizon - times, 0.0, h)
+        path = np.cumprod(np.concatenate((x, self._gbm_factor(delta, noise))))
+        return path[:, None], times + h >= self.horizon - TIME_TOL
+
+    def _gbm_factor(self, delta, noise):
+        """Exact GBM price ratio over ``delta`` driven by standard normals."""
+        mu, sig = self.gbm.mu, self.gbm.sigma
+        return np.exp((mu - 0.5 * sig**2) * delta + sig * np.sqrt(delta) * noise)
 
 
 def estimate_gbm(prices, dt: float) -> GbmParams:
