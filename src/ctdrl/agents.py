@@ -407,11 +407,16 @@ class DauAgent(_AgentBase):
 def explore_action(agent, t, X, eps, coins, random_actions) -> np.ndarray:
     """Batched epsilon-greedy: row k takes ``random_actions[k]`` when
     ``coins[k] < eps[k]`` and otherwise the greedy action at (t[k], X[k]).
-    All the greedy rows share one forward."""
+    All the greedy rows share one forward; a scalar ``t`` with one state
+    ``X`` is every row's state, and its greedy action takes a one-row
+    forward."""
     actions = np.array(random_actions, dtype=np.int64)
     greedy = ~(coins < eps)
     if greedy.any():
-        actions[greedy] = agent.act_greedy_batch(t[greedy], X[greedy])
+        if np.ndim(t) == 0:
+            actions[greedy] = agent.act_greedy(t, X)
+        else:
+            actions[greedy] = agent.act_greedy_batch(t[greedy], X[greedy])
     return actions
 
 
@@ -630,23 +635,30 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
     no forward beyond one greedy action there per window; an episode that
     holds walks its hold path in chunks that double in size, one batched
     epsilon-greedy over each, and ends at its first stop or at the horizon.
+    Which actions stop, and their next states and rewards, are the env's
+    ``path_outcomes``.
     """
     h = agent.h
     n = noise.size
-    explore = coins < eps
     reset_actions = None  # each row's action if it falls at the reset state
     i = 0
     while i < n:
         known = 0  # leading rows of the chunk whose action is already known
         if start is None:
             if reset_actions is None:
-                a_reset = 0 if explore.all() else agent.act_greedy(0.0, x0)
-                reset_actions = np.where(explore, random_actions, a_reset)
-                holds_at_reset = np.flatnonzero(reset_actions == 0)
+                reset_actions = explore_action(agent, 0.0, x0, eps, coins,
+                                               random_actions)
+                # Only the rows that stop are read here: a hold at reset walks
+                # its own hold path below.
+                reset_next, reset_rewards, reset_stop = env.path_outcomes(
+                    np.broadcast_to(x0, (n + 1, x0.size)), reset_actions)
+                holds_at_reset = np.flatnonzero(~reset_stop)
             k = np.searchsorted(holds_at_reset, i)
             j = int(holds_at_reset[k]) if k < holds_at_reset.size else n
-            for a in reset_actions[i:j].tolist():
-                store_subsampled(buffer, Transition(0.0, x0, a, 0.0, x0, True), h, rng)
+            for a, r, x_next in zip(reset_actions[i:j].tolist(),
+                                    reset_rewards[i:j].tolist(), reset_next[i:j]):
+                tr = Transition(0.0, x0, a, r, x_next, True)
+                store_subsampled(buffer, tr, h, rng)
             if j == n:
                 return None
             i, start, known = j, (0.0, x0), 1
@@ -657,18 +669,19 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
             # Times by repeated addition of h, as a per-step clock counts them.
             times = np.cumsum(np.concatenate(([t], np.full(e - i - 1, h))))
             X, ends = env.hold_path(times, x, noise[i:e], h)
-            actions = np.zeros(e - i, dtype=np.int64)
-            actions[known:] = explore_action(
+            actions = explore_action(
                 agent, times[known:], X[known:-1], eps[i + known:e],
                 coins[i + known:e], random_actions[i + known:e])
-            known = 0
-            stop = actions != 0
+            if known:
+                actions = np.concatenate((reset_actions[i:i + known], actions))
+                known = 0
+            X_next, rewards, stop = env.path_outcomes(X, actions)
             done = stop | ends
             last = int(np.argmax(done)) if done.any() else e - i - 1
-            for k, (tk, a, s, d) in enumerate(zip(times[:last + 1].tolist(),
-                                                  actions.tolist(), stop.tolist(),
+            for k, (tk, a, r, d) in enumerate(zip(times[:last + 1].tolist(),
+                                                  actions.tolist(), rewards.tolist(),
                                                   done.tolist())):
-                tr = Transition(tk, X[k], a, 0.0, X[k] if s else X[k + 1], d)
+                tr = Transition(tk, X[k], a, r, X_next[k], d)
                 store_subsampled(buffer, tr, h, rng)
             i += last + 1
             if done[last]:
@@ -685,9 +698,9 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     """Interleaved interaction and learning, one gradient step per window of
     floor(1/h) env interactions; returns the evaluation log rows.
 
-    The env is an optimal-stopping problem: action 0 holds along
-    ``env.hold_path``, any other action stops the episode where it stands,
-    running rewards are zero and ``env.reset()`` is one fixed state. The
+    The env is an optimal-stopping problem: an episode that holds follows
+    ``env.hold_path``, ``env.path_outcomes`` says which actions stop it and
+    what they lead to, and ``env.reset()`` is one fixed state. The
     networks are frozen within a window, so each window's interactions run
     as one batch (``_act_window``) on four random streams,
     ``substream(cfg.seed, 21, k)``: k = 0 env noise, 1 exploration,

@@ -129,7 +129,7 @@ class OptionTradingEnv:
         actions = np.asarray(actions)
         out = X.copy()
         done = np.zeros(X.shape[0], dtype=bool)
-        execute = actions == 1
+        execute = self._stops(actions)
         done[execute] = True
         hold = ~execute
         if np.any(hold):
@@ -153,6 +153,19 @@ class OptionTradingEnv:
         delta = np.clip(self.horizon - times, 0.0, h)
         path = np.cumprod(np.concatenate((x, self._gbm_factor(delta, noise))))
         return path[:, None], times + h >= self.horizon - TIME_TOL
+
+    def path_outcomes(self, X, actions):
+        """(next states, running rewards, stop flags) of taking ``actions[k]``
+        at row k of a hold path ``X``, which has one row more than
+        ``actions``: as in step_batch, a stop leaves the state where it is and
+        a hold moves on to the next row. Horizon cuts are hold_path's."""
+        stop = self._stops(actions)
+        return np.where(stop[:, None], X[:-1], X[1:]), np.zeros(stop.size), stop
+
+    @staticmethod
+    def _stops(actions):
+        """Which actions execute, ending the episode where it stands."""
+        return np.asarray(actions) == 1
 
     def _gbm_factor(self, delta, noise):
         """Exact GBM price ratio over ``delta`` driven by standard normals."""

@@ -120,14 +120,10 @@ def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
 
     A resample stays implicit: its index counts, taken in sorted order and
     summed, locate the order statistics that the hazen quantiles read, so no
-    resample is gathered or sorted. Each hazen quantile lies between the two
-    order statistics it reads, and with n >= m each level's upper statistic
-    is at or below the next level's lower one, so the quantiles come out
-    sorted; below that they are sorted as ``dist.wasserstein`` would.
+    resample is gathered or sorted.
     """
     reps = np.empty(n_resamples)
     na, nb = samples_a.size, samples_b.size
-    presorted = na >= m and nb >= m
     order_a = np.argsort(samples_a, kind="stable")
     order_b = np.argsort(samples_b, kind="stable")
     sorted_a, sorted_b = samples_a[order_a], samples_b[order_b]
@@ -137,9 +133,7 @@ def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
         cum_b = np.cumsum(np.bincount(rng.integers(0, nb, nb), minlength=nb)[order_b])
         qa = hazen_a(sorted_a, cum_a)
         qb = hazen_b(sorted_b, cum_b)
-        if not presorted:
-            qa, qb = np.sort(qa), np.sort(qb)
-        reps[i] = kernels.wasserstein_sorted(qa, qb, p)
+        reps[i] = kernels.wasserstein_sorted(np.sort(qa), np.sort(qb), p)
     return float(np.std(reps, ddof=1))
 
 

@@ -694,6 +694,10 @@ class BanditEnv:
         X[0] = x
         return X, np.ones(times.size, dtype=bool)
 
+    def path_outcomes(self, X, actions):
+        stop = np.asarray(actions) == 1
+        return np.where(stop[:, None], X[:-1], X[1:]), np.zeros(stop.size), stop
+
     def step_batch(self, t, X, actions, h, rng):
         X = np.atleast_2d(X)
         nxt = 1.0 - np.asarray(actions, dtype=float).reshape(-1, 1)
@@ -950,3 +954,42 @@ def test_train_stores_every_interaction_once(monkeypatch):
     assert kept[-1] == inserts == len(calls[0][0])
     fill = int(np.searchsorted(kept, cfg.batch_size)) + 1
     assert taken == updates - (-(-fill // n) - 1)
+
+
+class StepRuleAgent:
+    """A greedy rule with no network: hold for the first ``stop_step``
+    decisions of an episode, then stop; epsilon is zero."""
+
+    n_actions = 2
+    schedule = ExplorationSchedule(0.0, 0.0, 0)
+
+    def __init__(self, h, stop_step):
+        self.h, self.stop_step = h, stop_step
+
+    def act_greedy_batch(self, t, X):
+        return (np.round(np.asarray(t) / self.h) >= self.stop_step).astype(np.int64)
+
+    def act_greedy(self, t, x):
+        return int(self.act_greedy_batch(t, x))
+
+    def train_step(self, batch):
+        return 0.0
+
+
+@pytest.mark.parametrize("stop_step", [0, 1, 7, 8, 9, 23, 24, 25, 150, 401])
+def test_windowed_train_follows_the_greedy_rule_at_every_step(monkeypatch, stop_step):
+    """Each decision, at reset, inside a chunk, at a chunk boundary or
+    across a window boundary, takes the greedy action at its own state."""
+    h = 0.005
+    env = OptionTradingEnv(GbmParams(0.0, 0.3), horizon=100.0)
+    cfg = TrainConfig(batch_size=8, target_period=0, eval_every=0, seed=3)
+    calls, _, _ = recorded_train(monkeypatch, StepRuleAgent(h, stop_step), env, 6, cfg)
+    episode = [0] * stop_step + [1]
+    actions = [tr.a for _, tr, _ in calls]
+    assert actions == (episode * len(actions))[: len(actions)]
+    for (_, tr, _), (_, nxt, _) in zip(calls, calls[1:]):
+        if tr.a == 0:
+            assert not tr.done and nxt.t == tr.t + h
+            assert np.array_equal(nxt.x, tr.x_next) and not np.array_equal(tr.x, tr.x_next)
+        else:
+            assert tr.done and nxt.t == 0.0 and np.array_equal(tr.x_next, tr.x)

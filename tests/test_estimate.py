@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ctdrl import dist
 from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig
 from ctdrl.dist import (
     EmpiricalDist,
@@ -254,19 +253,3 @@ def test_gap_estimate_reports_minimizing_pairs():
     assert est.dist_gap == min(est.pair_distances.values())
     assert est.value_gap == min(est.pair_value_gaps.values())
     assert est.n_paths == 1000 and est.h == 0.25
-
-
-@pytest.mark.parametrize("n,m", [(64, 64), (65, 64), (200, 64), (1000, 512), (513, 512)])
-def test_hazen_readout_is_sorted_when_n_at_least_m(n, m):
-    """The bootstrap skips sorting its quantiles when both samples hold at
-    least m values; this is the property that makes that exact."""
-    rng = np.random.default_rng(n + m)
-    read = dist._hazen(n, m)
-    for scale in (1e-12, 1.0, 1e12):
-        values = np.sort(np.round(rng.standard_normal(n) * 4) / 4 * scale
-                         + rng.standard_normal(n) * scale * (scale < 1e6))
-        for _ in range(50):
-            q = read(values, np.cumsum(np.bincount(rng.integers(0, n, n), minlength=n)))
-            assert np.all(q[1:] >= q[:-1])
-        q = read(values)
-        assert np.all(q[1:] >= q[:-1])
