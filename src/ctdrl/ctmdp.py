@@ -8,6 +8,9 @@ every path, or a (paths, n, n) matrix stack.
 
 Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(s, X_s)
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
+A rollout step draws its (paths, n) normals after the policy has chosen its
+actions, and only when some path's diffusion is nonzero; a step with zero
+diffusion on every path is x + b dt and leaves the generator untouched.
 """
 
 from __future__ import annotations
@@ -225,27 +228,35 @@ def _apply_diffusion(sig, shared, noise):
     return sig * noise
 
 
-def _em_action_step(mdp, t, states, label, delta, noise):
-    """x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) noise for one action label."""
+def _em_action_step(mdp, t, states, label, delta, draw):
+    """x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) z for one action label.
+
+    ``draw()`` returns the normals z; it is not called when sigma is zero on
+    every path, and such a step is x + b delta.
+    """
     b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
-    diff = _apply_diffusion(*_diffusion(mdp, t, states, label), noise)
-    return states + b * delta + math.sqrt(delta) * diff
+    sig, shared = _diffusion(mdp, t, states, label)
+    drifted = states + b * delta
+    if not sig.any():
+        return drifted
+    return drifted + math.sqrt(delta) * _apply_diffusion(sig, shared, draw())
 
 
-def _em_apply(mdp, t, states, action_indices, delta, noise):
+def _em_apply(mdp, t, states, action_indices, delta, draw):
     """One EM step on a path bundle with per-path action indices.
 
     A bundle whose paths all play one action is stepped whole; a mixed one
-    is split by action and scattered back.
+    is split by action and scattered back, each action reading its rows of
+    the one (paths, n) block that ``draw()`` returns.
     """
     if action_indices.size and np.all(action_indices == action_indices[0]):
         label = mdp.actions[action_indices[0]]
-        return _em_action_step(mdp, t, states, label, delta, noise)
+        return _em_action_step(mdp, t, states, label, delta, draw)
     out = np.empty_like(states)
     for idx in np.unique(action_indices):
         mask = action_indices == idx
         out[mask] = _em_action_step(
-            mdp, t, states[mask], mdp.actions[idx], delta, noise[mask]
+            mdp, t, states[mask], mdp.actions[idx], delta, lambda m=mask: draw()[m]
         )
     return out
 
@@ -265,7 +276,7 @@ def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     z = np.asarray(noise, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
-    out = _em_action_step(mdp, t, states, a, dt, z)
+    out = _em_action_step(mdp, t, states, a, dt, lambda: z)
     if not np.all(np.isfinite(out)):
         raise SimulationError(f"non-finite state after step at t={t:.8g}")
     return out[0] if single else out
@@ -328,6 +339,18 @@ def _phase_steps(start, end, step):
     return deltas
 
 
+def _once(fn):
+    """A zero-argument call that runs fn the first time and returns that result."""
+    memo = []
+
+    def once():
+        if not memo:
+            memo.append(fn())
+        return memo[0]
+
+    return once
+
+
 def _rollout_returns(
     mdp: ContinuousMdp,
     policy,
@@ -366,15 +389,17 @@ def _rollout_returns(
             s = start + j * step
             disc = 1.0 if gamma == 1.0 else math.exp(log_gamma * (s - t0))
             rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
-            gains += disc * np.broadcast_to(rew, (n_paths,)) * delta
-            noise = rng.standard_normal((n_paths, n))
+            gains += disc * rew * delta
+            draw = _once(lambda: rng.standard_normal((n_paths, n)))
             if mode == "sample":
                 acts = policy.sample_actions(s, states, rng)
-                states = _em_apply(mdp, s, states, acts, delta, noise)
+                states = _em_apply(mdp, s, states, acts, delta, draw)
             else:
                 b, sig = policy_averaged_coefficients(mdp, policy, s, states)
-                diff = _apply_diffusion(sig, False, noise)
-                states = states + b * delta + math.sqrt(delta) * diff
+                states = states + b * delta
+                if sig.any():
+                    diff = _apply_diffusion(sig, False, draw())
+                    states = states + math.sqrt(delta) * diff
             if not np.all(np.isfinite(states)):
                 raise SimulationError(f"non-finite state at t={s + delta:.8g}")
 

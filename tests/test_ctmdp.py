@@ -11,6 +11,7 @@ from ctdrl.ctmdp import (
     SimConfig,
     SimulationError,
     _em_apply,
+    _phase_steps,
     _rollout_returns,
     em_step,
     persistent,
@@ -168,7 +169,11 @@ def _diffusion(kind):
         scale = 1.0 + _LABEL_SCALE[a] * np.tanh(X[:, :1, None])
         return scale * _BASE_MATRIX
 
-    return {"elementwise": elementwise, "matrix": matrix, "stack": stack}[kind]
+    def hold_frozen(t, X, a):
+        return abs(_LABEL_SCALE[a]) * elementwise(t, X, a)
+
+    return {"elementwise": elementwise, "matrix": matrix, "stack": stack,
+            "hold_frozen": hold_frozen}[kind]
 
 
 def three_action_env(kind):
@@ -192,7 +197,21 @@ def _bundle_actions(case, rng, states):
     return pol.sample_actions(0.1, states, rng)
 
 
-@pytest.mark.parametrize("kind", ["elementwise", "matrix", "stack"])
+class CountedDraw:
+    """A zero-argument noise draw that counts its calls."""
+
+    def __init__(self, noise):
+        self.noise = noise
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.noise
+
+
+# "hold_frozen" gives "hold" zero diffusion: its paths step x + b delta and
+# read no noise, so a bundle that only holds never calls the draw.
+@pytest.mark.parametrize("kind", ["elementwise", "matrix", "stack", "hold_frozen"])
 @pytest.mark.parametrize(
     "case,n_paths",
     [("first", 257), ("last", 257), ("mixed", 257), ("last", 1), ("first", 0)],
@@ -205,10 +224,13 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     acts = _bundle_actions(case, rng, states)
     if case == "mixed":
         assert np.unique(acts).size == 3
-    got = _em_apply(env, 0.1, states, acts, 1 / 48, noise)
+    draw = CountedDraw(noise)
+    got = _em_apply(env, 0.1, states, acts, 1 / 48, draw)
     want = em_apply_oracle(env, 0.1, states, acts, 1 / 48, noise)
     assert got.shape == (n_paths, 3) and got.dtype == np.float64
     assert np.array_equal(got, want)
+    noisy = acts[acts != 0] if kind == "hold_frozen" else acts
+    assert draw.calls == np.unique(noisy).size
 
 
 # --------------------------------------------------------- diffusion shapes
@@ -240,6 +262,9 @@ def test_per_path_diffusion_on_two_paths_hand_value():
     env = square_diffusion_env("per_path")
     out = em_step(env, np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0, 0, 1.0, np.eye(2))
     np.testing.assert_array_equal(out, [[2.0, 2.0], [3.0, 8.0]])
+    # zero diffusion on the first path only: the other path still reads noise
+    out = em_step(env, np.array([[0.0, 0.0], [3.0, 4.0]]), 0.0, 0, 1.0, np.eye(2))
+    np.testing.assert_array_equal(out, [[0.0, 0.0], [3.0, 8.0]])
 
 
 @pytest.mark.parametrize("n_paths", [2, 3])
@@ -259,8 +284,8 @@ def test_square_diffusion_is_read_by_kind_not_by_path_count(kind, n_paths):
     head = slice(0, 2 * n_paths, 2)  # the paths playing action 0
     np.testing.assert_allclose(em_step(env, states[head], 0.0, 0, 1.0, noise[head]),
                                want[head], rtol=1e-14)
-    np.testing.assert_allclose(_em_apply(env, 0.0, states, acts, 1.0, noise), want,
-                               rtol=1e-14)
+    np.testing.assert_allclose(_em_apply(env, 0.0, states, acts, 1.0, lambda: noise),
+                               want, rtol=1e-14)
 
     pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
     _, sig = policy_averaged_coefficients(env, pol, 0.0, states[head])
@@ -443,6 +468,116 @@ def test_seed_determinism_bitwise():
     np.testing.assert_array_equal(a, b)
 
 
+def rollout_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
+                   window_end=None):
+    """The always-draw step loop: every step draws its normals before the
+    policy acts and applies them through the masked oracle, diffusion zero
+    or not."""
+    n = mdp.state_dim
+    states = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths, n)).copy()
+    gains = np.zeros(n_paths)
+    gamma = mdp.discount
+    log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
+    phases = [(t0, mdp.horizon, dt)]
+    if window_end is not None:
+        phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
+    for start, end, step in phases:
+        for j, delta in enumerate(_phase_steps(start, end, step)):
+            s = start + j * step
+            disc = 1.0 if gamma == 1.0 else math.exp(log_gamma * (s - t0))
+            rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
+            gains += disc * np.broadcast_to(rew, (n_paths,)) * delta
+            noise = rng.standard_normal((n_paths, n))
+            acts = policy.sample_actions(s, states, rng)
+            states = em_apply_oracle(mdp, s, states, acts, delta, noise)
+    disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (mdp.horizon - t0))
+    term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
+    return gains + disc_t * np.broadcast_to(term, (n_paths,))
+
+
+# Rollouts whose noise-free steps all follow their last noisy step, under
+# policies that draw nothing: the gap-rates sweep on brownian_gap_env (base
+# action 0) and superiority-demo's shape on illustration_env (a noisy window,
+# then a frozen tail at tail_dt).
+_ORACLE_CASES = {
+    "gap_base0_action0": (brownian_gap_env(), 0, 0, 0.25, 1 / 64, None),
+    "gap_base0_action1": (brownian_gap_env(), 0, 1, 0.25, 1 / 64, None),
+    "gap_base1_action1": (brownian_gap_env(discount=0.9), 1, 1, 0.125, 1 / 64, None),
+    "demo_window": (illustration_env(horizon=2.0), 0, 1, 0.125, 0.125 / 16, 0.05),
+    "demo_plain": (illustration_env(horizon=2.0), 0, None, None, 0.125 / 16, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_rollout_matches_always_draw_oracle_bitwise(case):
+    env, base, action, h, dt, tail_dt = _ORACLE_CASES[case]
+    pol = ConstantAction(base)
+    window_end = None
+    if action is not None:
+        pol, window_end = persistent(pol, h, action, 0.0), h
+    got = _rollout_returns(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
+                           tail_dt=tail_dt, window_end=window_end)
+    want = rollout_oracle(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
+                          tail_dt=tail_dt, window_end=window_end)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["sample", "averaged"])
+def test_frozen_rollout_leaves_generator_untouched(mode):
+    env = brownian_gap_env()
+    rng = substream(3, 6)
+    before = rng.bit_generator.state
+    gains = _rollout_returns(env, ConstantAction(0), 0.0, [0.5], 50, rng, 1 / 64,
+                             mode=mode)
+    assert rng.bit_generator.state == before
+    np.testing.assert_array_equal(gains, 0.5)
+
+
+class CountingRng:
+    """A generator wrapper that counts normal draws."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.normal_draws = 0
+
+    def standard_normal(self, shape):
+        self.normal_draws += 1
+        return self.rng.standard_normal(shape)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def test_mixed_rollout_draws_one_block_per_step():
+    env = three_action_env("hold_frozen")
+    pol = FiniteAtomic(lambda t, X: np.array([0.2, 0.3, 0.5]))
+    rng = CountingRng(substream(3, 7))
+    _rollout_returns(env, pol, 0.0, [0.0, 0.0, 0.0], 64, rng, 1 / 32)
+    assert rng.normal_draws == 32
+
+
+def integrated_brownian_law(sigma2, span, dt):
+    """Variance of the integral over span of a Brownian motion with variance
+    rate sigma2, started at 0, and how far the left-endpoint sum at step dt
+    falls below it."""
+    var = sigma2 * span**3 / 3.0
+    k = round(span / dt)
+    return var, var - sigma2 * dt**3 * (k - 1) * k * (2 * k - 1) / 6.0
+
+
+def test_frozen_window_before_noisy_tail_has_integrated_brownian_variance():
+    # base action 1 (unit noise) after action 0 (frozen) on [0, h): the return
+    # is the integral of a Brownian motion over T - h, variance (T - h)^3 / 3
+    env = brownian_gap_env()
+    h, tail_dt, n = 0.25, 1 / 1024, 20_000
+    pol = persistent(ConstantAction(1), h, 0, 0.0)
+    gains = _rollout_returns(env, pol, 0.0, [0.0], n, substream(41, 0), h / 16,
+                             tail_dt=tail_dt, window_end=h)
+    var, bias = integrated_brownian_law(1.0, 1.0 - h, tail_dt)
+    se = var * math.sqrt(2.0 / (n - 1))
+    assert abs(gains.var(ddof=1) - var) <= 4 * se + bias
+
+
 def test_dt_refinement_changes_mean_less_than_mc_error():
     # the Euler bias difference here is ~0.01 against an MC standard error of
     # ~0.022; the fixed seed freezes a draw where the comparison shows it
@@ -491,6 +626,19 @@ def test_averaged_mode_matches_sampled_mode_in_law():
                                dt=1 / 256)
     se = sampled.std(ddof=1) / np.sqrt(sampled.size)
     assert abs(sampled.mean() - 1.0) <= 3 * se + 1e-6
+
+
+def test_averaged_mode_noise_has_mixed_variance():
+    # a 50/50 mix of unit and zero noise diffuses at sqrt(1/2): the return
+    # integrates that Brownian motion over [0, 1], variance 1/6
+    env = brownian_gap_env()
+    pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
+    dt, n = 1 / 256, 20_000
+    gains = _rollout_returns(env, pol, 0.0, [0.0], n, substream(43, 0), dt,
+                             mode="averaged")
+    var, bias = integrated_brownian_law(0.5, 1.0, dt)
+    se = var * math.sqrt(2.0 / (n - 1))
+    assert abs(gains.var(ddof=1) - var) <= 4 * se + bias
 
 
 def test_averaged_mode_full_matrix_path():
