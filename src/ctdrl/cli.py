@@ -472,9 +472,12 @@ def cmd_train(cfg, out_dir: Path) -> int:
         errors.append(f"discount must be in (0, 1], got {cfg['discount']}")
     if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
         errors.append("eval_episodes must be >= 1 when eval_every > 0")
-    for key in ("horizon", "start_price"):
-        if cfg[key] <= 0:
+    for key in ("horizon", "start_price", "lr", "kappa"):
+        if not cfg[key] > 0:
             errors.append(f"{key} must be positive, got {cfg[key]}")
+    for key in ("eps_start", "eps_end"):
+        if not 0.0 <= cfg[key] <= 1.0:
+            errors.append(f"{key} must be in [0, 1], got {cfg[key]}")
     if not 0.0 < cfg["eval_cvar_alpha"] <= 1.0:
         errors.append("eval_cvar_alpha must be in (0, 1]")
     if cfg["agent"] not in AGENT_KINDS:

@@ -2,9 +2,9 @@
 
 Coefficient callables are vectorized over paths: drift(t, X, a) and
 diffusion(t, X, a) receive X of shape (paths, n) and a single action label,
-reward(t, X) and terminal_reward(X) likewise. Diffusion may return anything
-broadcastable against X (treated elementwise), one (n, n) matrix shared by
-every path, or a (paths, n, n) matrix stack.
+reward(t, X) and terminal_reward(X) likewise. Diffusion is elementwise: its
+result broadcasts against X and multiplies the (paths, n) normals entry by
+entry; a result that does not broadcast to X's shape raises ValueError.
 
 Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(s, X_s)
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
@@ -30,7 +30,6 @@ __all__ = [
     "PersistentModification",
     "persistent",
     "em_step",
-    "policy_averaged_coefficients",
     "substream",
 ]
 
@@ -49,6 +48,10 @@ def substream(seed: int, *key) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousMdp:
+    """dX = drift(t, X, a) dt + diffusion(t, X, a) * dW with W a standard
+    n-dimensional Brownian motion; the diffusion is elementwise, so its
+    result must broadcast against X (see the module docstring)."""
+
     state_dim: int
     actions: tuple
     drift: callable
@@ -115,11 +118,6 @@ class ConstantAction:
     def sample_actions(self, t, states, rng) -> np.ndarray:
         return np.full(states.shape[0], self.action, dtype=np.intp)
 
-    def probabilities(self, t, states, n_actions) -> np.ndarray:
-        probs = np.zeros((states.shape[0], n_actions))
-        probs[:, self.action] = 1.0
-        return probs
-
 
 class DeterministicMap:
     """Action index as a function of (t, states)."""
@@ -127,17 +125,9 @@ class DeterministicMap:
     def __init__(self, fn):
         self.fn = fn
 
-    def _indices(self, t, states):
-        idx = np.asarray(self.fn(t, states), dtype=np.intp)
-        return np.broadcast_to(idx, (states.shape[0],))
-
     def sample_actions(self, t, states, rng) -> np.ndarray:
-        return np.array(self._indices(t, states))
-
-    def probabilities(self, t, states, n_actions) -> np.ndarray:
-        probs = np.zeros((states.shape[0], n_actions))
-        probs[np.arange(states.shape[0]), self._indices(t, states)] = 1.0
-        return probs
+        idx = np.asarray(self.fn(t, states), dtype=np.intp)
+        return np.array(np.broadcast_to(idx, (states.shape[0],)))
 
 
 class FiniteAtomic:
@@ -146,28 +136,18 @@ class FiniteAtomic:
     def __init__(self, fn):
         self.fn = fn
 
-    def _probs(self, t, states):
+    def sample_actions(self, t, states, rng) -> np.ndarray:
         probs = np.asarray(self.fn(t, states), dtype=np.float64)
         if probs.ndim == 1:
             probs = np.broadcast_to(probs, (states.shape[0], probs.size))
         sums = probs.sum(axis=1)
         if not np.allclose(sums, 1.0, atol=1e-9):
             raise ValueError("action probabilities must sum to 1")
-        return probs
-
-    def sample_actions(self, t, states, rng) -> np.ndarray:
-        probs = self._probs(t, states)
         u = rng.random(states.shape[0])
         cdf = np.cumsum(probs, axis=1)
         return np.minimum(
             (u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1
         ).astype(np.intp)
-
-    def probabilities(self, t, states, n_actions) -> np.ndarray:
-        probs = self._probs(t, states)
-        if probs.shape[1] != n_actions:
-            raise ValueError("probability vector size does not match action count")
-        return np.array(probs)
 
 
 class PersistentModification:
@@ -190,42 +170,10 @@ class PersistentModification:
             return np.full(states.shape[0], self.action, dtype=np.intp)
         return self.base.sample_actions(t, states, rng)
 
-    def probabilities(self, t, states, n_actions) -> np.ndarray:
-        if self._in_window(t):
-            probs = np.zeros((states.shape[0], n_actions))
-            probs[:, self.action] = 1.0
-            return probs
-        return self.base.probabilities(t, states, n_actions)
-
 
 def persistent(pi, h: float, a: int, t0: float) -> PersistentModification:
     """The (h, a)-persistent modification of pi at time t0."""
     return PersistentModification(pi, h, a, t0)
-
-
-def _diffusion(mdp, t, states, label):
-    """sigma(t, states, a) and whether it is one (n, n) matrix shared by all
-    paths; otherwise it is a (paths, n, n) stack or an elementwise factor.
-
-    For a bundle of exactly n > 1 paths an (n, n) result could be either, so
-    the diffusion is evaluated again on the first path alone: a shared matrix
-    keeps its shape there and a per-path result does not.
-    """
-    n = mdp.state_dim
-    sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
-    shared = sig.shape == (n, n)
-    if shared and n > 1 and states.shape[0] == n:
-        shared = np.shape(mdp.diffusion(t, states[:1], label)) == (n, n)
-    return sig, shared
-
-
-def _apply_diffusion(sig, shared, noise):
-    """Diffusion times noise for a shared matrix, a stack or an elementwise factor."""
-    if shared:
-        return noise @ sig.T
-    if sig.ndim == 3:
-        return np.einsum("pij,pj->pi", sig, noise)
-    return sig * noise
 
 
 def _em_action_step(mdp, t, states, label, delta, draw):
@@ -235,11 +183,14 @@ def _em_action_step(mdp, t, states, label, delta, draw):
     every path, and such a step is x + b delta.
     """
     b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
-    sig, shared = _diffusion(mdp, t, states, label)
+    sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
+    if np.broadcast(sig, states).shape != states.shape:
+        raise ValueError(f"diffusion of shape {sig.shape} does not broadcast to "
+                         f"the states' shape {states.shape}")
     drifted = states + b * delta
     if not sig.any():
         return drifted
-    return drifted + math.sqrt(delta) * _apply_diffusion(sig, shared, draw())
+    return drifted + math.sqrt(delta) * (sig * draw())
 
 
 def _em_apply(mdp, t, states, action_indices, delta, draw):
@@ -264,66 +215,25 @@ def _em_apply(mdp, t, states, action_indices, delta, draw):
 def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     """x' = x + b(t,x,a) dt + sigma(t,x,a) sqrt(dt) noise.
 
-    Accepts a single state (n,) or a bundle (paths, n); `a` is an action
-    label from mdp.actions.
+    Accepts a single state (n,) or a bundle (paths, n) and finite noise of
+    the same shape; `a` is an action label from mdp.actions.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     states = np.asarray(x, dtype=np.float64)
+    z = np.asarray(noise, dtype=np.float64)
+    if z.shape != states.shape:
+        raise ValueError(f"noise of shape {z.shape} does not match the state shape "
+                         f"{states.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("noise must be finite")
     single = states.ndim == 1
     if single:
-        states = states[None, :]
-    z = np.asarray(noise, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
+        states, z = states[None, :], z[None, :]
     out = _em_action_step(mdp, t, states, a, dt, lambda: z)
     if not np.all(np.isfinite(out)):
         raise SimulationError(f"non-finite state after step at t={t:.8g}")
     return out[0] if single else out
-
-
-def policy_averaged_coefficients(mdp: ContinuousMdp, policy, t: float, states):
-    """Policy-averaged drift and diffusion matrix.
-
-    b_pi = sum_a p_a b(.,a); sigma_pi is the symmetric square root of
-    sum_a p_a sigma sigma^T(., a), taken by eigendecomposition (elementwise
-    diffusions short-circuit to the scalar square root of the averaged
-    squares, which is that decomposition's diagonal case).
-    """
-    n = mdp.state_dim
-    n_paths = states.shape[0]
-    probs = policy.probabilities(t, states, mdp.n_actions)
-    b_avg = np.zeros((n_paths, n))
-    sigmas = []
-    all_elementwise = True
-    for idx, label in enumerate(mdp.actions):
-        b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
-        b_avg += probs[:, idx : idx + 1] * np.broadcast_to(b, (n_paths, n))
-        sig, shared = _diffusion(mdp, t, states, label)
-        if shared or sig.ndim == 3:
-            all_elementwise = False
-        sigmas.append((sig, shared))
-    if all_elementwise:
-        msq = np.zeros((n_paths, n))
-        for idx, (sig, _) in enumerate(sigmas):
-            sq = np.broadcast_to(sig**2, (n_paths, n))
-            msq += probs[:, idx : idx + 1] * sq
-        return b_avg, np.sqrt(msq)
-    msq = np.zeros((n_paths, n, n))
-    for idx, (sig, shared) in enumerate(sigmas):
-        if shared:
-            mat = np.broadcast_to(sig @ sig.T, (n_paths, n, n))
-        elif sig.ndim == 3:
-            mat = np.einsum("pij,pkj->pik", sig, sig)
-        else:
-            diag = np.broadcast_to(sig**2, (n_paths, n))
-            mat = np.zeros((n_paths, n, n))
-            mat[:, np.arange(n), np.arange(n)] = diag
-        msq += probs[:, idx][:, None, None] * mat
-    vals, vecs = np.linalg.eigh(msq)
-    vals = np.clip(vals, 0.0, None)
-    root = np.einsum("pij,pj,pkj->pik", vecs, np.sqrt(vals), vecs)
-    return b_avg, root
 
 
 def _phase_steps(start, end, step):
@@ -361,11 +271,8 @@ def _rollout_returns(
     dt: float,
     tail_dt: float | None = None,
     window_end: float | None = None,
-    mode: str = "sample",
 ):
     """Discounted returns of n_paths EM rollouts from (t0, x0) to the horizon."""
-    if mode not in ("sample", "averaged"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = mdp.state_dim
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.size != n:
@@ -391,15 +298,8 @@ def _rollout_returns(
             rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
             gains += disc * rew * delta
             draw = _once(lambda: rng.standard_normal((n_paths, n)))
-            if mode == "sample":
-                acts = policy.sample_actions(s, states, rng)
-                states = _em_apply(mdp, s, states, acts, delta, draw)
-            else:
-                b, sig = policy_averaged_coefficients(mdp, policy, s, states)
-                states = states + b * delta
-                if sig.any():
-                    diff = _apply_diffusion(sig, False, draw())
-                    states = states + math.sqrt(delta) * diff
+            acts = policy.sample_actions(s, states, rng)
+            states = _em_apply(mdp, s, states, acts, delta, draw)
             if not np.all(np.isfinite(states)):
                 raise SimulationError(f"non-finite state at t={s + delta:.8g}")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,16 @@ BAD_VALUES = [
     ("train", "discount", "1.5"),
     ("train", "target_period", "-1"),
     ("train", "eps_fraction", "-1"),
+    ("train", "kappa", "0"),
+    ("train", "kappa", "-1"),
+    ("train", "kappa", "nan"),
+    ("train", "lr", "0"),
+    ("train", "lr", "-0.1"),
+    ("train", "lr", "nan"),
+    ("train", "eps_start", "2"),
+    ("train", "eps_start", "-0.5"),
+    ("train", "eps_end", "1.5"),
+    ("train", "eps_end", "-0.01"),
 ]
 
 
@@ -133,19 +145,20 @@ def test_train_lists_price_csv_errors_with_the_others(tmp_path, capsys):
     assert "agent" in err and "price_csv" in err and "batch_size" in err
 
 
+ILLUSTRATION_GAPS = [
+    "--set", "env=illustration",
+    "--set", "horizon=10.0",
+    "--set", "h_grid=0.25",
+    "--set", "n_paths=200",
+    "--set", "bootstrap=5",
+    "--set", "m=64",
+    "--set", "tail_dt=0.1",
+]
+
+
 def test_gap_rates_illustration_env(tmp_path):
     out = tmp_path / "run"
-    code = run([
-        "gap-rates", "--out", str(out),
-        "--set", "env=illustration",
-        "--set", "horizon=10.0",
-        "--set", "h_grid=0.25",
-        "--set", "n_paths=200",
-        "--set", "bootstrap=5",
-        "--set", "m=64",
-        "--set", "tail_dt=0.1",
-    ])
-    assert code == 0
+    assert run(["gap-rates", "--out", str(out), *ILLUSTRATION_GAPS]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     # a single grid point cannot be rate-fitted, so only gap rows appear
     assert len(lines) == 2 + 2
@@ -172,14 +185,17 @@ def test_missing_config_file_is_an_error(tmp_path):
     assert errors
 
 
+TINY_SUPERIORITY = [
+    "superiority-demo",
+    "--set", "omega_grid=4,16",
+    "--set", "n_paths=300",
+    "--set", "m=32",
+    "--set", "write_quantiles=true",
+]
+
+
 def test_superiority_demo_runs_and_reproduces(tmp_path):
-    args = [
-        "superiority-demo",
-        "--set", "omega_grid=4,16",
-        "--set", "n_paths=300",
-        "--set", "m=32",
-        "--set", "write_quantiles=true",
-    ]
+    args = TINY_SUPERIORITY
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run([*args, "--out", str(out1)]) == 0
     assert run([*args, "--out", str(out2)]) == 0
@@ -188,6 +204,37 @@ def test_superiority_demo_runs_and_reproduces(tmp_path):
     metrics = {line.split(",")[3] for line in text[2:]}
     assert {"psi_raw_mean", "psi_q1_mean", "psi_qhalf_std",
             "psi_qhalf_shifted_mean", "psi_raw_q0000"} <= metrics
+
+
+# results.csv SHA-256 of three tiny runs. A refactor must leave them alone;
+# only a change that moves results by design may re-record a digest, and
+# CHANGES.md must then say which one moved and why.
+GOLDEN_RESULTS = {
+    "gap_rates": (
+        ["gap-rates", *TINY_GAPS],
+        "58e3c4c59a7ac70b394ebc0f8de184bf5eacdef5841fc02f12f107dd3b2a874c",
+    ),
+    "gap_rates_illustration": (
+        ["gap-rates", *ILLUSTRATION_GAPS],
+        "2e79447672fcc525148e201105559465953212504827a7ce3f706cc9d54fd261",
+    ),
+    "superiority_demo": (
+        TINY_SUPERIORITY,
+        "63f07878c39386c0b39b72f9b549c41d508eb2bb835df9d99d5c9420b75e819e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RESULTS))
+def test_results_match_golden_digest(tmp_path, name):
+    args, digest = GOLDEN_RESULTS[name]
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256(read(tmp_path / "results.csv")).hexdigest()
+    assert got == digest, (
+        f"{name}: results.csv digest {got} differs from the recorded {digest}. "
+        "Re-record it only for a change that moves results by design, and say "
+        "in CHANGES.md which results moved and why."
+    )
 
 
 TINY_TRAIN = [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ctdrl.ctmdp import (
     _rollout_returns,
     em_step,
     persistent,
-    policy_averaged_coefficients,
     substream,
 )
 from ctdrl.envs import illustration_env, brownian_gap_env
@@ -104,28 +104,29 @@ def test_em_step_brownian_variance():
     assert abs(var - t) <= 3 * se
 
 
-def test_em_step_matrix_diffusion():
-    corr = np.array([[1.0, 0.0], [0.9, 0.1]])
-    env = ContinuousMdp(
-        state_dim=2,
-        actions=(0,),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: corr,
-        reward=lambda t, X: np.zeros(X.shape[0]),
-        terminal_reward=lambda X: np.zeros(X.shape[0]),
-        horizon=1.0,
-    )
-    noise = np.array([1.0, -1.0])
-    out = em_step(env, np.zeros(2), 0.0, 0, 1.0, noise)
-    np.testing.assert_allclose(out, corr @ noise)
-
-
 def test_em_step_rejects_nonfinite():
     env = constant_env(np.inf)
     with pytest.raises(SimulationError):
         em_step(env, np.array([0.0]), 0.0, 0, 0.1, np.array([0.0]))
     with pytest.raises(ValueError):
         em_step(brownian_gap_env(), np.array([0.0]), 0.0, 0, 0.0, np.array([0.0]))
+
+
+# (7,) noise would broadcast into a (4, 7) state, and (1,) noise would give
+# every path the same normal; action 0 has zero diffusion and reads no noise.
+@pytest.mark.parametrize("action", [0, 1])
+@pytest.mark.parametrize("noise_shape", [(7,), (1,), (4, 2)], ids=["7", "1", "4x2"])
+def test_em_step_rejects_noise_not_shaped_like_the_states(noise_shape, action):
+    with pytest.raises(ValueError, match=re.escape(f"noise of shape {noise_shape}")):
+        em_step(brownian_gap_env(), np.zeros((4, 1)), 0.0, action, 0.25,
+                np.full(noise_shape, 0.1))
+
+
+def test_em_step_rejects_nonfinite_noise_under_zero_diffusion():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise must be finite"):
+            em_step(brownian_gap_env(), np.zeros((4, 1)), 0.0, 0, 0.25,
+                    np.full((4, 1), bad))
 
 
 # --------------------------------------------------------------- _em_apply
@@ -135,7 +136,6 @@ def em_apply_oracle(mdp, t, states, action_indices, delta, noise):
     """Masked per-action EM step: each action's paths are gathered, stepped
     with that action's coefficients and scattered back."""
     out = np.empty_like(states)
-    n = mdp.state_dim
     root = math.sqrt(delta)
     for idx in np.unique(action_indices):
         mask = action_indices == idx
@@ -143,37 +143,21 @@ def em_apply_oracle(mdp, t, states, action_indices, delta, noise):
         label = mdp.actions[idx]
         b = np.asarray(mdp.drift(t, sub, label), dtype=np.float64)
         sig = np.asarray(mdp.diffusion(t, sub, label), dtype=np.float64)
-        z = noise[mask]
-        if sig.ndim == 2 and sig.shape == (n, n):
-            diff = z @ sig.T
-        elif sig.ndim == 3:
-            diff = np.einsum("pij,pj->pi", sig, z)
-        else:
-            diff = sig * z
-        out[mask] = sub + b * delta + root * diff
+        out[mask] = sub + b * delta + root * (sig * noise[mask])
     return out
 
 
 _LABEL_SCALE = {"hold": 0.0, "buy": 1.0, "sell": -2.5}
-_BASE_MATRIX = np.array([[1.0, 0.0, 0.0], [0.3, 0.7, 0.0], [-0.2, 0.4, 0.9]])
 
 
 def _diffusion(kind):
     def elementwise(t, X, a):
         return 0.5 + 0.1 * _LABEL_SCALE[a] * np.sin(X + t)
 
-    def matrix(t, X, a):
-        return (1.0 + 0.25 * _LABEL_SCALE[a]) * _BASE_MATRIX
-
-    def stack(t, X, a):
-        scale = 1.0 + _LABEL_SCALE[a] * np.tanh(X[:, :1, None])
-        return scale * _BASE_MATRIX
-
     def hold_frozen(t, X, a):
         return abs(_LABEL_SCALE[a]) * elementwise(t, X, a)
 
-    return {"elementwise": elementwise, "matrix": matrix, "stack": stack,
-            "hold_frozen": hold_frozen}[kind]
+    return {"elementwise": elementwise, "hold_frozen": hold_frozen}[kind]
 
 
 def three_action_env(kind):
@@ -211,7 +195,7 @@ class CountedDraw:
 
 # "hold_frozen" gives "hold" zero diffusion: its paths step x + b delta and
 # read no noise, so a bundle that only holds never calls the draw.
-@pytest.mark.parametrize("kind", ["elementwise", "matrix", "stack", "hold_frozen"])
+@pytest.mark.parametrize("kind", ["elementwise", "hold_frozen"])
 @pytest.mark.parametrize(
     "case,n_paths",
     [("first", 257), ("last", 257), ("mixed", 257), ("last", 1), ("first", 0)],
@@ -235,23 +219,14 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
 
 # --------------------------------------------------------- diffusion shapes
 
-_CORR = np.array([[1.0, 0.0], [0.9, 0.1]])
-
-
-def square_diffusion_env(kind):
-    """Two-dimensional env whose diffusion is (paths, 2) per path or one
-    shared 2x2 matrix; a bundle of 2 paths makes both results (2, 2)."""
-    def per_path(t, X, a):
-        return (1.0 + a) * np.abs(X)
-
-    def matrix(t, X, a):
-        return (1.0 + a) * _CORR
-
+def square_diffusion_env():
+    """Two-dimensional env whose diffusion is (paths, 2) per path; a bundle
+    of 2 paths makes it (2, 2), the shape of a 2x2 matrix."""
     return ContinuousMdp(
         state_dim=2,
         actions=(0, 1),
         drift=lambda t, X, a: 0.0,
-        diffusion={"per_path": per_path, "matrix": matrix}[kind],
+        diffusion=lambda t, X, a: (1.0 + a) * np.abs(X),
         reward=lambda t, X: np.zeros(X.shape[0]),
         terminal_reward=lambda X: X[:, 0],
         horizon=1.0,
@@ -259,7 +234,7 @@ def square_diffusion_env(kind):
 
 
 def test_per_path_diffusion_on_two_paths_hand_value():
-    env = square_diffusion_env("per_path")
+    env = square_diffusion_env()
     out = em_step(env, np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0, 0, 1.0, np.eye(2))
     np.testing.assert_array_equal(out, [[2.0, 2.0], [3.0, 8.0]])
     # zero diffusion on the first path only: the other path still reads noise
@@ -268,18 +243,13 @@ def test_per_path_diffusion_on_two_paths_hand_value():
 
 
 @pytest.mark.parametrize("n_paths", [2, 3])
-@pytest.mark.parametrize("kind", ["per_path", "matrix"])
-def test_square_diffusion_is_read_by_kind_not_by_path_count(kind, n_paths):
-    env = square_diffusion_env(kind)
-    rng = np.random.default_rng([n_paths, len(kind)])
+def test_per_path_square_diffusion_is_elementwise(n_paths):
+    env = square_diffusion_env()
+    rng = np.random.default_rng([n_paths, 8])
     states = rng.normal(size=(2 * n_paths, 2))
     noise = rng.standard_normal((2 * n_paths, 2))
     acts = np.tile([0, 1], n_paths)  # each action's sub-bundle has n_paths paths
-    scale = (1.0 + acts)[:, None]
-    if kind == "per_path":
-        want = states + scale * np.abs(states) * noise
-    else:
-        want = states + scale * (noise @ _CORR.T)
+    want = states + (1.0 + acts)[:, None] * np.abs(states) * noise
 
     head = slice(0, 2 * n_paths, 2)  # the paths playing action 0
     np.testing.assert_allclose(em_step(env, states[head], 0.0, 0, 1.0, noise[head]),
@@ -287,14 +257,31 @@ def test_square_diffusion_is_read_by_kind_not_by_path_count(kind, n_paths):
     np.testing.assert_allclose(_em_apply(env, 0.0, states, acts, 1.0, lambda: noise),
                                want, rtol=1e-14)
 
-    pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
-    _, sig = policy_averaged_coefficients(env, pol, 0.0, states[head])
-    if kind == "per_path":
-        assert sig.shape == (n_paths, 2)
-        np.testing.assert_allclose(sig, np.sqrt(2.5) * np.abs(states[head]), rtol=1e-14)
-    else:
-        assert sig.shape == (n_paths, 2, 2)
-        np.testing.assert_allclose(sig[0] @ sig[0].T, 2.5 * _CORR @ _CORR.T, rtol=1e-12)
+
+# A (paths, 2, 2) stack broadcasts against 2 paths into a (2, 2, 2) state and
+# fails to broadcast against 3; either way the error names the stack's shape,
+# also when the stack is zero and no noise is read.
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+@pytest.mark.parametrize("n_paths", [2, 3])
+def test_matrix_stack_diffusion_is_rejected_by_shape(n_paths, scale):
+    corr = scale * np.array([[1.0, 0.0], [0.9, 0.1]])
+    env = ContinuousMdp(
+        state_dim=2,
+        actions=(0,),
+        drift=lambda t, X, a: 0.0,
+        diffusion=lambda t, X, a: np.broadcast_to(corr, (X.shape[0], 2, 2)),
+        reward=lambda t, X: np.zeros(X.shape[0]),
+        terminal_reward=lambda X: X[:, 0],
+        horizon=1.0,
+    )
+    shape = re.escape(str((n_paths, 2, 2)))
+    with pytest.raises(ValueError, match=shape):
+        em_step(env, np.ones((n_paths, 2)), 0.0, 0, 0.5, np.ones((n_paths, 2)))
+    rng = substream(3, 8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=shape):
+        _rollout_returns(env, ConstantAction(0), 0.0, [1.0, 1.0], n_paths, rng, 0.5)
+    assert rng.bit_generator.state == before
 
 
 # ----------------------------------------------------------- mc_return_dist
@@ -422,15 +409,21 @@ def test_persistent_wrapper_of_matching_base_is_identity():
 
 
 def test_persistent_boundary_agrees_with_stochastic_base():
+    # twin generators: outside [1, 1.5) the wrapper draws what the base draws,
+    # inside it plays action 0 and draws nothing
     base = FiniteAtomic(lambda t, X: np.array([0.25, 0.75]))
     pol = persistent(base, 0.5, 0, 1.0)
-    states = np.zeros((6, 1))
-    for s in (0.5, 0.99, 1.5, 2.0):
-        np.testing.assert_array_equal(
-            pol.probabilities(s, states, 2), base.probabilities(s, states, 2)
-        )
-    window = pol.probabilities(1.2, states, 2)
-    np.testing.assert_array_equal(window[:, 0], 1.0)
+    states = np.zeros((64, 1))
+    rng_pol, rng_base = np.random.default_rng(8), np.random.default_rng(8)
+    for s in (0.5, 0.99, 1.0, 1.2, 1.49, 1.5, 2.0):
+        got = pol.sample_actions(s, states, rng_pol)
+        if 1.0 <= s < 1.5:
+            np.testing.assert_array_equal(got, 0)
+            continue
+        want = base.sample_actions(s, states, rng_base)
+        assert np.unique(want).size == 2
+        np.testing.assert_array_equal(got, want)
+    assert rng_pol.bit_generator.state == rng_base.bit_generator.state
 
 
 def test_finite_atomic_sampling_frequencies():
@@ -451,8 +444,6 @@ def test_deterministic_map_policy():
     states = np.array([[1.0], [-1.0]])
     rng = np.random.default_rng(0)
     np.testing.assert_array_equal(pol.sample_actions(0.0, states, rng), [1, 0])
-    probs = pol.probabilities(0.0, states, 2)
-    np.testing.assert_array_equal(probs, [[0.0, 1.0], [1.0, 0.0]])
 
 
 # ----------------------------------------------------------- reproducibility
@@ -522,13 +513,11 @@ def test_rollout_matches_always_draw_oracle_bitwise(case):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["sample", "averaged"])
-def test_frozen_rollout_leaves_generator_untouched(mode):
+def test_frozen_rollout_leaves_generator_untouched():
     env = brownian_gap_env()
     rng = substream(3, 6)
     before = rng.bit_generator.state
-    gains = _rollout_returns(env, ConstantAction(0), 0.0, [0.5], 50, rng, 1 / 64,
-                             mode=mode)
+    gains = _rollout_returns(env, ConstantAction(0), 0.0, [0.5], 50, rng, 1 / 64)
     assert rng.bit_generator.state == before
     np.testing.assert_array_equal(gains, 0.5)
 
@@ -596,19 +585,9 @@ def test_dt_refinement_changes_mean_less_than_mc_error():
     assert abs(coarse.mean() - fine.mean()) < se
 
 
-# ------------------------------------------------------------ averaged mode
-
-
-def test_averaged_coefficients_on_mixture():
-    env = brownian_gap_env()
-    pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
-    b, sig = policy_averaged_coefficients(env, pol, 0.0, np.zeros((4, 1)))
-    np.testing.assert_allclose(b, 0.0)
-    np.testing.assert_allclose(sig, np.sqrt(0.5))
-
-
-def test_averaged_mode_matches_sampled_mode_in_law():
-    # drifts 0 and 2 mixed 50/50: averaged mode integrates drift 1 exactly
+def test_mixed_drift_rollout_mean_is_policy_averaged():
+    # drifts 0 and 2 mixed 50/50 by sampled actions: the mean return is the
+    # averaged drift 1 integrated over [0, 1]
     env = ContinuousMdp(
         state_dim=1,
         actions=(0, 1),
@@ -619,45 +598,7 @@ def test_averaged_mode_matches_sampled_mode_in_law():
         horizon=1.0,
     )
     pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
-    avg = _rollout_returns(env, pol, 0.0, [0.0], 64, substream(17, 0), dt=1 / 256,
-                           mode="averaged")
-    np.testing.assert_allclose(avg, 1.0, rtol=1e-9)
     sampled = _rollout_returns(env, pol, 0.0, [0.0], 20_000, substream(17, 1),
                                dt=1 / 256)
     se = sampled.std(ddof=1) / np.sqrt(sampled.size)
     assert abs(sampled.mean() - 1.0) <= 3 * se + 1e-6
-
-
-def test_averaged_mode_noise_has_mixed_variance():
-    # a 50/50 mix of unit and zero noise diffuses at sqrt(1/2): the return
-    # integrates that Brownian motion over [0, 1], variance 1/6
-    env = brownian_gap_env()
-    pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
-    dt, n = 1 / 256, 20_000
-    gains = _rollout_returns(env, pol, 0.0, [0.0], n, substream(43, 0), dt,
-                             mode="averaged")
-    var, bias = integrated_brownian_law(0.5, 1.0, dt)
-    se = var * math.sqrt(2.0 / (n - 1))
-    assert abs(gains.var(ddof=1) - var) <= 4 * se + bias
-
-
-def test_averaged_mode_full_matrix_path():
-    mat0 = np.array([[1.0, 0.0], [0.2, 0.5]])
-    mat1 = np.array([[0.5, 0.1], [0.0, 1.0]])
-    env = ContinuousMdp(
-        state_dim=2,
-        actions=(0, 1),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: mat0 if a == 0 else mat1,
-        reward=lambda t, X: np.zeros(X.shape[0]),
-        terminal_reward=lambda X: X[:, 0] + X[:, 1],
-        horizon=0.5,
-    )
-    pol = FiniteAtomic(lambda t, X: np.array([0.4, 0.6]))
-    states = np.zeros((3, 2))
-    b, sig = policy_averaged_coefficients(env, pol, 0.0, states)
-    target = 0.4 * mat0 @ mat0.T + 0.6 * mat1 @ mat1.T
-    np.testing.assert_allclose(sig[0] @ sig[0].T, target, atol=1e-12)
-    gains = _rollout_returns(env, pol, 0.0, [0.0, 0.0], 2000, substream(19, 0),
-                             dt=1 / 64, mode="averaged")
-    assert np.isfinite(gains).all()
