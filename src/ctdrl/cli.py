@@ -1,5 +1,5 @@
-"""Experiment runner: gap-rate sweeps, superiority panels, option-trading
-training, and GBM estimation.
+"""Experiment runner: gap-rate sweeps, superiority panels and option-trading
+training.
 
 Configs are flat key=value text with cosmetic [sections]; every key has a
 default, every flag overrides a key, and the fully resolved config is echoed
@@ -13,6 +13,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -169,24 +170,9 @@ TRAIN_FIELDS = {
     "train_sigma": (float, 0.2),
     "eval_mu": (float, 0.0),
     "eval_sigma": (float, 0.2),
-    "price_csv": (_parse_str, ""),
-    "price_dt": (float, 1.0),
-    "split": (float, 0.5),
     "horizon": (float, 100.0),
     "discount": (float, 0.999),
     "start_price": (float, 1.0),
-}
-
-ESTIMATE_GBM_FIELDS = {
-    "csv": (_parse_str, ""),
-    "dt": (float, 1.0),
-}
-
-COMMAND_FIELDS = {
-    "gap-rates": GAP_RATES_FIELDS,
-    "superiority-demo": SUPERIORITY_FIELDS,
-    "train": TRAIN_FIELDS,
-    "estimate-gbm": ESTIMATE_GBM_FIELDS,
 }
 
 
@@ -408,24 +394,11 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
 
 
 def _gbm_params_from_cfg(cfg):
-    """Train/eval GBM parameters: estimated from a price CSV split when one is
-    given, otherwise taken directly from the config."""
-    try:
-        if not cfg["price_csv"]:
-            return (
-                envs.GbmParams(cfg["train_mu"], cfg["train_sigma"]),
-                envs.GbmParams(cfg["eval_mu"], cfg["eval_sigma"]),
-            )
-        _, prices = envs.load_price_csv(cfg["price_csv"])
-        k = int(len(prices) * cfg["split"])
-        if k < 3 or len(prices) - k < 3:
-            raise ValueError("price_csv split leaves fewer than 3 prices on one side")
-        train_params = envs.estimate_gbm(prices[:k], cfg["price_dt"])
-        eval_params = envs.estimate_gbm(prices[k:], cfg["price_dt"])
-        return train_params, eval_params
-    except (ValueError, OSError) as exc:
-        keys = "price_csv" if cfg["price_csv"] else "train_sigma, eval_sigma"
-        raise ValidationFailure([f"{keys}: {exc}"]) from exc
+    """Train and eval GBM parameters, taken directly from the config."""
+    return (
+        envs.GbmParams(cfg["train_mu"], cfg["train_sigma"]),
+        envs.GbmParams(cfg["eval_mu"], cfg["eval_sigma"]),
+    )
 
 
 def build_agent(kind, cfg, h, terminal_reward, decay_steps, seed):
@@ -473,8 +446,14 @@ def cmd_train(cfg, out_dir: Path) -> int:
     if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
         errors.append("eval_episodes must be >= 1 when eval_every > 0")
     for key in ("horizon", "start_price", "lr", "kappa"):
-        if not cfg[key] > 0:
-            errors.append(f"{key} must be positive, got {cfg[key]}")
+        if not 0.0 < cfg[key] < math.inf:
+            errors.append(f"{key} must be positive and finite, got {cfg[key]}")
+    for key in ("train_mu", "eval_mu", "q"):
+        if not math.isfinite(cfg[key]):
+            errors.append(f"{key} must be finite, got {cfg[key]}")
+    for key in ("train_sigma", "eval_sigma"):
+        if not 0.0 <= cfg[key] < math.inf:
+            errors.append(f"{key} must be finite and >= 0, got {cfg[key]}")
     for key in ("eps_start", "eps_end"):
         if not 0.0 <= cfg[key] <= 1.0:
             errors.append(f"{key} must be in [0, 1], got {cfg[key]}")
@@ -490,12 +469,9 @@ def cmd_train(cfg, out_dir: Path) -> int:
         errors.append(f"risk must be mean or cvar, got {cfg['risk']!r}")
     if cfg["risk"] == "cvar" and not 0.0 < cfg["risk_alpha"] <= 1.0:
         errors.append("risk_alpha must be in (0, 1]")
-    try:
-        train_params, eval_params = _gbm_params_from_cfg(cfg)
-    except ValidationFailure as exc:
-        errors += exc.errors
     if errors:
         raise ValidationFailure(errors)
+    train_params, eval_params = _gbm_params_from_cfg(cfg)
 
     rows = []
     exit_code = 0
@@ -556,28 +532,10 @@ def cmd_train(cfg, out_dir: Path) -> int:
     return exit_code
 
 
-def cmd_estimate_gbm(cfg, out_dir: Path) -> int:
-    if not cfg["csv"]:
-        raise ValidationFailure(["csv path must be set"])
-    try:
-        _, prices = envs.load_price_csv(cfg["csv"])
-        params = envs.estimate_gbm(prices, cfg["dt"])
-    except (ValueError, OSError) as exc:
-        raise ValidationFailure([str(exc)]) from exc
-    print(f"mu={params.mu:.17g} sigma={params.sigma:.17g}")
-    rows = [
-        ResultRow("estimate_gbm", 0, None, "gbm_mu", params.mu),
-        ResultRow("estimate_gbm", 0, None, "gbm_sigma", params.sigma),
-    ]
-    write_results_csv(out_dir / "results.csv", rows)
-    return 0
-
-
 COMMANDS = {
-    "gap-rates": cmd_gap_rates,
-    "superiority-demo": cmd_superiority_demo,
-    "train": cmd_train,
-    "estimate-gbm": cmd_estimate_gbm,
+    "gap-rates": (cmd_gap_rates, GAP_RATES_FIELDS),
+    "superiority-demo": (cmd_superiority_demo, SUPERIORITY_FIELDS),
+    "train": (cmd_train, TRAIN_FIELDS),
 }
 
 
@@ -596,7 +554,7 @@ def main(argv=None) -> int:
         cp.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
-    fields = COMMAND_FIELDS[args.command]
+    handler, fields = COMMANDS[args.command]
     cfg, errors = resolve_config(fields, args.config, args.set)
     if errors:
         for err in errors:
@@ -606,7 +564,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(out_dir, args.command, cfg)
     try:
-        return COMMANDS[args.command](cfg, out_dir)
+        return handler(cfg, out_dir)
     except ValidationFailure as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -1,13 +1,12 @@
-"""Fixture environments and market-data ingestion.
+"""Fixture environments.
 
 Two analytic-oracle MDPs (a Brownian gap construction and a drift-10
-illustration), an option-trading environment driven by geometric Brownian
-motion, GBM maximum-likelihood estimation, and a small price-CSV format.
+illustration) and an option-trading environment driven by geometric Brownian
+motion.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,9 +20,6 @@ __all__ = [
     "illustration_env",
     "brownian_gap_w1_oracle",
     "OptionTradingEnv",
-    "estimate_gbm",
-    "load_price_csv",
-    "save_price_csv",
 ]
 
 
@@ -35,7 +31,7 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN fails too
             raise ValueError(f"volatility must be nonnegative, got {self.sigma}")
 
 
@@ -172,63 +168,3 @@ class OptionTradingEnv:
         mu, sig = self.gbm.mu, self.gbm.sigma
         return np.exp((mu - 0.5 * sig**2) * delta + sig * np.sqrt(delta) * noise)
 
-
-def estimate_gbm(prices, dt: float) -> GbmParams:
-    """Maximum-likelihood GBM parameters from a uniformly spaced price series.
-
-    With log increments l_i: sigma^2 = mean((l - lbar)^2)/dt and
-    mu = lbar/dt + sigma^2/2.
-    """
-    prices = np.asarray(prices, dtype=np.float64).reshape(-1)
-    if prices.size < 3:
-        raise ValueError(f"need at least 3 prices, got {prices.size}")
-    if np.any(prices <= 0):
-        raise ValueError("prices must be positive")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    log_inc = np.diff(np.log(prices))
-    lbar = float(np.mean(log_inc))
-    sigma_sq = float(np.mean((log_inc - lbar) ** 2)) / dt
-    mu = lbar / dt + 0.5 * sigma_sq
-    return GbmParams(mu=mu, sigma=math.sqrt(sigma_sq))
-
-
-def load_price_csv(path):
-    """Read a `step,price` CSV; returns (steps, prices) arrays.
-
-    Malformed or nonpositive rows are rejected with their line number.
-    """
-    steps, prices = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["step", "price"]:
-            raise ValueError(f"{path}: expected header 'step,price'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                step = int(row[0])
-                price = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: unparseable row {row!r}") from exc
-            if price <= 0:
-                raise ValueError(f"{path}:{lineno}: nonpositive price {price}")
-            steps.append(step)
-            prices.append(price)
-    if not prices:
-        raise ValueError(f"{path}: no data rows")
-    return np.array(steps), np.array(prices)
-
-
-def save_price_csv(path, prices, steps=None):
-    prices = np.asarray(prices, dtype=np.float64).reshape(-1)
-    if steps is None:
-        steps = np.arange(prices.size)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "price"])
-        for s, p in zip(steps, prices):
-            writer.writerow([int(s), f"{p:.17g}"])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ctdrl.cli import main, resolve_config, GAP_RATES_FIELDS
-from ctdrl.envs import save_price_csv
 
 
 def run(args):
@@ -20,6 +19,16 @@ TINY_GAPS = [
     "--set", "n_paths=400",
     "--set", "bootstrap=10",
     "--set", "m=64",
+]
+
+
+TINY_TRAIN = [
+    "--set", "updates=30",
+    "--set", "eval_every=15",
+    "--set", "eval_episodes=5",
+    "--set", "final_eval_episodes=5",
+    "--set", "m=8",
+    "--set", "hidden=12,12",
 ]
 
 
@@ -41,14 +50,19 @@ def test_gap_rates_rerun_is_bitwise_identical(tmp_path):
     assert read(out1 / "results.csv") == read(out2 / "results.csv")
 
 
-def test_rerun_from_echoed_config_reproduces_results(tmp_path):
+@pytest.mark.parametrize("args, files", [
+    (["gap-rates", *TINY_GAPS], ["results.csv"]),
+    (["train", *TINY_TRAIN], ["results.csv", "trainlog_seed0_omega5.csv"]),
+], ids=["gap_rates", "train"])
+def test_rerun_from_echoed_config_reproduces_results(tmp_path, args, files):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["gap-rates", "--out", str(out1), *TINY_GAPS]) == 0
+    assert run([*args, "--out", str(out1)]) == 0
     assert run([
-        "gap-rates", "--out", str(out2),
+        args[0], "--out", str(out2),
         "--config", str(out1 / "config.resolved.cfg"),
     ]) == 0
-    assert read(out1 / "results.csv") == read(out2 / "results.csv")
+    for name in files:
+        assert read(out1 / name) == read(out2 / name)
 
 
 def test_validation_reports_every_offending_key(tmp_path, capsys):
@@ -97,6 +111,14 @@ BAD_VALUES = [
     ("train", "start_price", "0"),
     ("train", "eval_cvar_alpha", "0"),
     ("train", "train_sigma", "-1"),
+    ("train", "train_sigma", "nan"),
+    ("train", "eval_sigma", "-1"),
+    ("train", "eval_sigma", "nan"),
+    ("train", "train_mu", "inf"),
+    ("train", "eval_mu", "nan"),
+    ("train", "q", "nan"),
+    ("train", "start_price", "inf"),
+    ("train", "horizon", "inf"),
     ("train", "hidden", "0"),
     ("train", "hidden", "100,0"),
     ("train", "discount", "0"),
@@ -134,15 +156,16 @@ def test_train_lists_every_bad_network_and_schedule_key(tmp_path, capsys):
         assert key in err
 
 
-def test_train_lists_price_csv_errors_with_the_others(tmp_path, capsys):
+def test_train_lists_gbm_errors_with_the_others(tmp_path, capsys):
     code = run([
         "train", "--out", str(tmp_path / "x"),
-        "--set", "agent=bogus", "--set", "price_csv=/nonexistent.csv",
+        "--set", "agent=bogus", "--set", "train_sigma=-1",
         "--set", "batch_size=0",
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert "agent" in err and "price_csv" in err and "batch_size" in err
+    assert "agent" in err and "train_sigma" in err and "batch_size" in err
+    assert "eval_sigma" not in err
 
 
 ILLUSTRATION_GAPS = [
@@ -206,45 +229,54 @@ def test_superiority_demo_runs_and_reproduces(tmp_path):
             "psi_qhalf_shifted_mean", "psi_raw_q0000"} <= metrics
 
 
-# results.csv SHA-256 of three tiny runs. A refactor must leave them alone;
-# only a change that moves results by design may re-record a digest, and
-# CHANGES.md must then say which one moved and why.
+# SHA-256 of the output files of five tiny runs. A refactor must leave them
+# alone; only a change that moves results by design may re-record a digest,
+# and CHANGES.md must then say which one moved and why.
 GOLDEN_RESULTS = {
     "gap_rates": (
         ["gap-rates", *TINY_GAPS],
-        "58e3c4c59a7ac70b394ebc0f8de184bf5eacdef5841fc02f12f107dd3b2a874c",
+        {"results.csv": "58e3c4c59a7ac70b394ebc0f8de184bf5eacdef5841fc02f12f107dd3b2a874c"},
     ),
     "gap_rates_illustration": (
         ["gap-rates", *ILLUSTRATION_GAPS],
-        "2e79447672fcc525148e201105559465953212504827a7ce3f706cc9d54fd261",
+        {"results.csv": "2e79447672fcc525148e201105559465953212504827a7ce3f706cc9d54fd261"},
     ),
     "superiority_demo": (
         TINY_SUPERIORITY,
-        "63f07878c39386c0b39b72f9b549c41d508eb2bb835df9d99d5c9420b75e819e",
+        {"results.csv": "63f07878c39386c0b39b72f9b549c41d508eb2bb835df9d99d5c9420b75e819e"},
+    ),
+    "train": (
+        ["train", *TINY_TRAIN],
+        {
+            "results.csv":
+                "5915025453082d583feca9f0ffda5309c8148a640c88face61cc9df4c4d51af3",
+            "trainlog_seed0_omega5.csv":
+                "ae6a1eaa3fda55e588bc4a9df284b7d59bb30f622808345ce393625531603576",
+        },
+    ),
+    "train_dau": (
+        ["train", *TINY_TRAIN, "--set", "agent=dau"],
+        {
+            "results.csv":
+                "9a0d0ddfdad07d7c7d5c36553b24d6174f1a020a291c5facad0f1953399037f1",
+            "trainlog_seed0_omega5.csv":
+                "b4c19744c41a223d089c9684ed3bc21e2c90f226a06921e531f6c5dbc60fa336",
+        },
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RESULTS))
 def test_results_match_golden_digest(tmp_path, name):
-    args, digest = GOLDEN_RESULTS[name]
+    args, digests = GOLDEN_RESULTS[name]
     assert run([*args, "--out", str(tmp_path)]) == 0
-    got = hashlib.sha256(read(tmp_path / "results.csv")).hexdigest()
-    assert got == digest, (
-        f"{name}: results.csv digest {got} differs from the recorded {digest}. "
-        "Re-record it only for a change that moves results by design, and say "
-        "in CHANGES.md which results moved and why."
-    )
-
-
-TINY_TRAIN = [
-    "--set", "updates=30",
-    "--set", "eval_every=15",
-    "--set", "eval_episodes=5",
-    "--set", "final_eval_episodes=5",
-    "--set", "m=8",
-    "--set", "hidden=12,12",
-]
+    for filename, digest in digests.items():
+        got = hashlib.sha256(read(tmp_path / filename)).hexdigest()
+        assert got == digest, (
+            f"{name}: {filename} digest {got} differs from the recorded {digest}. "
+            "Re-record it only for a change that moves results by design, and "
+            "say in CHANGES.md which results moved and why."
+        )
 
 
 def test_train_smoke_writes_all_artifacts(tmp_path):
@@ -281,7 +313,7 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = run([
             "train", "--out", str(tmp_path / "x"), *TINY_TRAIN,
-            "--set", "lr=inf",
+            "--set", "lr=1e300",
         ])
     assert code == 3
     assert "divergence" in capsys.readouterr().err
@@ -293,43 +325,6 @@ def test_train_all_agent_kinds_smoke(tmp_path):
         assert run([
             "train", "--out", str(out), *TINY_TRAIN, "--set", f"agent={kind}",
         ]) == 0
-
-
-def test_estimate_gbm_command(tmp_path, capsys):
-    csv_path = tmp_path / "prices.csv"
-    rng = np.random.default_rng(0)
-    prices = np.exp(np.cumsum(rng.normal(0.0, 0.01, size=300)))
-    save_price_csv(csv_path, prices)
-    out = tmp_path / "run"
-    code = run([
-        "estimate-gbm", "--out", str(out),
-        "--set", f"csv={csv_path}", "--set", "dt=0.004",
-    ])
-    assert code == 0
-    stdout = capsys.readouterr().out
-    assert "mu=" in stdout and "sigma=" in stdout
-    lines = (out / "results.csv").read_text().splitlines()
-    assert any("gbm_mu" in line for line in lines)
-
-
-def test_estimate_gbm_missing_csv_is_validation_error(tmp_path, capsys):
-    assert run(["estimate-gbm", "--out", str(tmp_path / "x")]) == 2
-    assert run([
-        "estimate-gbm", "--out", str(tmp_path / "y"),
-        "--set", "csv=/does/not/exist.csv",
-    ]) == 2
-
-
-def test_train_from_price_csv_split(tmp_path):
-    csv_path = tmp_path / "prices.csv"
-    rng = np.random.default_rng(1)
-    prices = np.exp(np.cumsum(rng.normal(0.0, 0.02, size=100)))
-    save_price_csv(csv_path, prices)
-    out = tmp_path / "run"
-    assert run([
-        "train", "--out", str(out), *TINY_TRAIN,
-        "--set", f"price_csv={csv_path}", "--set", "price_dt=1.0",
-    ]) == 0
 
 
 def test_usage_error_exits_2():

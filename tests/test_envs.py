@@ -5,10 +5,7 @@ from ctdrl.ctmdp import ConstantAction, SimConfig, substream
 from ctdrl.envs import (
     GbmParams,
     OptionTradingEnv,
-    estimate_gbm,
     illustration_env,
-    load_price_csv,
-    save_price_csv,
     brownian_gap_env,
     brownian_gap_w1_oracle,
 )
@@ -106,80 +103,6 @@ def test_option_prices_stay_positive_under_exact_stepping():
 
 
 def test_gbm_params_validation():
-    with pytest.raises(ValueError):
-        GbmParams(0.1, -0.2)
-
-
-# ------------------------------------------------------------ gbm estimation
-
-
-def test_estimate_gbm_deterministic_exponential():
-    dt = 0.1
-    prices = np.exp(0.05 * np.arange(50) * dt)
-    params = estimate_gbm(prices, dt)
-    assert params.sigma == pytest.approx(0.0, abs=1e-9)
-    assert params.mu == pytest.approx(0.05, abs=1e-9)
-
-
-def test_estimate_gbm_constant_prices():
-    params = estimate_gbm(np.full(10, 3.7), 0.5)
-    assert params.mu == 0.0 and params.sigma == 0.0
-
-
-def test_estimate_gbm_recovers_synthetic_parameters():
-    mu, sigma, dt, k = 0.1, 0.3, 1.0 / 250, 10_000
-    rng = substream(11, 0)
-    increments = (mu - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * rng.standard_normal(k)
-    prices = np.exp(np.concatenate([[0.0], np.cumsum(increments)]))
-    params = estimate_gbm(prices, dt)
-    assert abs(params.sigma - sigma) <= 3 * sigma / np.sqrt(2 * k)
-    assert abs(params.mu - mu) <= 3 * sigma / np.sqrt(k * dt)
-
-
-def test_estimate_gbm_scale_invariance():
-    rng = substream(12, 0)
-    prices = np.exp(np.cumsum(rng.normal(0, 0.02, size=200)))
-    base = estimate_gbm(prices, 0.01)
-    scaled = estimate_gbm(1234.5 * prices, 0.01)
-    assert scaled.mu == pytest.approx(base.mu, rel=1e-12, abs=1e-12)
-    assert scaled.sigma == pytest.approx(base.sigma, rel=1e-12)
-
-
-def test_estimate_gbm_validations():
-    with pytest.raises(ValueError):
-        estimate_gbm([1.0, 2.0], 0.1)
-    with pytest.raises(ValueError):
-        estimate_gbm([1.0, -2.0, 3.0], 0.1)
-    with pytest.raises(ValueError):
-        estimate_gbm([1.0, 2.0, 3.0], 0.0)
-
-
-# ----------------------------------------------------------------- price csv
-
-
-def test_price_csv_roundtrip(tmp_path):
-    path = tmp_path / "prices.csv"
-    prices = np.array([1.0, 1.1, 0.95])
-    save_price_csv(path, prices)
-    steps, loaded = load_price_csv(path)
-    np.testing.assert_array_equal(steps, [0, 1, 2])
-    np.testing.assert_array_equal(loaded, prices)
-
-
-def test_price_csv_rejects_bad_rows(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("step,price\n0,1.0\n1,-2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":3"):
-        load_price_csv(path)
-    path.write_text("step,price\n0,1.0\nnot-a-number,2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":3"):
-        load_price_csv(path)
-    path.write_text("step,price\n0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":2"):
-        load_price_csv(path)
-    path.write_text("wrong,header\n0,1.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
-        load_price_csv(path)
-    path.write_text("step,price\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no data"):
-        load_price_csv(path)
+    for sigma in (-0.2, float("nan")):
+        with pytest.raises(ValueError, match="volatility"):
+            GbmParams(0.1, sigma)
