@@ -37,6 +37,7 @@ __all__ = [
     "qrdqn_loss_grads",
     "dau_loss_grads",
     "store_subsampled",
+    "interactions_per_update",
     "train",
     "evaluate",
     "evaluate_policy",
@@ -694,6 +695,12 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
     return None
 
 
+def interactions_per_update(h: float) -> int:
+    """Env interactions per gradient step at decision period h: floor(1/h),
+    at least one."""
+    return max(1, int(math.floor(1.0 / h + 1e-9)))
+
+
 def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     """Interleaved interaction and learning, one gradient step per window of
     floor(1/h) env interactions; returns the evaluation log rows.
@@ -718,22 +725,21 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
         substream(cfg.seed, 21, k) for k in range(4))
     buffer = ReplayBuffer(cfg.buffer_capacity)
     h = agent.h
-    interactions_per_update = max(1, int(math.floor(1.0 / h + 1e-9)))
-    window = np.arange(interactions_per_update)
+    ipu = interactions_per_update(h)
+    window = np.arange(ipu)
     x0 = env.reset()
     env_steps = 0
     updates = 0
     last_loss = float("nan")
     state = None
     for u in range(total_updates):
-        noise = env_rng.standard_normal(interactions_per_update)
-        coins = explore_rng.random(interactions_per_update)
-        random_actions = explore_rng.integers(agent.n_actions,
-                                              size=interactions_per_update)
+        noise = env_rng.standard_normal(ipu)
+        coins = explore_rng.random(ipu)
+        random_actions = explore_rng.integers(agent.n_actions, size=ipu)
         eps = agent.schedule.epsilon(env_steps + window)
         state = _act_window(agent, env, buffer, x0, state, noise, eps, coins,
                             random_actions, subsample_rng)
-        env_steps += interactions_per_update
+        env_steps += ipu
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, replay_rng)
             last_loss = agent.train_step(batch)

@@ -5,6 +5,15 @@ Configs are flat key=value text with cosmetic [sections]; every key has a
 default, every flag overrides a key, and the fully resolved config is echoed
 into the output directory so a run can be reproduced bitwise from its own
 artifacts. Exit codes: 0 success, 2 validation error, 3 numerical divergence.
+
+Every key is checked against its domain as the config is read: its parser
+in the field table rejects values outside it, and NaN and inf are rejected
+wherever a finite value is needed. Rules that join keys live in one
+check_<command> each: t + h must not exceed the horizon and the EM step must
+divide each h (gap-rates, superiority-demo); batch_size must not exceed
+buffer_capacity, and eval_episodes must be >= 1 when eval_every > 0 (train).
+They run once every key is valid. A rejected config exits 2, lists its
+errors and writes nothing.
 """
 
 from __future__ import annotations
@@ -96,90 +105,125 @@ def _parse_opt_float(s):
     return float(s)
 
 
-def _parse_float_list(s):
-    return [float(tok) for tok in s.split(",") if tok.strip()]
+def _parse_list(parse):
+    return lambda s: [parse(tok) for tok in s.split(",") if tok.strip()]
 
 
-def _parse_int_list(s):
-    return [int(tok) for tok in s.split(",") if tok.strip()]
+def _checked(parse, ok, rule):
+    """A parser that also rejects a value outside its key's domain; ``rule``
+    says what the value must be. Bounds are written as comparisons that NaN
+    fails, such as ``0 < v < math.inf``."""
+    def parse_checked(s):
+        v = parse(s)
+        if not ok(v):
+            raise ValueError(f"must be {rule}")
+        return v
+    return parse_checked
 
 
-# Field tables: key -> (parser, default).
+def _list_of(parse, ok, rule):
+    """A nonempty comma-separated list whose every entry passes ``ok``."""
+    return _checked(_parse_list(parse), lambda vs: bool(vs) and all(map(ok, vs)),
+                    f"a nonempty list of {rule}")
+
+
+def _one_of(parse, choices):
+    return _checked(parse, lambda v: v in choices,
+                    "one of " + ", ".join(str(c) for c in choices))
+
+
+def _at_least(low):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_finite = _checked(float, lambda v: -math.inf < v < math.inf, "finite")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_level = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_action = _one_of(int, (0, 1))
+_positives = _list_of(float, lambda v: 0 < v < math.inf, "positive finite numbers")
+_seeds = _list_of(int, lambda v: v >= 0, "integers >= 0")
+_tail_dt = _checked(_parse_opt_float, lambda v: v is None or 0 < v < math.inf,
+                    "positive and finite, or none")
+# sigma * sigma, not sigma**2: a float ** overflows with an exception.
+_volatility = _checked(float, lambda v: 0 <= v and v * v < math.inf,
+                       ">= 0 with a finite square")
+
+
+# Field tables: key -> (parser, default). Each parser rejects values outside
+# its key's domain; rules that join keys are the check_* functions below.
 GAP_RATES_FIELDS = {
-    "env": (_parse_str, "brownian_gap"),
-    "horizon": (float, 1.0),
-    "discount": (float, 1.0),
-    "drift": (float, 10.0),
-    "move_diffusion": (float, 1.0),
-    "t": (float, 0.0),
-    "x": (float, 0.0),
-    "base_action": (int, 0),
-    "h_grid": (_parse_float_list, [2.0**-k for k in range(2, 8)]),
-    "n_paths": (int, 10_000),
-    "p": (int, 1),
-    "m": (int, 512),
-    "bootstrap": (int, 200),
-    "substeps": (int, 32),
-    "dt_floor": (float, 1e-4),
-    "tail_dt": (_parse_opt_float, None),
-    "seeds": (_parse_int_list, [0]),
+    "env": (_one_of(_parse_str, ENV_NAMES), "brownian_gap"),
+    "horizon": (_positive, 1.0),
+    "discount": (_level, 1.0),
+    "drift": (_finite, 10.0),
+    "move_diffusion": (_finite, 1.0),
+    "t": (_finite, 0.0),
+    "x": (_finite, 0.0),
+    "base_action": (_action, 0),
+    "h_grid": (_positives, [2.0**-k for k in range(2, 8)]),
+    "n_paths": (_at_least(2), 10_000),
+    "p": (_one_of(int, (1, 2)), 1),
+    "m": (_at_least(1), 512),
+    "bootstrap": (_at_least(2), 200),
+    "substeps": (_at_least(1), 32),
+    "dt_floor": (_nonnegative, 1e-4),
+    "tail_dt": (_tail_dt, None),
+    "seeds": (_seeds, [0]),
 }
 
 SUPERIORITY_FIELDS = {
-    "omega_grid": (_parse_float_list, [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
-    "n_paths": (int, 10_000),
-    "m": (int, 512),
-    "horizon": (float, 10.0),
-    "discount": (float, 1.0),
-    "drift": (float, 10.0),
-    "move_diffusion": (float, 1.0),
-    "t": (float, 0.0),
-    "x": (float, 0.0),
-    "action": (int, 1),
-    "base_action": (int, 0),
-    "substeps": (int, 16),
-    "dt_floor": (float, 1e-4),
-    "tail_dt": (_parse_opt_float, 0.05),
+    "omega_grid": (_positives, [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+    "n_paths": (_at_least(2), 10_000),
+    "m": (_at_least(1), 512),
+    "horizon": (_positive, 10.0),
+    "discount": (_level, 1.0),
+    "drift": (_finite, 10.0),
+    "move_diffusion": (_finite, 1.0),
+    "t": (_finite, 0.0),
+    "x": (_finite, 0.0),
+    "action": (_action, 1),
+    "base_action": (_action, 0),
+    "substeps": (_at_least(1), 16),
+    "dt_floor": (_nonnegative, 1e-4),
+    "tail_dt": (_tail_dt, 0.05),
     "write_quantiles": (_parse_bool, True),
-    "seeds": (_parse_int_list, [0]),
+    "seeds": (_seeds, [0]),
 }
 
 TRAIN_FIELDS = {
-    "agent": (_parse_str, "dsup"),
-    "q": (float, 0.5),
-    "omega_grid": (_parse_float_list, [5.0]),
-    "seeds": (_parse_int_list, [0]),
-    "updates": (int, 5000),
-    "batch_size": (int, 32),
-    "buffer_capacity": (int, 20_000),
-    "target_period": (int, 1000),
-    "lr": (float, 1e-4),
-    "m": (int, 100),
-    "kappa": (float, 1.0),
-    "hidden": (_parse_int_list, [100, 100]),
-    "risk": (_parse_str, "mean"),
-    "risk_alpha": (float, 1.0),
-    "eps_start": (float, 1.0),
-    "eps_end": (float, 0.02),
-    "eps_fraction": (float, 0.1),
-    "eval_every": (int, 1000),
-    "eval_episodes": (int, 100),
-    "eval_cvar_alpha": (float, 0.25),
-    "final_eval_episodes": (int, 200),
-    "train_mu": (float, 0.0),
-    "train_sigma": (float, 0.2),
-    "eval_mu": (float, 0.0),
-    "eval_sigma": (float, 0.2),
-    "horizon": (float, 100.0),
-    "discount": (float, 0.999),
-    "start_price": (float, 1.0),
+    "agent": (_one_of(_parse_str, AGENT_KINDS), "dsup"),
+    "q": (_finite, 0.5),
+    "omega_grid": (_positives, [5.0]),
+    "seeds": (_seeds, [0]),
+    "updates": (_at_least(0), 5000),
+    "batch_size": (_at_least(1), 32),
+    "buffer_capacity": (_at_least(1), 20_000),
+    "target_period": (_at_least(0), 1000),
+    "lr": (_positive, 1e-4),
+    "m": (_at_least(1), 100),
+    "kappa": (_positive, 1.0),
+    # may be empty: a network with no hidden layer is linear
+    "hidden": (_checked(_parse_list(int), lambda ws: all(w >= 1 for w in ws),
+                        "a list of widths >= 1"), [100, 100]),
+    "risk": (_one_of(_parse_str, ("mean", "cvar")), "mean"),
+    "risk_alpha": (_level, 1.0),
+    "eps_start": (_probability, 1.0),
+    "eps_end": (_probability, 0.02),
+    "eps_fraction": (_nonnegative, 0.1),
+    "eval_every": (_at_least(0), 1000),
+    "eval_episodes": (_at_least(0), 100),
+    "eval_cvar_alpha": (_level, 0.25),
+    "final_eval_episodes": (_at_least(1), 200),
+    "train_mu": (_finite, 0.0),
+    "train_sigma": (_volatility, 0.2),
+    "eval_mu": (_finite, 0.0),
+    "eval_sigma": (_volatility, 0.2),
+    "horizon": (_positive, 100.0),
+    "discount": (_level, 0.999),
+    "start_price": (_positive, 1.0),
 }
-
-
-class ValidationFailure(Exception):
-    def __init__(self, errors):
-        super().__init__("; ".join(errors))
-        self.errors = errors
 
 
 def resolve_config(fields, config_path, set_args):
@@ -236,38 +280,39 @@ def _cell_seed(seed: int, *key) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _below(cfg, **lows):
-    """An error for each key whose value is below its lower bound."""
-    return [f"{key} must be >= {low}, got {cfg[key]}"
-            for key, low in lows.items() if cfg[key] < low]
-
-
-def _mdp_errors(cfg, hs, action_keys):
-    """Errors in the keys that fix a gap env and its rollouts: the horizon,
-    the discount, the start time t (every window [t, t + h) must end by the
-    horizon), the EM step that substeps and dt_floor give each h (it must
-    divide h), tail_dt, and the action indices (both envs have actions 0, 1)."""
+def _window_errors(cfg, hs):
+    """Errors in the rules that join a gap env's keys: every window
+    [t, t + h) must end by the horizon, and the EM step that substeps and
+    dt_floor give each h must divide it."""
     errors = []
-    if cfg["substeps"] >= 1:
-        sim = SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"])
-        try:
-            for h in hs:
-                if h > 0:
-                    _window_dt(sim, h)
-        except ValueError as exc:
-            errors.append(f"dt_floor={cfg['dt_floor']} with substeps={cfg['substeps']}: {exc}")
-    if cfg["horizon"] <= 0:
-        errors.append(f"horizon must be positive, got {cfg['horizon']}")
-    elif hs and cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
+    if cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
         errors.append(f"t + h must not exceed the horizon {cfg['horizon']}, "
                       f"got t={cfg['t']} and h={max(hs)}")
-    if not 0.0 < cfg["discount"] <= 1.0:
-        errors.append(f"discount must be in (0, 1], got {cfg['discount']}")
-    if cfg["tail_dt"] is not None and cfg["tail_dt"] <= 0:
-        errors.append(f"tail_dt must be positive or none, got {cfg['tail_dt']}")
-    for key in action_keys:
-        if cfg[key] not in (0, 1):
-            errors.append(f"{key} must be 0 or 1, got {cfg[key]}")
+    sim = SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"])
+    try:
+        for h in hs:
+            _window_dt(sim, h)
+    except ValueError as exc:
+        errors.append(f"dt_floor={cfg['dt_floor']} with "
+                      f"substeps={cfg['substeps']}: {exc}")
+    return errors
+
+
+def check_gap_rates(cfg):
+    return _window_errors(cfg, cfg["h_grid"])
+
+
+def check_superiority_demo(cfg):
+    return _window_errors(cfg, [1.0 / w for w in cfg["omega_grid"]])
+
+
+def check_train(cfg):
+    errors = []
+    if cfg["batch_size"] > cfg["buffer_capacity"]:
+        errors.append(f"batch_size must not exceed buffer_capacity, got "
+                      f"{cfg['batch_size']} > {cfg['buffer_capacity']}")
+    if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
+        errors.append("eval_episodes must be >= 1 when eval_every > 0")
     return errors
 
 
@@ -283,18 +328,6 @@ def _build_gap_env(cfg):
 
 
 def cmd_gap_rates(cfg, out_dir: Path) -> int:
-    errors = _below(cfg, n_paths=2, m=1, bootstrap=2, substeps=1)
-    errors += _mdp_errors(cfg, cfg["h_grid"], ["base_action"])
-    if cfg["env"] not in ENV_NAMES:
-        errors.append(f"env must be one of {ENV_NAMES}, got {cfg['env']!r}")
-    if not cfg["h_grid"]:
-        errors.append("h_grid must be nonempty")
-    if any(h <= 0 for h in cfg["h_grid"]):
-        errors.append("h_grid entries must be positive")
-    if cfg["p"] not in (1, 2):
-        errors.append("p must be 1 or 2")
-    if errors:
-        raise ValidationFailure(errors)
     mdp = _build_gap_env(cfg)
     policy = ConstantAction(cfg["base_action"])
     rows = []
@@ -327,15 +360,6 @@ def cmd_gap_rates(cfg, out_dir: Path) -> int:
 
 
 def cmd_superiority_demo(cfg, out_dir: Path) -> int:
-    errors = _below(cfg, n_paths=2, m=1, substeps=1)
-    hs = [1.0 / w for w in cfg["omega_grid"] if w > 0]
-    errors += _mdp_errors(cfg, hs, ["action", "base_action"])
-    if not cfg["omega_grid"]:
-        errors.append("omega_grid must be nonempty")
-    if any(w <= 0 for w in cfg["omega_grid"]):
-        errors.append("omega_grid entries must be positive")
-    if errors:
-        raise ValidationFailure(errors)
     mdp = envs.illustration_env(
         horizon=cfg["horizon"],
         discount=cfg["discount"],
@@ -433,44 +457,10 @@ def build_agent(kind, cfg, h, terminal_reward, decay_steps, seed):
             advantage_head=(kind == "dau+dsup"),
             **common,
         )
-    raise ValidationFailure([f"unknown agent kind: {kind!r}"])
+    raise ValueError(f"unknown agent kind: {kind!r}")
 
 
 def cmd_train(cfg, out_dir: Path) -> int:
-    errors = _below(cfg, updates=0, batch_size=1, buffer_capacity=1, m=1,
-                    final_eval_episodes=1, target_period=0, eps_fraction=0)
-    if any(width < 1 for width in cfg["hidden"]):
-        errors.append(f"hidden entries must be >= 1, got {cfg['hidden']}")
-    if not 0.0 < cfg["discount"] <= 1.0:
-        errors.append(f"discount must be in (0, 1], got {cfg['discount']}")
-    if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
-        errors.append("eval_episodes must be >= 1 when eval_every > 0")
-    for key in ("horizon", "start_price", "lr", "kappa"):
-        if not 0.0 < cfg[key] < math.inf:
-            errors.append(f"{key} must be positive and finite, got {cfg[key]}")
-    for key in ("train_mu", "eval_mu", "q"):
-        if not math.isfinite(cfg[key]):
-            errors.append(f"{key} must be finite, got {cfg[key]}")
-    for key in ("train_sigma", "eval_sigma"):
-        if not 0.0 <= cfg[key] < math.inf:
-            errors.append(f"{key} must be finite and >= 0, got {cfg[key]}")
-    for key in ("eps_start", "eps_end"):
-        if not 0.0 <= cfg[key] <= 1.0:
-            errors.append(f"{key} must be in [0, 1], got {cfg[key]}")
-    if not 0.0 < cfg["eval_cvar_alpha"] <= 1.0:
-        errors.append("eval_cvar_alpha must be in (0, 1]")
-    if cfg["agent"] not in AGENT_KINDS:
-        errors.append(f"agent must be one of {AGENT_KINDS}, got {cfg['agent']!r}")
-    if not cfg["omega_grid"]:
-        errors.append("omega_grid must be nonempty")
-    if any(w <= 0 for w in cfg["omega_grid"]):
-        errors.append("omega_grid entries must be positive")
-    if cfg["risk"] not in ("mean", "cvar"):
-        errors.append(f"risk must be mean or cvar, got {cfg['risk']!r}")
-    if cfg["risk"] == "cvar" and not 0.0 < cfg["risk_alpha"] <= 1.0:
-        errors.append("risk_alpha must be in (0, 1]")
-    if errors:
-        raise ValidationFailure(errors)
     train_params, eval_params = _gbm_params_from_cfg(cfg)
 
     rows = []
@@ -487,7 +477,7 @@ def cmd_train(cfg, out_dir: Path) -> int:
                 eval_params, horizon=cfg["horizon"],
                 start_price=cfg["start_price"], discount=cfg["discount"],
             )
-            ipu = max(1, int(np.floor(1.0 / h + 1e-9)))
+            ipu = agents.interactions_per_update(h)
             decay = max(1, int(cfg["eps_fraction"] * cfg["updates"] * ipu))
             agent = build_agent(
                 cfg["agent"], cfg, h, train_env.terminal_reward, decay,
@@ -533,9 +523,10 @@ def cmd_train(cfg, out_dir: Path) -> int:
 
 
 COMMANDS = {
-    "gap-rates": (cmd_gap_rates, GAP_RATES_FIELDS),
-    "superiority-demo": (cmd_superiority_demo, SUPERIORITY_FIELDS),
-    "train": (cmd_train, TRAIN_FIELDS),
+    "gap-rates": (cmd_gap_rates, check_gap_rates, GAP_RATES_FIELDS),
+    "superiority-demo": (
+        cmd_superiority_demo, check_superiority_demo, SUPERIORITY_FIELDS),
+    "train": (cmd_train, check_train, TRAIN_FIELDS),
 }
 
 
@@ -554,8 +545,9 @@ def main(argv=None) -> int:
         cp.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
-    handler, fields = COMMANDS[args.command]
+    handler, check, fields = COMMANDS[args.command]
     cfg, errors = resolve_config(fields, args.config, args.set)
+    errors = errors or check(cfg)
     if errors:
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -565,10 +557,6 @@ def main(argv=None) -> int:
     echo_config(out_dir, args.command, cfg)
     try:
         return handler(cfg, out_dir)
-    except ValidationFailure as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
     except (SimulationError, agents.TrainingDiverged) as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 3

@@ -65,8 +65,8 @@ class ContinuousMdp:
         object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ValueError("action list must be nonempty")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if self.state_dim < 1:

@@ -31,8 +31,10 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma >= 0:  # NaN fails too
-            raise ValueError(f"volatility must be nonnegative, got {self.sigma}")
+        # NaN fails both tests; sigma * sigma, because ** raises on overflow
+        if not (self.sigma >= 0 and self.sigma * self.sigma < math.inf):
+            raise ValueError(
+                f"volatility must be nonnegative with a finite square, got {self.sigma}")
 
 
 def brownian_gap_env(horizon: float = 1.0, discount: float = 1.0) -> ContinuousMdp:

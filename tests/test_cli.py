@@ -32,6 +32,15 @@ TINY_TRAIN = [
 ]
 
 
+TINY_SUPERIORITY = [
+    "superiority-demo",
+    "--set", "omega_grid=4,16",
+    "--set", "n_paths=300",
+    "--set", "m=32",
+    "--set", "write_quantiles=true",
+]
+
+
 def test_gap_rates_writes_schema_and_fit_rows(tmp_path):
     out = tmp_path / "run"
     assert run(["gap-rates", "--out", str(out), *TINY_GAPS]) == 0
@@ -50,10 +59,13 @@ def test_gap_rates_rerun_is_bitwise_identical(tmp_path):
     assert read(out1 / "results.csv") == read(out2 / "results.csv")
 
 
+# Every default of the three field tables is echoed and read back, so each
+# must round-trip through its own parser.
 @pytest.mark.parametrize("args, files", [
     (["gap-rates", *TINY_GAPS], ["results.csv"]),
     (["train", *TINY_TRAIN], ["results.csv", "trainlog_seed0_omega5.csv"]),
-], ids=["gap_rates", "train"])
+    (TINY_SUPERIORITY, ["results.csv"]),
+], ids=["gap_rates", "train", "superiority_demo"])
 def test_rerun_from_echoed_config_reproduces_results(tmp_path, args, files):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run([*args, "--out", str(out1)]) == 0
@@ -94,6 +106,12 @@ BAD_VALUES = [
     ("gap-rates", "bootstrap", "1"),
     ("gap-rates", "discount", "0"),
     ("gap-rates", "dt_floor", "0.1"),
+    ("gap-rates", "t", "nan"),
+    ("gap-rates", "h_grid", "nan"),
+    ("gap-rates", "dt_floor", "nan"),
+    ("gap-rates", "horizon", "inf"),
+    ("gap-rates", "seeds", "-1"),
+    ("gap-rates", "drift", "nan"),
     ("superiority-demo", "m", "0"),
     ("superiority-demo", "substeps", "0"),
     ("superiority-demo", "horizon", "0"),
@@ -102,6 +120,9 @@ BAD_VALUES = [
     ("superiority-demo", "t", "20"),
     ("superiority-demo", "tail_dt", "0"),
     ("superiority-demo", "dt_floor", "0.1"),
+    ("superiority-demo", "t", "nan"),
+    ("superiority-demo", "omega_grid", "inf"),
+    ("superiority-demo", "seeds", "-2"),
     ("train", "batch_size", "0"),
     ("train", "buffer_capacity", "0"),
     ("train", "m", "0"),
@@ -135,6 +156,14 @@ BAD_VALUES = [
     ("train", "eps_start", "-0.5"),
     ("train", "eps_end", "1.5"),
     ("train", "eps_end", "-0.01"),
+    ("train", "eps_fraction", "nan"),
+    ("train", "eps_fraction", "inf"),
+    ("train", "omega_grid", "inf"),
+    ("train", "omega_grid", "nan"),
+    ("train", "seeds", "-1"),
+    ("train", "eval_every", "-2"),
+    ("train", "train_sigma", "1e200"),
+    ("train", "eval_sigma", "1e200"),
 ]
 
 
@@ -142,6 +171,19 @@ BAD_VALUES = [
 def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, value):
     assert run([command, "--out", str(tmp_path / "x"), "--set", f"{key}={value}"]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # a rejected config writes nothing
+
+
+def test_train_rejects_batch_larger_than_buffer(tmp_path, capsys):
+    # the replay gate len(buffer) >= batch_size would never open: no updates
+    code = run([
+        "train", "--out", str(tmp_path / "x"), *TINY_TRAIN,
+        "--set", "batch_size=5", "--set", "buffer_capacity=4",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "batch_size" in err and "buffer_capacity" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_lists_every_bad_network_and_schedule_key(tmp_path, capsys):
@@ -206,15 +248,6 @@ def test_set_overrides_config_file(tmp_path):
 def test_missing_config_file_is_an_error(tmp_path):
     cfg, errors = resolve_config(GAP_RATES_FIELDS, tmp_path / "nope.cfg", [])
     assert errors
-
-
-TINY_SUPERIORITY = [
-    "superiority-demo",
-    "--set", "omega_grid=4,16",
-    "--set", "n_paths=300",
-    "--set", "m=32",
-    "--set", "write_quantiles=true",
-]
 
 
 def test_superiority_demo_runs_and_reproduces(tmp_path):

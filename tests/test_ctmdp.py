@@ -47,8 +47,10 @@ def test_mdp_validation():
         reward=lambda t, X: 0.0,
         terminal_reward=lambda X: 0.0,
     )
-    with pytest.raises(ValueError):
-        ContinuousMdp(horizon=0.0, **kwargs)
+    # an infinite horizon would leave a rollout with no steps after its window
+    for horizon in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            ContinuousMdp(horizon=horizon, **kwargs)
     with pytest.raises(ValueError):
         ContinuousMdp(horizon=1.0, discount=0.0, **kwargs)
     with pytest.raises(ValueError):

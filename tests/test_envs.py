@@ -103,6 +103,6 @@ def test_option_prices_stay_positive_under_exact_stepping():
 
 
 def test_gbm_params_validation():
-    for sigma in (-0.2, float("nan")):
+    for sigma in (-0.2, float("nan"), 1e200):
         with pytest.raises(ValueError, match="volatility"):
             GbmParams(0.1, sigma)
