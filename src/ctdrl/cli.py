@@ -159,7 +159,7 @@ GAP_RATES_FIELDS = {
     "discount": (_level, 1.0),
     "drift": (_finite, 10.0),
     "move_diffusion": (_finite, 1.0),
-    "t": (_finite, 0.0),
+    "t": (_nonnegative, 0.0),
     "x": (_finite, 0.0),
     "base_action": (_action, 0),
     "h_grid": (_positives, [2.0**-k for k in range(2, 8)]),
@@ -181,7 +181,7 @@ SUPERIORITY_FIELDS = {
     "discount": (_level, 1.0),
     "drift": (_finite, 10.0),
     "move_diffusion": (_finite, 1.0),
-    "t": (_finite, 0.0),
+    "t": (_nonnegative, 0.0),
     "x": (_finite, 0.0),
     "action": (_action, 1),
     "base_action": (_action, 0),

@@ -10,11 +10,18 @@ Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(s, X_s
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
 A rollout step draws its (paths, n) normals after the policy has chosen its
 actions, and only when some path's diffusion is nonzero; a step with zero
-diffusion on every path is x + b dt and leaves the generator untouched.
+diffusion on every path is x + b dt and leaves the generator untouched. A
+step whose drift and diffusion are both zero on every path leaves the states
+as they are, with no + 0 dt, so a signed zero stays signed.
+
+Policies return one action index per path. A policy that plays one action on
+every path returns it as a read-only zero-stride view, which the EM step
+takes whole without scanning it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +116,14 @@ class SimConfig:
         return min(h, max(h / self.substeps, self.dt_floor))
 
 
+@functools.lru_cache(maxsize=64)
+def _uniform_indices(action: int, paths: int) -> np.ndarray:
+    """One action index for each of ``paths`` paths: a read-only zero-stride
+    view, shared by every call with the same arguments (building one costs
+    more than a step's other index work)."""
+    return np.broadcast_to(np.intp(action), (paths,))
+
+
 class ConstantAction:
     """Always plays one action index."""
 
@@ -116,7 +131,7 @@ class ConstantAction:
         self.action = int(action)
 
     def sample_actions(self, t, states, rng) -> np.ndarray:
-        return np.full(states.shape[0], self.action, dtype=np.intp)
+        return _uniform_indices(self.action, states.shape[0])
 
 
 class DeterministicMap:
@@ -127,6 +142,8 @@ class DeterministicMap:
 
     def sample_actions(self, t, states, rng) -> np.ndarray:
         idx = np.asarray(self.fn(t, states), dtype=np.intp)
+        if idx.ndim == 0:
+            return _uniform_indices(int(idx), states.shape[0])
         return np.array(np.broadcast_to(idx, (states.shape[0],)))
 
 
@@ -167,7 +184,7 @@ class PersistentModification:
 
     def sample_actions(self, t, states, rng) -> np.ndarray:
         if self._in_window(t):
-            return np.full(states.shape[0], self.action, dtype=np.intp)
+            return _uniform_indices(self.action, states.shape[0])
         return self.base.sample_actions(t, states, rng)
 
 
@@ -180,15 +197,19 @@ def _em_action_step(mdp, t, states, label, delta, draw):
     """x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) z for one action label.
 
     ``draw()`` returns the normals z; it is not called when sigma is zero on
-    every path, and such a step is x + b delta.
+    every path, and such a step is x + b delta. When b is zero on every path
+    too, the step returns ``states`` itself.
     """
     b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
     sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
-    if np.broadcast(sig, states).shape != states.shape:
+    if sig.ndim and np.broadcast(sig, states).shape != states.shape:
         raise ValueError(f"diffusion of shape {sig.shape} does not broadcast to "
                          f"the states' shape {states.shape}")
+    noisy = np.count_nonzero(sig)
+    if not noisy and not np.count_nonzero(b):
+        return states
     drifted = states + b * delta
-    if not sig.any():
+    if not noisy:
         return drifted
     return drifted + math.sqrt(delta) * (sig * draw())
 
@@ -198,9 +219,13 @@ def _em_apply(mdp, t, states, action_indices, delta, draw):
 
     A bundle whose paths all play one action is stepped whole; a mixed one
     is split by action and scattered back, each action reading its rows of
-    the one (paths, n) block that ``draw()`` returns.
+    the one (paths, n) block that ``draw()`` returns. A zero-stride index
+    vector is uniform by construction and is not scanned. The result may be
+    ``states`` itself (see _em_action_step).
     """
-    if action_indices.size and np.all(action_indices == action_indices[0]):
+    if action_indices.size and (
+        action_indices.strides[0] == 0 or (action_indices == action_indices[0]).all()
+    ):
         label = mdp.actions[action_indices[0]]
         return _em_action_step(mdp, t, states, label, delta, draw)
     out = np.empty_like(states)
@@ -225,13 +250,15 @@ def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     if z.shape != states.shape:
         raise ValueError(f"noise of shape {z.shape} does not match the state shape "
                          f"{states.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("noise must be finite")
     single = states.ndim == 1
     if single:
         states, z = states[None, :], z[None, :]
     out = _em_action_step(mdp, t, states, a, dt, lambda: z)
-    if not np.all(np.isfinite(out)):
+    if out is states:
+        out = out.copy()  # a frozen step; the result never aliases x
+    if not np.isfinite(out).all():
         raise SimulationError(f"non-finite state after step at t={t:.8g}")
     return out[0] if single else out
 
@@ -277,8 +304,11 @@ def _rollout_returns(
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.size != n:
         raise ValueError(f"state has dim {x0.size}, mdp expects {n}")
+    if not np.isfinite(x0).all():
+        raise SimulationError(f"non-finite state at t={t0:.8g}")
     states = np.broadcast_to(x0, (n_paths, n)).copy()
     gains = np.zeros(n_paths)
+    step_gain = np.empty(n_paths)
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
     horizon = mdp.horizon
@@ -290,23 +320,30 @@ def _rollout_returns(
     else:
         phases.append((t0, horizon, dt))
 
+    # Every state that enters a step is finite: x0 is checked above and each
+    # new array below, so a step that returns its own input needs no scan.
     for start, end, step in phases:
         deltas = _phase_steps(start, end, step)
         for j, delta in enumerate(deltas):
             s = start + j * step
-            disc = 1.0 if gamma == 1.0 else math.exp(log_gamma * (s - t0))
             rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
-            gains += disc * rew * delta
+            if gamma == 1.0:  # 1.0 * r is r: the discount multiply is skipped
+                np.multiply(rew, delta, out=step_gain)
+            else:
+                np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
+                np.multiply(step_gain, delta, out=step_gain)
+            gains += step_gain
             draw = _once(lambda: rng.standard_normal((n_paths, n)))
             acts = policy.sample_actions(s, states, rng)
-            states = _em_apply(mdp, s, states, acts, delta, draw)
-            if not np.all(np.isfinite(states)):
+            stepped = _em_apply(mdp, s, states, acts, delta, draw)
+            if stepped is not states and not np.isfinite(stepped).all():
                 raise SimulationError(f"non-finite state at t={s + delta:.8g}")
+            states = stepped
 
     disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (horizon - t0))
     term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
     gains += disc_t * np.broadcast_to(term, (n_paths,))
-    if not np.all(np.isfinite(gains)):
+    if not np.isfinite(gains).all():
         raise SimulationError("non-finite return accumulation")
     return gains
 

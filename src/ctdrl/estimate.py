@@ -14,6 +14,7 @@ from . import dist
 from .ctmdp import (
     ContinuousMdp,
     SimConfig,
+    SimulationError,
     _rollout_dt,
     _rollout_returns,
     persistent,
@@ -137,6 +138,12 @@ def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
     return float(np.std(reps, ddof=1))
 
 
+def _require_finite(h, values):
+    """Finite samples can still overflow the estimates made from them."""
+    if not np.isfinite(values).all():
+        raise SimulationError(f"non-finite action-gap estimate at h={h:.8g}")
+
+
 def action_gaps(
     mdp: ContinuousMdp,
     pi,
@@ -149,7 +156,10 @@ def action_gaps(
     m: int = ESTIMATOR_M,
     bootstrap: int = BOOTSTRAP_RESAMPLES,
 ) -> GapEstimate:
-    """Estimate the distributional and value action gaps at (t, x)."""
+    """Estimate the distributional and value action gaps at (t, x).
+
+    Raises SimulationError when a gap, mean or standard error is not finite.
+    """
     if mdp.n_actions < 2:
         raise ValueError("action gaps need at least two actions")
     samples = []
@@ -168,6 +178,8 @@ def action_gaps(
     for i, j in itertools.combinations(range(mdp.n_actions), 2):
         pair_distances[(i, j)] = dist.wasserstein(p, reps[i], reps[j])
         pair_value_gaps[(i, j)] = abs(means[i] - means[j])
+    _require_finite(h, [*means, *mean_ses, *pair_distances.values(),
+                        *pair_value_gaps.values()])
 
     dist_pair = min(pair_distances, key=lambda k: (pair_distances[k], k))
     value_pair = min(pair_value_gaps, key=lambda k: (pair_value_gaps[k], k))
@@ -176,6 +188,7 @@ def action_gaps(
     dist_se = _bootstrap_w_se(samples[i], samples[j], p, m, bootstrap, boot_rng)
     vi, vj = value_pair
     value_se = math.hypot(mean_ses[vi], mean_ses[vj])
+    _require_finite(h, [dist_se, value_se])
 
     return GapEstimate(
         h=h,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from ctdrl import cli
+from ctdrl import cli, ctmdp
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SPANS = _ROOT / "perfbench" / "spans.py"
@@ -128,3 +128,28 @@ def test_worker_setup_runs(workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert "kernel_backend" in json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_gap_rates_applies_one_em_step_per_call(tmp_path, monkeypatch):
+    # The benchmark's gap_rates update interval is the time between two
+    # _em_apply calls, so each EM step must be exactly one call.
+    calls = Counter()
+    em_apply = ctmdp._em_apply
+
+    def counted(*args):
+        calls["em_apply"] += 1
+        return em_apply(*args)
+
+    monkeypatch.setattr(ctmdp, "_em_apply", counted)
+    _run(cli.cmd_gap_rates, cli.GAP_RATES_FIELDS, TINY_GAP_RATES, tmp_path / "gap")
+    cfg, _ = cli.resolve_config(cli.GAP_RATES_FIELDS, None, TINY_GAP_RATES)
+    sim = ctmdp.SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"])
+    t, horizon = cfg["t"], cfg["horizon"]
+    steps = 0
+    for h in cfg["h_grid"]:
+        dt = ctmdp._window_dt(sim, h)
+        window = ctmdp._phase_steps(t, t + h, dt)
+        tail = ctmdp._phase_steps(t + h, horizon, cfg["tail_dt"] or dt)
+        steps += len(window) + len(tail)
+    rollouts = cli._build_gap_env(cfg).n_actions * len(cfg["seeds"])  # per h
+    assert calls["em_apply"] == rollouts * steps

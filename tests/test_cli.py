@@ -112,6 +112,7 @@ BAD_VALUES = [
     ("gap-rates", "horizon", "inf"),
     ("gap-rates", "seeds", "-1"),
     ("gap-rates", "drift", "nan"),
+    ("gap-rates", "t", "-1e6"),  # would step from t to the horizon for minutes
     ("superiority-demo", "m", "0"),
     ("superiority-demo", "substeps", "0"),
     ("superiority-demo", "horizon", "0"),
@@ -123,6 +124,7 @@ BAD_VALUES = [
     ("superiority-demo", "t", "nan"),
     ("superiority-demo", "omega_grid", "inf"),
     ("superiority-demo", "seeds", "-2"),
+    ("superiority-demo", "t", "-1"),
     ("train", "batch_size", "0"),
     ("train", "buffer_capacity", "0"),
     ("train", "m", "0"),
@@ -227,6 +229,20 @@ def test_gap_rates_illustration_env(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     # a single grid point cannot be rate-fitted, so only gap rows appear
     assert len(lines) == 2 + 2
+
+
+# Finite keys whose returns overflow the gap and standard-error arithmetic.
+@pytest.mark.parametrize("key, value", [("drift", "1e308"), ("move_diffusion", "1e200")])
+def test_gap_rates_non_finite_estimate_exits_3(tmp_path, capsys, key, value):
+    out = tmp_path / "x"
+    with np.errstate(all="ignore"):
+        code = run([
+            "gap-rates", "--out", str(out), *ILLUSTRATION_GAPS,
+            "--set", "horizon=2", "--set", "n_paths=50", "--set", f"{key}={value}",
+        ])
+    assert code == 3
+    assert "non-finite action-gap estimate" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 def test_gap_rates_unknown_env_is_validation_error(tmp_path, capsys):

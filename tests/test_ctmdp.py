@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -461,8 +462,8 @@ def test_seed_determinism_bitwise():
     np.testing.assert_array_equal(a, b)
 
 
-def rollout_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
-                   window_end=None):
+def always_draw_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
+                       window_end=None):
     """The always-draw step loop: every step draws its normals before the
     policy acts and applies them through the masked oracle, diffusion zero
     or not."""
@@ -510,9 +511,161 @@ def test_rollout_matches_always_draw_oracle_bitwise(case):
         pol, window_end = persistent(pol, h, action, 0.0), h
     got = _rollout_returns(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
                            tail_dt=tail_dt, window_end=window_end)
-    want = rollout_oracle(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
-                          tail_dt=tail_dt, window_end=window_end)
+    want = always_draw_oracle(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
+                              tail_dt=tail_dt, window_end=window_end)
     assert got.tobytes() == want.tobytes()
+
+
+def em_step_oracle(mdp, t, states, label, delta, draw):
+    """The EM step before frozen steps kept their states: x + b delta, plus
+    the noise term when some path's diffusion is nonzero."""
+    b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
+    sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
+    drifted = states + b * delta
+    if not sig.any():
+        return drifted
+    return drifted + math.sqrt(delta) * (sig * draw())
+
+
+def rollout_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
+                   window_end=None):
+    """The step loop before frozen steps kept their states: a fresh state
+    array, a full finiteness scan and a scan for a uniform action on every
+    step, and the discounted reward added through temporaries."""
+    n = mdp.state_dim
+    states = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths, n)).copy()
+    gains = np.zeros(n_paths)
+    gamma = mdp.discount
+    log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
+    phases = [(t0, mdp.horizon, dt)]
+    if window_end is not None:
+        phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
+    for start, end, step in phases:
+        for j, delta in enumerate(_phase_steps(start, end, step)):
+            s = start + j * step
+            disc = 1.0 if gamma == 1.0 else math.exp(log_gamma * (s - t0))
+            rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
+            gains += disc * rew * delta
+            memo = []
+
+            def draw():
+                if not memo:
+                    memo.append(rng.standard_normal((n_paths, n)))
+                return memo[0]
+
+            acts = np.array(policy.sample_actions(s, states, rng))
+            out = np.empty_like(states)
+            for idx in np.unique(acts):
+                mask = acts == idx
+                out[mask] = em_step_oracle(mdp, s, states[mask], mdp.actions[idx], delta,
+                                           lambda m=mask: draw()[m])
+            states = out
+            assert np.all(np.isfinite(states))
+    disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (mdp.horizon - t0))
+    term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
+    return gains + disc_t * np.broadcast_to(term, (n_paths,))
+
+
+_ROLLOUT_ENVS = {
+    "brownian_gap": brownian_gap_env,
+    "illustration": lambda: illustration_env(horizon=1.0, drift=2.0),
+    "three_action": lambda: three_action_env("hold_frozen"),
+}
+
+
+def _rollout_policy(name, n_actions):
+    last = n_actions - 1
+    if name == "constant":
+        return ConstantAction(0)
+    if name == "persistent":
+        return persistent(ConstantAction(0), 0.25, last, 0.125)
+    if name == "atomic":
+        return FiniteAtomic(lambda t, X: np.full(n_actions, 1.0 / n_actions))
+    # per-path actions 0 and 1 on [0, 0.5), then action 1 as one scalar
+    return DeterministicMap(lambda t, X: (X[:, 0] > 0).astype(int) if t < 0.5 else 1)
+
+
+@pytest.mark.parametrize("policy", ["constant", "persistent", "atomic", "map"])
+@pytest.mark.parametrize("env_name", sorted(_ROLLOUT_ENVS))
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy):
+    env = dataclasses.replace(_ROLLOUT_ENVS[env_name](), discount=gamma)
+    pol = _rollout_policy(policy, env.n_actions)
+    x0 = np.linspace(0.1, 0.3, env.state_dim)
+    window_end = 0.375 if policy == "persistent" else None
+    key = (5, len(policy), len(env_name))
+    rng, oracle_rng = substream(*key), substream(*key)
+    got = _rollout_returns(env, pol, 0.0, x0, 96, rng, 1 / 32, window_end=window_end)
+    want = rollout_oracle(env, pol, 0.0, x0, 96, oracle_rng, 1 / 32, window_end=window_end)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_rollout_matches_step_loop_oracle_with_tail_dt():
+    env = dataclasses.replace(illustration_env(horizon=1.0), discount=0.9)
+    pol = persistent(ConstantAction(0), 0.125, 1, 0.0)
+    got = _rollout_returns(env, pol, 0.0, [0.2], 128, substream(6, 1), 0.125 / 16,
+                           tail_dt=0.05, window_end=0.125)
+    want = rollout_oracle(env, pol, 0.0, [0.2], 128, substream(6, 1), 0.125 / 16,
+                          tail_dt=0.05, window_end=0.125)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rollout_from_negative_zero_matches_step_loop_oracle_in_value():
+    # A frozen step keeps x0 = -0.0 where the oracle's -0.0 + 0.0 made it
+    # +0.0, so a reward that reads the state's sign bit could differ; the
+    # values are equal, which is what the returns are compared by here.
+    env = brownian_gap_env(discount=0.9)
+    pol = persistent(ConstantAction(0), 0.25, 1, 0.5)
+    rng, oracle_rng = substream(6, 2), substream(6, 2)
+    got = _rollout_returns(env, pol, 0.0, [-0.0], 64, rng, 1 / 32, window_end=0.75)
+    want = rollout_oracle(env, pol, 0.0, [-0.0], 64, oracle_rng, 1 / 32, window_end=0.75)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_frozen_rollout_from_non_finite_start_raises(x0):
+    with pytest.raises(SimulationError, match="non-finite state"):
+        _rollout_returns(brownian_gap_env(), ConstantAction(0), 0.0, [x0], 4,
+                         substream(6, 3), 1 / 8)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5, 1)])
+def test_frozen_em_step_returns_a_new_array(shape):
+    x = np.full(shape, -0.0)
+    out = em_step(brownian_gap_env(), x, 0.1, 0, 0.01, np.ones(shape))
+    assert not np.shares_memory(out, x)
+    assert np.array_equal(out, x) and np.signbit(out).all()
+    out[...] = 1.0
+    assert np.signbit(x).all()
+
+
+@pytest.mark.parametrize("kind", ["elementwise", "hold_frozen"])
+@pytest.mark.parametrize("action", [0, 1, 2])
+def test_em_apply_zero_stride_indices_match_materialised(kind, action):
+    env = three_action_env(kind)
+    rng = np.random.default_rng([action, len(kind)])
+    states = rng.normal(size=(33, 3))
+    noise = rng.standard_normal((33, 3))
+    view = np.broadcast_to(np.intp(action), (33,))
+    assert view.strides == (0,)
+    draws = CountedDraw(noise), CountedDraw(noise)
+    got = _em_apply(env, 0.1, states, view, 1 / 48, draws[0])
+    want = _em_apply(env, 0.1, states, np.full(33, action, dtype=np.intp), 1 / 48,
+                     draws[1])
+    assert got.tobytes() == want.tobytes()
+    assert draws[0].calls == draws[1].calls
+
+
+def test_constant_policies_return_read_only_zero_stride_indices():
+    states = np.zeros((6, 1))
+    rng = np.random.default_rng(0)
+    for pol in (ConstantAction(1), persistent(ConstantAction(0), 0.5, 1, 0.0),
+                DeterministicMap(lambda t, X: 1)):
+        acts = pol.sample_actions(0.25, states, rng)
+        assert acts.strides == (0,) and not acts.flags.writeable
+        np.testing.assert_array_equal(acts, 1)
 
 
 def test_frozen_rollout_leaves_generator_untouched():
