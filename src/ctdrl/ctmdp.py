@@ -14,9 +14,9 @@ diffusion on every path is x + b dt and leaves the generator untouched. A
 step whose drift and diffusion are both zero on every path leaves the states
 as they are, with no + 0 dt, so a signed zero stays signed.
 
-Policies return one action index per path. A policy that plays one action on
-every path returns it as a read-only zero-stride view, which the EM step
-takes whole without scanning it.
+Policies return one action index per path. ``ConstantAction`` and the window
+of a ``persistent`` policy return theirs as a read-only zero-stride view,
+which the EM step takes as one action without scanning it.
 """
 
 from __future__ import annotations
@@ -142,8 +142,6 @@ class DeterministicMap:
 
     def sample_actions(self, t, states, rng) -> np.ndarray:
         idx = np.asarray(self.fn(t, states), dtype=np.intp)
-        if idx.ndim == 0:
-            return _uniform_indices(int(idx), states.shape[0])
         return np.array(np.broadcast_to(idx, (states.shape[0],)))
 
 

@@ -585,30 +585,26 @@ def _rollout_policy(name, n_actions):
     return DeterministicMap(lambda t, X: (X[:, 0] > 0).astype(int) if t < 0.5 else 1)
 
 
-@pytest.mark.parametrize("policy", ["constant", "persistent", "atomic", "map"])
+# The persistent policy also runs with an explicit tail_dt that does not
+# divide the tail, so the tail ends on a short step.
+@pytest.mark.parametrize("policy, tail_dt", [
+    ("constant", None), ("persistent", None), ("persistent", 0.05),
+    ("atomic", None), ("map", None)])
 @pytest.mark.parametrize("env_name", sorted(_ROLLOUT_ENVS))
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
-def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy):
+def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy, tail_dt):
     env = dataclasses.replace(_ROLLOUT_ENVS[env_name](), discount=gamma)
     pol = _rollout_policy(policy, env.n_actions)
     x0 = np.linspace(0.1, 0.3, env.state_dim)
     window_end = 0.375 if policy == "persistent" else None
-    key = (5, len(policy), len(env_name))
+    key = (5, len(policy), len(env_name), tail_dt is not None)
     rng, oracle_rng = substream(*key), substream(*key)
-    got = _rollout_returns(env, pol, 0.0, x0, 96, rng, 1 / 32, window_end=window_end)
-    want = rollout_oracle(env, pol, 0.0, x0, 96, oracle_rng, 1 / 32, window_end=window_end)
+    got = _rollout_returns(env, pol, 0.0, x0, 96, rng, 1 / 32, tail_dt=tail_dt,
+                           window_end=window_end)
+    want = rollout_oracle(env, pol, 0.0, x0, 96, oracle_rng, 1 / 32, tail_dt=tail_dt,
+                          window_end=window_end)
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_rollout_matches_step_loop_oracle_with_tail_dt():
-    env = dataclasses.replace(illustration_env(horizon=1.0), discount=0.9)
-    pol = persistent(ConstantAction(0), 0.125, 1, 0.0)
-    got = _rollout_returns(env, pol, 0.0, [0.2], 128, substream(6, 1), 0.125 / 16,
-                           tail_dt=0.05, window_end=0.125)
-    want = rollout_oracle(env, pol, 0.0, [0.2], 128, substream(6, 1), 0.125 / 16,
-                          tail_dt=0.05, window_end=0.125)
-    assert got.tobytes() == want.tobytes()
 
 
 def test_rollout_from_negative_zero_matches_step_loop_oracle_in_value():
@@ -661,8 +657,7 @@ def test_em_apply_zero_stride_indices_match_materialised(kind, action):
 def test_constant_policies_return_read_only_zero_stride_indices():
     states = np.zeros((6, 1))
     rng = np.random.default_rng(0)
-    for pol in (ConstantAction(1), persistent(ConstantAction(0), 0.5, 1, 0.0),
-                DeterministicMap(lambda t, X: 1)):
+    for pol in (ConstantAction(1), persistent(ConstantAction(0), 0.5, 1, 0.0)):
         acts = pol.sample_actions(0.25, states, rng)
         assert acts.strides == (0,) and not acts.flags.writeable
         np.testing.assert_array_equal(acts, 1)
