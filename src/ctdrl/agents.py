@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .approx import AdamState, Mlp, adam_step
-from .ctmdp import TIME_TOL, substream
+from .ctmdp import TIME_TOL, SimulationError, substream
 from .dist import DistortionMeasure, EmpiricalDist, risk_measure, to_quantile_rep
 
 __all__ = [
@@ -716,7 +716,7 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     random actions, one call each.
 
     Raises TrainingDiverged (with the partial log attached) on a non-finite
-    loss.
+    loss or on a SimulationError from the env.
     """
     log = []
     if total_updates <= 0:
@@ -737,8 +737,11 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
         coins = explore_rng.random(ipu)
         random_actions = explore_rng.integers(agent.n_actions, size=ipu)
         eps = agent.schedule.epsilon(env_steps + window)
-        state = _act_window(agent, env, buffer, x0, state, noise, eps, coins,
-                            random_actions, subsample_rng)
+        try:
+            state = _act_window(agent, env, buffer, x0, state, noise, eps, coins,
+                                random_actions, subsample_rng)
+        except SimulationError as exc:
+            raise TrainingDiverged(str(exc), log) from exc
         env_steps += ipu
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, replay_rng)
@@ -750,9 +753,12 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
                 agent.sync_target()
         if cfg.eval_every and (u + 1) % cfg.eval_every == 0:
             ev_rng = substream(cfg.seed, 22, u)
-            mean_ret, cvar_ret = evaluate(
-                agent, env, cfg.eval_episodes, ev_rng, cfg.eval_cvar_alpha
-            )
+            try:
+                mean_ret, cvar_ret = evaluate(
+                    agent, env, cfg.eval_episodes, ev_rng, cfg.eval_cvar_alpha
+                )
+            except SimulationError as exc:
+                raise TrainingDiverged(str(exc), log) from exc
             log.append(
                 TrainRow(
                     wall_step=u + 1,

@@ -359,6 +359,42 @@ def cmd_gap_rates(cfg, out_dir: Path) -> int:
     return 0
 
 
+def _superiority_rows(cfg, seed, h, zeta, eta):
+    """Result rows of the superiority panels at one h."""
+    n = cfg["n_paths"]
+    rows = []
+    psi = estimate.mc_superiority(zeta, eta, cfg["m"])
+    advantage = dist_mean(psi) / h
+    panels = {
+        "psi_raw": psi,
+        "psi_q1": rescale(psi, h, 1.0),
+        "psi_qhalf": rescale(psi, h, 0.5),
+    }
+    panels["psi_qhalf_shifted"] = advantage_shift(
+        panels["psi_qhalf"], advantage, h, 0.5
+    )
+    se_mean = float(
+        np.sqrt(
+            np.var(zeta.samples, ddof=1) / zeta.n
+            + np.var(eta.samples, ddof=1) / eta.n
+        )
+    )
+    scale = {"psi_raw": 1.0, "psi_q1": h**-1.0, "psi_qhalf": h**-0.5,
+             "psi_qhalf_shifted": h**-0.5}
+    for name, rep in panels.items():
+        mu = dist_mean(rep)
+        sd = float(np.sqrt(dist_variance(rep)))
+        rows.append(ResultRow("superiority_demo", seed, h, f"{name}_mean",
+                              mu, se_mean * scale[name]))
+        rows.append(ResultRow("superiority_demo", seed, h, f"{name}_std",
+                              sd, sd / np.sqrt(2.0 * n)))
+        if cfg["write_quantiles"]:
+            for k, v in enumerate(rep.values):
+                rows.append(ResultRow("superiority_demo", seed, h,
+                                      f"{name}_q{k:04d}", float(v)))
+    return rows
+
+
 def cmd_superiority_demo(cfg, out_dir: Path) -> int:
     mdp = envs.illustration_env(
         horizon=cfg["horizon"],
@@ -384,35 +420,14 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
                 mdp, policy, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
             )
             eta = estimate.mc_return_dist(mdp, policy, cfg["t"], [cfg["x"]], n, sim)
-            psi = estimate.mc_superiority(zeta, eta, cfg["m"])
-            advantage = dist_mean(psi) / h
-            panels = {
-                "psi_raw": psi,
-                "psi_q1": rescale(psi, h, 1.0),
-                "psi_qhalf": rescale(psi, h, 0.5),
-            }
-            panels["psi_qhalf_shifted"] = advantage_shift(
-                panels["psi_qhalf"], advantage, h, 0.5
-            )
-            se_mean = float(
-                np.sqrt(
-                    np.var(zeta.samples, ddof=1) / zeta.n
-                    + np.var(eta.samples, ddof=1) / eta.n
-                )
-            )
-            scale = {"psi_raw": 1.0, "psi_q1": h**-1.0, "psi_qhalf": h**-0.5,
-                     "psi_qhalf_shifted": h**-0.5}
-            for name, rep in panels.items():
-                mu = dist_mean(rep)
-                sd = float(np.sqrt(dist_variance(rep)))
-                rows.append(ResultRow("superiority_demo", seed, h, f"{name}_mean",
-                                      mu, se_mean * scale[name]))
-                rows.append(ResultRow("superiority_demo", seed, h, f"{name}_std",
-                                      sd, sd / np.sqrt(2.0 * n)))
-                if cfg["write_quantiles"]:
-                    for k, v in enumerate(rep.values):
-                        rows.append(ResultRow("superiority_demo", seed, h,
-                                              f"{name}_q{k:04d}", float(v)))
+            # Finite returns can still overflow the quantiles, their rescaled
+            # panels or their moments; any such overflow is a divergence.
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    rows += _superiority_rows(cfg, seed, h, zeta, eta)
+            except FloatingPointError as exc:
+                raise SimulationError(
+                    f"non-finite superiority estimate at h={h:.8g}") from exc
     write_results_csv(out_dir / "results.csv", rows)
     return 0
 
@@ -502,17 +517,22 @@ def cmd_train(cfg, out_dir: Path) -> int:
             write_trainlog_csv(out_dir / f"trainlog_{tag}.csv", log)
             save_checkpoint(out_dir / f"checkpoint_{tag}.npz", agent.named_params())
 
-            ev_rng = substream(_cell_seed(seed, 93), 0)
-            final_mean, final_cvar = agents.evaluate(
-                agent, eval_env, cfg["final_eval_episodes"], ev_rng,
-                cfg["eval_cvar_alpha"],
-            )
-            base_rng = substream(_cell_seed(seed, 94), 0)
-            rand_mean, rand_cvar, _ = agents.evaluate_policy(
-                eval_env,
-                lambda t, X: base_rng.integers(0, 2, X.shape[0]),
-                cfg["final_eval_episodes"], base_rng, h, cfg["eval_cvar_alpha"],
-            )
+            try:
+                ev_rng = substream(_cell_seed(seed, 93), 0)
+                final_mean, final_cvar = agents.evaluate(
+                    agent, eval_env, cfg["final_eval_episodes"], ev_rng,
+                    cfg["eval_cvar_alpha"],
+                )
+                base_rng = substream(_cell_seed(seed, 94), 0)
+                rand_mean, rand_cvar, _ = agents.evaluate_policy(
+                    eval_env,
+                    lambda t, X: base_rng.integers(0, 2, X.shape[0]),
+                    cfg["final_eval_episodes"], base_rng, h, cfg["eval_cvar_alpha"],
+                )
+            except SimulationError as exc:
+                print(f"divergence in cell {tag}: {exc}", file=sys.stderr)
+                exit_code = 3
+                continue
             execute_now = cfg["discount"] ** h * max(0.0, 1.0 - cfg["start_price"])
             rows.append(ResultRow("train", seed, h, "final_eval_mean", final_mean))
             rows.append(ResultRow("train", seed, h, "final_eval_cvar", final_cvar))

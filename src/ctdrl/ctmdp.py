@@ -44,7 +44,9 @@ TIME_TOL = 1e-9
 
 
 class SimulationError(RuntimeError):
-    """Raised when a rollout produces a non-finite state or accumulation."""
+    """Raised on a numerical divergence: a rollout's non-finite state or
+    accumulation, a non-finite estimate made from finite samples, or a GBM
+    price that underflows to 0."""
 
 
 def substream(seed: int, *key) -> np.random.Generator:

@@ -280,9 +280,9 @@ def _hazen(n: int, m: int):
     sorted values, bit for bit, as a reader built once per (n, m).
 
     ``read(sorted_values)`` interpolates the order statistics directly.
-    ``read(sorted_values, cum_counts)`` reads them from the implicit sorted
-    sample that repeats ``sorted_values[j]`` ``counts[j]`` times, where
-    ``cum_counts`` is the cumulative sum of counts totalling n.
+    ``read(sorted_values, picks)`` reads them from the implicit sorted sample
+    ``sorted_values[picks]``, where ``picks`` is a sorted vector of n indices
+    into ``sorted_values`` (a resample's draws in sorted order).
     """
     levels = (np.arange(m) + 0.5) / m
     # numpy's virtual index n*tau + (alpha + tau*(1 - alpha - beta)) - 1 with
@@ -301,12 +301,9 @@ def _hazen(n: int, m: int):
     hi = np.where(above | below, lo, lo + 1)
     ranks = np.concatenate((lo, hi))
 
-    def read(sorted_values, cum_counts=None):
-        if cum_counts is None:
-            a, b = sorted_values[lo], sorted_values[hi]
-        else:
-            pos = np.searchsorted(cum_counts, ranks, side="right")
-            a, b = sorted_values[pos[:m]], sorted_values[pos[m:]]
+    def read(sorted_values, picks=None):
+        pos = ranks if picks is None else picks[ranks]
+        a, b = sorted_values[pos[:m]], sorted_values[pos[m:]]
         # numpy's _lerp: a + d*gamma, or b - d*(1 - gamma) where gamma >= 1/2
         d = b - a
         out = a + d * gamma

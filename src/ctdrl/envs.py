@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmdp import TIME_TOL, ContinuousMdp
+from .ctmdp import TIME_TOL, ContinuousMdp, SimulationError
 
 __all__ = [
     "GbmParams",
@@ -117,7 +117,8 @@ class OptionTradingEnv:
         """Advance a bundle of episodes one decision step.
 
         Returns (next states, running rewards, done flags); the terminal
-        payoff is read through terminal_reward on the returned state.
+        payoff is read through terminal_reward on the returned state. Raises
+        SimulationError when a price underflows to 0, as hold_path does.
         """
         if t >= self.horizon - TIME_TOL:
             raise ValueError(f"step at t={t} is past the horizon {self.horizon}")
@@ -134,6 +135,8 @@ class OptionTradingEnv:
             prices = X[hold, 0]
             noise = rng.standard_normal(prices.shape)
             out[hold, 0] = prices * self._gbm_factor(min(h, self.horizon - t), noise)
+            if not np.all(out[hold, 0] > 0):
+                raise SimulationError("GBM price underflowed to 0")
         if t + h >= self.horizon - TIME_TOL:
             done[:] = True
         return out, np.zeros(X.shape[0]), done
@@ -150,6 +153,10 @@ class OptionTradingEnv:
         """
         delta = np.clip(self.horizon - times, 0.0, h)
         path = np.cumprod(np.concatenate((x, self._gbm_factor(delta, noise))))
+        # a GBM price is never 0; one that underflows there stays 0, or turns
+        # NaN at an infinite factor, so the last price shows it
+        if not path[-1] > 0:
+            raise SimulationError("GBM price underflowed to 0")
         return path[:, None], times + h >= self.horizon - TIME_TOL
 
     def path_outcomes(self, X, actions):

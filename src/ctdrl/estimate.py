@@ -119,23 +119,29 @@ def mc_superiority(
 def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
     """Bootstrap standard error of the m-quantile W_p distance.
 
-    A resample stays implicit: its index counts, taken in sorted order and
-    summed, locate the order statistics that the hazen quantiles read, so no
-    resample is gathered or sorted.
+    A resample stays implicit: its draws, mapped to their sorted-order ranks
+    (small unsigned integers) and sorted, locate the order statistics that the
+    hazen quantiles read, so no resample value is gathered or sorted.
     """
     reps = np.empty(n_resamples)
     na, nb = samples_a.size, samples_b.size
-    order_a = np.argsort(samples_a, kind="stable")
-    order_b = np.argsort(samples_b, kind="stable")
-    sorted_a, sorted_b = samples_a[order_a], samples_b[order_b]
+    sorted_a, rank_a = _sorted_ranks(samples_a)
+    sorted_b, rank_b = _sorted_ranks(samples_b)
     hazen_a, hazen_b = dist._hazen(na, m), dist._hazen(nb, m)
     for i in range(n_resamples):
-        cum_a = np.cumsum(np.bincount(rng.integers(0, na, na), minlength=na)[order_a])
-        cum_b = np.cumsum(np.bincount(rng.integers(0, nb, nb), minlength=nb)[order_b])
-        qa = hazen_a(sorted_a, cum_a)
-        qb = hazen_b(sorted_b, cum_b)
+        qa = hazen_a(sorted_a, np.sort(rank_a[rng.integers(0, na, na)]))
+        qb = hazen_b(sorted_b, np.sort(rank_b[rng.integers(0, nb, nb)]))
         reps[i] = kernels.wasserstein_sorted(np.sort(qa), np.sort(qb), p)
     return float(np.std(reps, ddof=1))
+
+
+def _sorted_ranks(samples):
+    """The stably sorted samples, and each sample's index in that order in
+    the smallest unsigned dtype that holds it."""
+    order = np.argsort(samples, kind="stable")
+    rank = np.empty(samples.size, np.min_scalar_type(samples.size - 1))
+    rank[order] = np.arange(samples.size)
+    return samples[order], rank
 
 
 def _require_finite(h, values):

@@ -26,7 +26,7 @@ from ctdrl.agents import (
     _quantile_targets,
     _risk_utilities,
 )
-from ctdrl.ctmdp import substream
+from ctdrl.ctmdp import SimulationError, substream
 from ctdrl.dist import DistortionMeasure
 from ctdrl.envs import GbmParams, OptionTradingEnv
 
@@ -763,6 +763,34 @@ def test_train_aborts_on_divergence_with_partial_log():
                       eval_every=0, seed=0)
     with pytest.raises(TrainingDiverged):
         train(agent, env, 50, cfg)
+
+
+@pytest.mark.parametrize("method", ["hold_path", "step_batch"])
+def test_train_turns_env_simulation_error_into_divergence(method):
+    # the env fails on its second call of `method`: hold_path in a later
+    # window of acting, step_batch in the second evaluation; either way the
+    # first evaluation's row is kept
+    class FailingEnv(BanditEnv):
+        calls = 0
+
+        def fail_second(self, *args):
+            self.calls += 1
+            if self.calls == 2:
+                raise SimulationError("price left the floats")
+            return getattr(BanditEnv, method)(self, *args)
+
+    env = FailingEnv()
+    setattr(env, method, env.fail_second)
+    agent = DsupAgent(
+        state_dim=1, n_actions=2, h=1.0, q=0.5, m=4, hidden=(8,), lr=1e-3,
+        discount=1.0, horizon=1.0, terminal_reward=env.terminal_reward,
+        schedule=ExplorationSchedule(0.0, 0.0, 1), seed=0,
+    )
+    cfg = TrainConfig(batch_size=4, buffer_capacity=100, target_period=100,
+                      eval_every=1, eval_episodes=2, seed=0)
+    with pytest.raises(TrainingDiverged, match="price left the floats") as exc:
+        train(agent, env, 5, cfg)
+    assert len(exc.value.log) == 1
 
 
 def test_evaluate_immediate_execute_is_exactly_zero():

@@ -245,6 +245,22 @@ def test_gap_rates_non_finite_estimate_exits_3(tmp_path, capsys, key, value):
     assert not (out / "results.csv").exists()
 
 
+# Finite keys whose returns overflow the superiority quantiles or moments.
+@pytest.mark.parametrize("key, value", [("drift", "1e308"), ("drift", "1e200"),
+                                        ("move_diffusion", "1e200")])
+def test_superiority_demo_non_finite_estimate_exits_3(tmp_path, capsys, key, value):
+    out = tmp_path / "x"
+    with np.errstate(all="ignore"):
+        code = run([
+            "superiority-demo", "--out", str(out), "--set", "horizon=2",
+            "--set", "omega_grid=4,16", "--set", "n_paths=50", "--set", "m=8",
+            "--set", f"{key}={value}",
+        ])
+    assert code == 3
+    assert "non-finite superiority estimate" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_gap_rates_unknown_env_is_validation_error(tmp_path, capsys):
     code = run([
         "gap-rates", "--out", str(tmp_path / "x"), "--set", "env=pendulum",
@@ -366,6 +382,21 @@ def test_train_divergence_exits_3(tmp_path, capsys):
         ])
     assert code == 3
     assert "divergence" in capsys.readouterr().err
+
+
+# A drift this negative underflows the GBM price to 0: in the eval env only
+# the final evaluation diverges, in the train env the first hold does.
+@pytest.mark.parametrize("key, log_rows", [("eval_mu", 2), ("train_mu", 0)])
+def test_train_price_underflow_exits_3_and_keeps_trainlog(tmp_path, capsys, key,
+                                                          log_rows):
+    out = tmp_path / "x"
+    code = run(["train", "--out", str(out), *TINY_TRAIN, "--set", f"{key}=-1e300"])
+    assert code == 3
+    assert "GBM price underflowed" in capsys.readouterr().err
+    log = (out / "trainlog_seed0_omega5.csv").read_text().splitlines()
+    assert len(log) == 2 + log_rows
+    results = (out / "results.csv").read_text().splitlines()
+    assert len(results) == 2  # schema and header: the cell wrote no rows
 
 
 def test_train_all_agent_kinds_smoke(tmp_path):

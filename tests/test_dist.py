@@ -409,7 +409,9 @@ def test_hazen_matches_numpy_quantile(n):
         samples, one_sign = _hazen_samples(kind, n, rng)
         order = np.argsort(samples, kind="stable")
         idx = rng.integers(0, n, n)
-        cum_counts = np.cumsum(np.bincount(idx, minlength=n)[order])
+        rank = np.empty(n, np.intp)
+        rank[order] = np.arange(n)
+        picks = np.sort(rank[idx])
         for m in HAZEN_M:
             levels = (np.arange(m) + 0.5) / m
             want = np.quantile(samples, levels, method="hazen")
@@ -417,7 +419,7 @@ def test_hazen_matches_numpy_quantile(n):
             _assert_hazen_equal(read(np.sort(samples)), want, one_sign)
             _assert_hazen_equal(to_quantile_rep(EmpiricalDist(samples), m).values,
                                 want, one_sign)
-            # the implicit resample samples[idx] read from its index counts
-            _assert_hazen_equal(read(samples[order], cum_counts),
+            # the implicit resample samples[idx] read from its sorted ranks
+            _assert_hazen_equal(read(samples[order], picks),
                                 np.quantile(samples[idx], levels, method="hazen"),
                                 one_sign)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctdrl.ctmdp import ConstantAction, SimConfig, substream
+from ctdrl.ctmdp import ConstantAction, SimConfig, SimulationError, substream
 from ctdrl.envs import (
     GbmParams,
     OptionTradingEnv,
@@ -100,6 +100,27 @@ def test_option_prices_stay_positive_under_exact_stepping():
         X, _, done = env.step_batch(t, X, np.zeros(500, dtype=int), 0.2, rng)
         t += 0.2
     assert np.all(X[:, 0] > 0)
+
+
+def test_option_price_underflow_is_a_simulation_error():
+    # a finite drift this negative takes exp of the log-return to 0
+    env = make_option_env(gbm=GbmParams(-1e300, 0.2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(SimulationError, match="underflowed"):
+        env.step_batch(0.0, [[1.0]], [0], 0.2, rng)
+    with pytest.raises(SimulationError, match="underflowed"):
+        env.hold_path(np.array([0.0, 0.2]), np.array([1.0]), np.zeros(2), 0.2)
+    # a stop moves no price
+    X, _, done = env.step_batch(0.0, [[1.0]], [1], 0.2, rng)
+    assert X[0, 0] == 1.0 and done.all()
+    # every factor positive: the price itself underflows (at the third hold)
+    env = make_option_env(gbm=GbmParams(-1000.0, 0.0))
+    with pytest.raises(SimulationError, match="underflowed"):
+        env.step_batch(0.0, [[1e-300]], [0], 0.2, rng)
+    path, _ = env.hold_path(np.array([0.0, 0.2]), np.array([1e-100]), np.zeros(2), 0.2)
+    assert np.all(path > 0)
+    with pytest.raises(SimulationError, match="underflowed"):
+        env.hold_path(np.array([0.0, 0.2, 0.4]), np.array([1e-100]), np.zeros(3), 0.2)
 
 
 def test_gbm_params_validation():

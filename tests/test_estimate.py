@@ -13,6 +13,7 @@ from ctdrl.dist import (
 )
 from ctdrl.estimate import (
     _bootstrap_w_se,
+    _sorted_ranks,
     action_gaps,
     fit_rate,
     mc_action_return_dist,
@@ -220,6 +221,30 @@ def test_bootstrap_w_se_matches_sequential_oracle(p, kind):
     rng, oracle_rng = np.random.default_rng(42), np.random.default_rng(42)
     got = _bootstrap_w_se(samples_a, samples_b, p, m, 25, rng)
     want = bootstrap_w_se_oracle(samples_a, samples_b, p, m, 25, oracle_rng)
+    assert got == want
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _tied_signed_zero_samples(n, rng):
+    """Coarsely rounded values, so most repeat, with zeros of both signs."""
+    samples = np.round(rng.normal(size=n), 1)
+    samples[::5] = 0.0
+    samples[::10] = -0.0
+    return samples
+
+
+@pytest.mark.parametrize("na, nb", [(256, 257), (65536, 65537), (65537, 256)])
+def test_bootstrap_w_se_matches_oracle_at_rank_dtype_boundaries(na, nb):
+    # n - 1 = 255 is the last uint8 rank, 65535 the last uint16 rank
+    rank_dtype = {256: np.uint8, 257: np.uint16, 65536: np.uint16, 65537: np.uint32}
+    data_rng = np.random.default_rng(na + nb)
+    samples_a = _tied_signed_zero_samples(na, data_rng)
+    samples_b = _tied_signed_zero_samples(nb, data_rng)
+    assert _sorted_ranks(samples_a)[1].dtype == rank_dtype[na]
+    assert _sorted_ranks(samples_b)[1].dtype == rank_dtype[nb]
+    rng, oracle_rng = np.random.default_rng(43), np.random.default_rng(43)
+    got = _bootstrap_w_se(samples_a, samples_b, 1, 64, 3, rng)
+    want = bootstrap_w_se_oracle(samples_a, samples_b, 1, 64, 3, oracle_rng)
     assert got == want
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
