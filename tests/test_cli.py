@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,9 +296,10 @@ def test_superiority_demo_runs_and_reproduces(tmp_path):
             "psi_qhalf_shifted_mean", "psi_raw_q0000"} <= metrics
 
 
-# SHA-256 of the output files of five tiny runs. A refactor must leave them
-# alone; only a change that moves results by design may re-record a digest,
-# and CHANGES.md must then say which one moved and why.
+# SHA-256 of the output files of seven tiny runs, with one train run per agent
+# kind. A refactor must leave them alone; only a change that moves results by
+# design may re-record a digest, and CHANGES.md must then say which one moved
+# and why.
 GOLDEN_RESULTS = {
     "gap_rates": (
         ["gap-rates", *TINY_GAPS],
@@ -328,6 +331,24 @@ GOLDEN_RESULTS = {
                 "b4c19744c41a223d089c9684ed3bc21e2c90f226a06921e531f6c5dbc60fa336",
         },
     ),
+    "train_qrdqn": (
+        ["train", *TINY_TRAIN, "--set", "agent=qrdqn"],
+        {
+            "results.csv":
+                "4891af96275a044edddb836948da2d45b710f962eefc8d405b5d154bcc6fe0b0",
+            "trainlog_seed0_omega5.csv":
+                "1502bd3bb8307c8b801d5b03caa2f75ff3222e6ec6c04ed1ff1428dcf7a22e5a",
+        },
+    ),
+    "train_dau_dsup": (
+        ["train", *TINY_TRAIN, "--set", "agent=dau+dsup"],
+        {
+            "results.csv":
+                "5915025453082d583feca9f0ffda5309c8148a640c88face61cc9df4c4d51af3",
+            "trainlog_seed0_omega5.csv":
+                "c6a2b2f7fe4da92e3d42aea9720492906ef1dc28c2a106c2da35eb41dc9d8dcf",
+        },
+    ),
 }
 
 
@@ -342,6 +363,17 @@ def test_results_match_golden_digest(tmp_path, name):
             "Re-record it only for a change that moves results by design, and "
             "say in CHANGES.md which results moved and why."
         )
+
+
+# The benchmark's gap_rates workload is lab gap-rates at its defaults;
+# perfbench/design.json records the digest of its results.csv per seed.
+_DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "design.json"
+
+
+def test_gap_rates_defaults_match_benchmark_digest(tmp_path):
+    digest = json.loads(_DESIGN.read_text())["digests"]["gap_rates"]["0"]
+    assert run(["gap-rates", "--set", "seeds=0", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256(read(tmp_path / "results.csv")).hexdigest() == digest
 
 
 def test_train_smoke_writes_all_artifacts(tmp_path):
