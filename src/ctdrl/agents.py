@@ -159,27 +159,44 @@ def _zero_terminal(X):
 
 class _AgentBase:
     """What every agent kind shares: the decision interval, discounting,
-    exploration, the network input and the training mechanics.
+    exploration, the network input, network construction and the training
+    mechanics.
 
     ``_nets`` has one row (name prefix, network attribute, target attribute
-    or None) per trained network. Once a kind has built its networks it calls
+    or None) per trained network. A kind draws its networks with ``_mlp``,
+    in ``_nets`` order, from the one generator seeded by ``seed``, then calls
     ``_init_learner``; everything else about training is written here once.
     """
 
     _nets = ()
 
-    def __init__(self, state_dim, n_actions, h, discount, horizon, terminal_reward,
-                 schedule):
+    def __init__(self, state_dim, n_actions, h, *, hidden=(100, 100), lr=1e-4,
+                 discount=0.999, horizon=100.0, terminal_reward=None,
+                 schedule: ExplorationSchedule | None = None, seed: int = 0):
         if h <= 0:
             raise ValueError("h must be positive")
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.h = h
+        self.lr = lr
         self.discount = discount
         self.gamma_h = discount**h
         self.horizon = horizon
         self.terminal_reward = terminal_reward or _zero_terminal
         self.schedule = schedule or ExplorationSchedule()
+        self._hidden = tuple(hidden)
+        self._rng = np.random.default_rng(seed)
+
+    def _mlp(self, out_dim) -> Mlp:
+        """A new network from the observation to ``out_dim`` outputs."""
+        return Mlp.from_sizes([self.state_dim + 1, *self._hidden, out_dim], self._rng)
+
+    def _init_quantiles(self, m, risk, kappa):
+        """The m-atom return model and the risk measure that ranks actions."""
+        self.m = m
+        self.kappa = kappa
+        self.risk = risk or DistortionMeasure.expected_value()
+        self._risk_w = self.risk.level_weights(m)
 
     def observe(self, t, X) -> np.ndarray:
         """Network input: normalized clamped time then the state coordinates.
@@ -204,7 +221,7 @@ class _AgentBase:
     def _terminal(self, X):
         return np.asarray(self.terminal_reward(np.atleast_2d(X)), dtype=np.float64)
 
-    def _init_learner(self, lr, losses):
+    def _init_learner(self, losses):
         """Target copies, one AdamState per prefix in ``adam``, and the loss
         functions a train step runs, in order."""
         self._losses = losses
@@ -213,7 +230,7 @@ class _AgentBase:
             net = getattr(self, attr)
             if target:
                 setattr(self, target, net.copy())
-            self.adam[prefix] = AdamState([net.flat], lr=lr)
+            self.adam[prefix] = AdamState([net.flat], lr=self.lr)
 
     def sync_target(self):
         for _, attr, target in self._nets:
@@ -257,51 +274,27 @@ class DsupAgent(_AgentBase):
 
     _nets = (("theta", "theta", "theta_target"), ("phi", "phi", None))
 
-    def __init__(
-        self,
-        state_dim: int,
-        n_actions: int,
-        h: float,
-        q: float = 0.5,
-        m: int = 100,
-        hidden=(100, 100),
-        risk: DistortionMeasure | None = None,
-        lr: float = 1e-4,
-        kappa: float = 1.0,
-        discount: float = 0.999,
-        horizon: float = 100.0,
-        terminal_reward=None,
-        advantage_head: bool = False,
-        schedule: ExplorationSchedule | None = None,
-        seed: int = 0,
-    ):
-        super().__init__(state_dim, n_actions, h, discount, horizon, terminal_reward,
-                         schedule)
+    def __init__(self, state_dim: int, n_actions: int, h: float, q: float = 0.5,
+                 m: int = 100, risk: DistortionMeasure | None = None,
+                 kappa: float = 1.0, advantage_head: bool = False, **base):
+        super().__init__(state_dim, n_actions, h, **base)
         self.q = q
-        self.m = m
-        self.kappa = kappa
         self.advantage_head = advantage_head
-        self.risk = risk or DistortionMeasure.expected_value()
-        self._risk_w = self.risk.level_weights(m)
-        rng = np.random.default_rng(seed)
-        obs_dim = state_dim + 1
-        phi_out = n_actions * m + (n_actions if advantage_head else 0)
-        self.theta = Mlp.from_sizes([obs_dim, *hidden, m], rng)
-        self.phi = Mlp.from_sizes([obs_dim, *hidden, phi_out], rng)
-        losses = (dsup_loss_grads, dau_loss_grads) if advantage_head else (dsup_loss_grads,)
-        self._init_learner(lr, losses)
+        self._init_quantiles(m, risk, kappa)
+        self.theta = self._mlp(m)
+        self.phi = self._mlp(n_actions * m + (n_actions if advantage_head else 0))
+        self._init_learner(
+            (dsup_loss_grads, dau_loss_grads) if advantage_head else (dsup_loss_grads,))
 
     @property
     def kind(self) -> str:
         return "dau+dsup" if self.advantage_head else "dsup"
 
     def _phi_split(self, phi_out):
-        b = phi_out.shape[0]
-        heads = phi_out[:, : self.n_actions * self.m].reshape(
-            b, self.n_actions, self.m
-        )
-        adv = phi_out[:, self.n_actions * self.m :] if self.advantage_head else None
-        return heads, adv
+        """(proxy heads per action, advantage per action or None)."""
+        k = self.n_actions * self.m
+        heads = phi_out[:, :k].reshape(phi_out.shape[0], self.n_actions, self.m)
+        return heads, (phi_out[:, k:] if self.advantage_head else None)
 
     def _utilities(self, heads, adv, shifted: bool):
         util = _risk_utilities(heads, self._risk_w)
@@ -332,32 +325,12 @@ class QrdqnAgent(_AgentBase):
     kind = "qrdqn"
     _nets = (("zeta", "zeta", "zeta_target"),)
 
-    def __init__(
-        self,
-        state_dim: int,
-        n_actions: int,
-        h: float,
-        m: int = 100,
-        hidden=(100, 100),
-        risk: DistortionMeasure | None = None,
-        lr: float = 1e-4,
-        kappa: float = 1.0,
-        discount: float = 0.999,
-        horizon: float = 100.0,
-        terminal_reward=None,
-        schedule: ExplorationSchedule | None = None,
-        seed: int = 0,
-    ):
-        super().__init__(state_dim, n_actions, h, discount, horizon, terminal_reward,
-                         schedule)
-        self.m = m
-        self.kappa = kappa
-        self.risk = risk or DistortionMeasure.expected_value()
-        self._risk_w = self.risk.level_weights(m)
-        rng = np.random.default_rng(seed)
-        obs_dim = state_dim + 1
-        self.zeta = Mlp.from_sizes([obs_dim, *hidden, n_actions * m], rng)
-        self._init_learner(lr, (qrdqn_loss_grads,))
+    def __init__(self, state_dim: int, n_actions: int, h: float, m: int = 100,
+                 risk: DistortionMeasure | None = None, kappa: float = 1.0, **base):
+        super().__init__(state_dim, n_actions, h, **base)
+        self._init_quantiles(m, risk, kappa)
+        self.zeta = self._mlp(n_actions * m)
+        self._init_learner((qrdqn_loss_grads,))
 
     def _heads(self, net, obs):
         return net.forward(obs).reshape(obs.shape[0], self.n_actions, self.m)
@@ -380,26 +353,11 @@ class DauAgent(_AgentBase):
     kind = "dau"
     _nets = (("v", "vnet", "v_target"), ("a", "anet", None))
 
-    def __init__(
-        self,
-        state_dim: int,
-        n_actions: int,
-        h: float,
-        hidden=(100, 100),
-        lr: float = 1e-4,
-        discount: float = 0.999,
-        horizon: float = 100.0,
-        terminal_reward=None,
-        schedule: ExplorationSchedule | None = None,
-        seed: int = 0,
-    ):
-        super().__init__(state_dim, n_actions, h, discount, horizon, terminal_reward,
-                         schedule)
-        rng = np.random.default_rng(seed)
-        obs_dim = state_dim + 1
-        self.vnet = Mlp.from_sizes([obs_dim, *hidden, 1], rng)
-        self.anet = Mlp.from_sizes([obs_dim, *hidden, n_actions], rng)
-        self._init_learner(lr, (dau_loss_grads,))
+    def __init__(self, state_dim: int, n_actions: int, h: float, **base):
+        super().__init__(state_dim, n_actions, h, **base)
+        self.vnet = self._mlp(1)
+        self.anet = self._mlp(n_actions)
+        self._init_learner((dau_loss_grads,))
 
     def act_greedy_batch(self, t, X) -> np.ndarray:
         return np.argmax(self.anet.forward(self.observe(t, X)), axis=1)

@@ -11,6 +11,9 @@ import numpy as np
 
 CHECKPOINT_VERSION = "ctdrl-checkpoint-1"
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class ParamGrads(list):
     """Per-tensor gradients in ``Mlp.params`` order, each a view into the one
@@ -150,11 +153,8 @@ class AdamState:
     """First/second moment accumulators with bias correction, plus two
     scratch vectors per tensor so that a step allocates nothing."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -177,7 +177,7 @@ def adam_step(state: AdamState, params, grads):
             raise ValueError("param/grad shape mismatch")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v, (s1, s2) in zip(params, grads, state.m, state.v, state._scratch):
         m *= b1
         np.multiply(g, 1 - b1, out=s1)
@@ -189,7 +189,7 @@ def adam_step(state: AdamState, params, grads):
         np.divide(m, 1 - b1**t, out=s1)
         np.divide(v, 1 - b2**t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += state.eps
+        s2 += ADAM_EPS
         s1 *= state.lr
         s1 /= s2
         p -= s1

@@ -276,8 +276,14 @@ def echo_config(out_dir: Path, command: str, cfg: dict):
 
 
 def _cell_seed(seed: int, *key) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1)[0])
+    """One integer seed drawn from the SeedSequence of ``substream(seed, *key)``."""
+    return int(substream(seed, *key).bit_generator.seed_seq.generate_state(1)[0])
+
+
+def _sim_config(cfg, seed=0) -> SimConfig:
+    """The EM settings of a gap-rates or superiority-demo config."""
+    return SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"],
+                     tail_dt=cfg["tail_dt"], seed=seed)
 
 
 def _window_errors(cfg, hs):
@@ -288,7 +294,7 @@ def _window_errors(cfg, hs):
     if cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
         errors.append(f"t + h must not exceed the horizon {cfg['horizon']}, "
                       f"got t={cfg['t']} and h={max(hs)}")
-    sim = SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"])
+    sim = _sim_config(cfg)
     try:
         for h in hs:
             _window_dt(sim, h)
@@ -308,6 +314,10 @@ def check_superiority_demo(cfg):
 
 def check_train(cfg):
     errors = []
+    omega = min(cfg["omega_grid"])
+    if 1.0 / omega > cfg["horizon"] + TIME_TOL:
+        errors.append(f"omega_grid: 1/omega must not exceed the horizon "
+                      f"{cfg['horizon']}, got omega={omega}")
     if cfg["batch_size"] > cfg["buffer_capacity"]:
         errors.append(f"batch_size must not exceed buffer_capacity, got "
                       f"{cfg['batch_size']} > {cfg['buffer_capacity']}")
@@ -317,14 +327,12 @@ def check_train(cfg):
 
 
 def _build_gap_env(cfg):
-    if cfg["env"] == "brownian_gap":
-        return envs.brownian_gap_env(horizon=cfg["horizon"], discount=cfg["discount"])
-    return envs.illustration_env(
-        horizon=cfg["horizon"],
-        discount=cfg["discount"],
-        drift=cfg["drift"],
-        move_diffusion=cfg["move_diffusion"],
-    )
+    """The env of a gap-rates or superiority-demo config; superiority-demo
+    has no env key and runs the illustration env."""
+    if cfg.get("env") == "brownian_gap":
+        return envs.brownian_gap_env(cfg["horizon"], cfg["discount"])
+    return envs.illustration_env(cfg["horizon"], cfg["discount"], cfg["drift"],
+                                 cfg["move_diffusion"])
 
 
 def cmd_gap_rates(cfg, out_dir: Path) -> int:
@@ -334,12 +342,7 @@ def cmd_gap_rates(cfg, out_dir: Path) -> int:
     for seed in cfg["seeds"]:
         w_points, v_points = [], []
         for i, h in enumerate(sorted(cfg["h_grid"], reverse=True)):
-            sim = SimConfig(
-                substeps=cfg["substeps"],
-                dt_floor=cfg["dt_floor"],
-                tail_dt=cfg["tail_dt"],
-                seed=_cell_seed(seed, 77, i),
-            )
+            sim = _sim_config(cfg, _cell_seed(seed, 77, i))
             est = estimate.action_gaps(
                 mdp, policy, cfg["t"], [cfg["x"]], h, cfg["n_paths"], cfg["p"],
                 sim, m=cfg["m"], bootstrap=cfg["bootstrap"],
@@ -396,36 +399,28 @@ def _superiority_rows(cfg, seed, h, zeta, eta):
 
 
 def cmd_superiority_demo(cfg, out_dir: Path) -> int:
-    mdp = envs.illustration_env(
-        horizon=cfg["horizon"],
-        discount=cfg["discount"],
-        drift=cfg["drift"],
-        move_diffusion=cfg["move_diffusion"],
-    )
+    mdp = _build_gap_env(cfg)
     policy = ConstantAction(cfg["base_action"])
+    steps = _sim_config(cfg)
     n = cfg["n_paths"]
     rows = []
     for seed in cfg["seeds"]:
         for i, omega in enumerate(cfg["omega_grid"]):
             h = 1.0 / omega
-            sim = SimConfig(
-                substeps=cfg["substeps"],
-                dt_floor=cfg["dt_floor"],
-                tail_dt=cfg["tail_dt"],
-                seed=_cell_seed(seed, 78, i),
-            )
-            dt = sim.resolve_dt(h)
-            sim = SimConfig(dt=dt, tail_dt=cfg["tail_dt"], seed=sim.seed)
+            # Both rollouts step at the window's dt, the plain one included.
+            sim = dataclasses.replace(steps, dt=steps.resolve_dt(h),
+                                      seed=_cell_seed(seed, 78, i))
             zeta = estimate.mc_action_return_dist(
                 mdp, policy, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
             )
             eta = estimate.mc_return_dist(mdp, policy, cfg["t"], [cfg["x"]], n, sim)
-            # Finite returns can still overflow the quantiles, their rescaled
-            # panels or their moments; any such overflow is a divergence.
+            # Finite returns can still overflow the quantiles (mc_superiority
+            # raises), their rescaled panels or their moments; any such
+            # overflow is a divergence.
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     rows += _superiority_rows(cfg, seed, h, zeta, eta)
-            except FloatingPointError as exc:
+            except (FloatingPointError, SimulationError) as exc:
                 raise SimulationError(
                     f"non-finite superiority estimate at h={h:.8g}") from exc
     write_results_csv(out_dir / "results.csv", rows)
@@ -441,37 +436,24 @@ def _gbm_params_from_cfg(cfg):
 
 
 def build_agent(kind, cfg, h, terminal_reward, decay_steps, seed):
-    risk = (
-        DistortionMeasure.cvar(cfg["risk_alpha"])
-        if cfg["risk"] == "cvar"
-        else DistortionMeasure.expected_value()
-    )
-    schedule = agents.ExplorationSchedule(cfg["eps_start"], cfg["eps_end"], decay_steps)
-    common = dict(
-        state_dim=1,
-        n_actions=2,
-        h=h,
-        hidden=tuple(cfg["hidden"]),
-        lr=cfg["lr"],
-        discount=cfg["discount"],
-        horizon=cfg["horizon"],
+    base = dict(
+        state_dim=1, n_actions=2, h=h, hidden=cfg["hidden"], lr=cfg["lr"],
+        discount=cfg["discount"], horizon=cfg["horizon"],
         terminal_reward=terminal_reward,
-        schedule=schedule,
+        schedule=agents.ExplorationSchedule(cfg["eps_start"], cfg["eps_end"],
+                                            decay_steps),
         seed=seed,
     )
-    if kind == "qrdqn":
-        return agents.QrdqnAgent(m=cfg["m"], risk=risk, kappa=cfg["kappa"], **common)
     if kind == "dau":
-        return agents.DauAgent(**common)
+        return agents.DauAgent(**base)
+    risk = (DistortionMeasure.cvar(cfg["risk_alpha"]) if cfg["risk"] == "cvar"
+            else DistortionMeasure.expected_value())
+    quantiles = dict(m=cfg["m"], risk=risk, kappa=cfg["kappa"], **base)
+    if kind == "qrdqn":
+        return agents.QrdqnAgent(**quantiles)
     if kind in ("dsup", "dau+dsup"):
-        return agents.DsupAgent(
-            q=cfg["q"],
-            m=cfg["m"],
-            risk=risk,
-            kappa=cfg["kappa"],
-            advantage_head=(kind == "dau+dsup"),
-            **common,
-        )
+        return agents.DsupAgent(q=cfg["q"], advantage_head=(kind == "dau+dsup"),
+                                **quantiles)
     raise ValueError(f"unknown agent kind: {kind!r}")
 
 
@@ -488,10 +470,7 @@ def cmd_train(cfg, out_dir: Path) -> int:
                 train_params, horizon=cfg["horizon"],
                 start_price=cfg["start_price"], discount=cfg["discount"],
             )
-            eval_env = envs.OptionTradingEnv(
-                eval_params, horizon=cfg["horizon"],
-                start_price=cfg["start_price"], discount=cfg["discount"],
-            )
+            eval_env = dataclasses.replace(train_env, gbm=eval_params)
             ipu = agents.interactions_per_update(h)
             decay = max(1, int(cfg["eps_fraction"] * cfg["updates"] * ipu))
             agent = build_agent(
@@ -533,7 +512,9 @@ def cmd_train(cfg, out_dir: Path) -> int:
                 print(f"divergence in cell {tag}: {exc}", file=sys.stderr)
                 exit_code = 3
                 continue
-            execute_now = cfg["discount"] ** h * max(0.0, 1.0 - cfg["start_price"])
+            # executing at reset is credited at t + h, as evaluate_policy does
+            execute_now = eval_env.discount**h * float(
+                eval_env.terminal_reward(eval_env.reset())[0])
             rows.append(ResultRow("train", seed, h, "final_eval_mean", final_mean))
             rows.append(ResultRow("train", seed, h, "final_eval_cvar", final_cvar))
             rows.append(ResultRow("train", seed, h, "random_baseline_mean", rand_mean))

@@ -21,7 +21,6 @@ __all__ = [
     "QuantileRep",
     "EmpiricalDist",
     "DistortionMeasure",
-    "Cdr",
     "canonicalize",
     "quantile_function",
     "wasserstein",
@@ -69,7 +68,8 @@ class QuantileRep:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDist:
-    """A bag of Monte-Carlo samples, convertible to a QuantileRep."""
+    """A bag of Monte-Carlo samples, convertible to a QuantileRep: returns,
+    or the differences of a coupled pair of them."""
 
     samples: np.ndarray
 
@@ -79,16 +79,6 @@ class EmpiricalDist:
     @property
     def n(self) -> int:
         return self.samples.size
-
-
-@dataclass(frozen=True, eq=False)
-class Cdr:
-    """Samples from a coupled difference representation of two distributions."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_vector(self.samples, "samples"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +222,12 @@ def superiority(zeta: QuantileRep, eta: QuantileRep) -> QuantileRep:
 
 def independent_cdr(
     mu: EmpiricalDist, nu: EmpiricalDist, rng: np.random.Generator, n_samples=None
-) -> Cdr:
+) -> EmpiricalDist:
     """Samples of Z - W with Z, W drawn independently (product coupling)."""
     n = int(n_samples) if n_samples is not None else max(mu.n, nu.n)
     z = rng.choice(mu.samples, size=n, replace=True)
     w = rng.choice(nu.samples, size=n, replace=True)
-    return Cdr(z - w)
+    return EmpiricalDist(z - w)
 
 
 def rescale(psi: QuantileRep, h: float, q: float) -> QuantileRep:
@@ -255,9 +245,9 @@ def advantage_shift(psi_q: QuantileRep, advantage: float, h: float, q: float) ->
 def _values_of(obj):
     if isinstance(obj, QuantileRep):
         return obj.values
-    if isinstance(obj, (EmpiricalDist, Cdr)):
+    if isinstance(obj, EmpiricalDist):
         return obj.samples
-    raise TypeError(f"expected QuantileRep, EmpiricalDist or Cdr, got {type(obj)}")
+    raise TypeError(f"expected QuantileRep or EmpiricalDist, got {type(obj)}")
 
 
 def mean(obj) -> float:

@@ -38,22 +38,13 @@ class GbmParams:
 
 
 def brownian_gap_env(horizon: float = 1.0, discount: float = 1.0) -> ContinuousMdp:
-    """Two actions on the line: action 1 turns on unit Brownian noise, action 0
-    freezes the state; the reward is the state itself, no terminal reward.
+    """The illustration env without drift: action 1 turns on unit Brownian
+    noise, action 0 freezes the state.
 
     Under the always-0 policy from (t, x) the return is deterministic:
     x * (T - t) at discount 1, else x * (gamma**(T-t) - 1) / ln(gamma).
     """
-    return ContinuousMdp(
-        state_dim=1,
-        actions=(0, 1),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: 1.0 if a == 1 else 0.0,
-        reward=lambda t, X: X[:, 0],
-        terminal_reward=lambda X: np.zeros(X.shape[0]),
-        horizon=horizon,
-        discount=discount,
-    )
+    return illustration_env(horizon, discount, drift=0.0, move_diffusion=1.0)
 
 
 def brownian_gap_w1_oracle(h: float, horizon: float = 1.0) -> float:

@@ -110,10 +110,17 @@ def mc_action_return_dist(
 def mc_superiority(
     zeta: dist.EmpiricalDist, eta: dist.EmpiricalDist, m: int = ESTIMATOR_M
 ) -> dist.QuantileRep:
-    """Empirical superiority: quantize both sides to m levels and subtract."""
-    zq = dist.to_quantile_rep(zeta, m)
-    eq = dist.to_quantile_rep(eta, m)
-    return dist.superiority(zq, eq)
+    """Empirical superiority: quantize both sides to m levels and subtract.
+
+    Raises SimulationError when finite samples overflow the quantiles or
+    their difference.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return dist.superiority(dist.to_quantile_rep(zeta, m),
+                                    dist.to_quantile_rep(eta, m))
+    except FloatingPointError as exc:
+        raise SimulationError("non-finite superiority estimate") from exc
 
 
 def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from ctdrl.approx import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Mlp,
     adam_step,
@@ -216,13 +219,13 @@ def adam_step_oracle(state, params, grads):
     adam_step must reproduce bit for bit."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = b1 * state.m[i] + (1 - b1) * g
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         m_hat = state.m[i] / (1 - b1**t)
         v_hat = state.v[i] / (1 - b2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @pytest.mark.parametrize("flat", [False, True])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctdrl.cli import main, resolve_config, GAP_RATES_FIELDS
+from ctdrl.cli import main, resolve_config, check_train, GAP_RATES_FIELDS, TRAIN_FIELDS
 
 
 def run(args):
@@ -164,6 +164,7 @@ BAD_VALUES = [
     ("train", "eps_fraction", "inf"),
     ("train", "omega_grid", "inf"),
     ("train", "omega_grid", "nan"),
+    ("train", "omega_grid", "0.005"),  # h = 200 outlasts the horizon 100
     ("train", "seeds", "-1"),
     ("train", "eval_every", "-2"),
     ("train", "train_sigma", "1e200"),
@@ -176,6 +177,20 @@ def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, val
     assert run([command, "--out", str(tmp_path / "x"), "--set", f"{key}={value}"]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # a rejected config writes nothing
+
+
+# An exercise is credited at t + h, so each decision period h = 1/omega must
+# end by the horizon; h equal to the horizon is one decision per episode.
+@pytest.mark.parametrize("sets, ok", [
+    (["omega_grid=0.01"], True),
+    (["omega_grid=0.5,5", "horizon=2"], True),
+    (["omega_grid=5,0.4", "horizon=2"], False),
+])
+def test_train_decision_period_must_not_exceed_the_horizon(sets, ok):
+    cfg, errors = resolve_config(TRAIN_FIELDS, None, sets)
+    assert not errors
+    errors = check_train(cfg)
+    assert not errors if ok else "omega_grid" in errors[0]
 
 
 def test_train_rejects_batch_larger_than_buffer(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from ctdrl.dist import (
     _hazen,
-    Cdr,
     DistortionMeasure,
     EmpiricalDist,
     QuantileRep,
@@ -362,7 +361,7 @@ def test_mean_variance_examples():
     assert variance(rep(0, 2)) == 1.0  # population normalization for reps
     assert variance(emp(0, 2)) == 2.0  # sample normalization for draws
     assert variance(emp(5.0)) == 0.0
-    assert mean(Cdr(np.array([1.0, 2.0]))) == 1.5
+    assert mean(EmpiricalDist(np.array([1.0, 2.0]))) == 1.5
 
 
 def test_to_quantile_rep_midpoint_convention():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig
+from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig, SimulationError
 from ctdrl.dist import (
     EmpiricalDist,
     QuantileRep,
@@ -65,6 +65,16 @@ def test_mc_superiority_translation():
     base = rng.normal(size=500)
     psi = mc_superiority(EmpiricalDist(base + 2.5), EmpiricalDist(base), 128)
     np.testing.assert_allclose(psi.values, 2.5, rtol=1e-12)
+
+
+# Finite samples whose difference overflows, and whose quantiles do.
+@pytest.mark.parametrize("zeta, eta", [
+    (np.full(10, 1e308), np.full(10, -1e308)),
+    ([-1e308, 1e308], [0.0, 1.0]),
+])
+def test_mc_superiority_overflow_is_a_simulation_error(zeta, eta):
+    with pytest.raises(SimulationError, match="non-finite superiority estimate"):
+        mc_superiority(EmpiricalDist(zeta), EmpiricalDist(eta), 4)
 
 
 def test_mc_superiority_variance_below_independent_cdr():
