@@ -3,6 +3,7 @@ gaps under transport distances, and log-log rate fitting."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -115,12 +116,21 @@ def mc_superiority(
     Raises SimulationError when finite samples overflow the quantiles or
     their difference.
     """
+    with _overflow_raises("non-finite superiority estimate"):
+        return dist.superiority(dist.to_quantile_rep(zeta, m),
+                                dist.to_quantile_rep(eta, m))
+
+
+@contextlib.contextmanager
+def _overflow_raises(message):
+    """Floating-point overflow or an invalid operation inside the block
+    raises SimulationError(message): finite samples can still overflow the
+    quantiles interpolated between them."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return dist.superiority(dist.to_quantile_rep(zeta, m),
-                                    dist.to_quantile_rep(eta, m))
+            yield
     except FloatingPointError as exc:
-        raise SimulationError("non-finite superiority estimate") from exc
+        raise SimulationError(message) from exc
 
 
 def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
@@ -151,10 +161,10 @@ def _sorted_ranks(samples):
     return samples[order], rank
 
 
-def _require_finite(h, values):
+def _require_finite(message, values):
     """Finite samples can still overflow the estimates made from them."""
     if not np.isfinite(values).all():
-        raise SimulationError(f"non-finite action-gap estimate at h={h:.8g}")
+        raise SimulationError(message)
 
 
 def action_gaps(
@@ -175,12 +185,14 @@ def action_gaps(
     """
     if mdp.n_actions < 2:
         raise ValueError("action gaps need at least two actions")
+    diverged = f"non-finite action-gap estimate at h={h:.8g}"
     samples = []
     reps = []
     for idx in range(mdp.n_actions):
         emp = mc_action_return_dist(mdp, pi, t, x, idx, h, n_paths, cfg)
         samples.append(emp.samples)
-        reps.append(dist.to_quantile_rep(emp, m))
+        with _overflow_raises(diverged):
+            reps.append(dist.to_quantile_rep(emp, m))
     means = tuple(float(np.mean(s)) for s in samples)
     mean_ses = tuple(
         float(np.std(s, ddof=1) / math.sqrt(s.size)) for s in samples
@@ -191,8 +203,8 @@ def action_gaps(
     for i, j in itertools.combinations(range(mdp.n_actions), 2):
         pair_distances[(i, j)] = dist.wasserstein(p, reps[i], reps[j])
         pair_value_gaps[(i, j)] = abs(means[i] - means[j])
-    _require_finite(h, [*means, *mean_ses, *pair_distances.values(),
-                        *pair_value_gaps.values()])
+    _require_finite(diverged, [*means, *mean_ses, *pair_distances.values(),
+                               *pair_value_gaps.values()])
 
     dist_pair = min(pair_distances, key=lambda k: (pair_distances[k], k))
     value_pair = min(pair_value_gaps, key=lambda k: (pair_value_gaps[k], k))
@@ -201,7 +213,7 @@ def action_gaps(
     dist_se = _bootstrap_w_se(samples[i], samples[j], p, m, bootstrap, boot_rng)
     vi, vj = value_pair
     value_se = math.hypot(mean_ses[vi], mean_ses[vj])
-    _require_finite(h, [dist_se, value_se])
+    _require_finite(diverged, [dist_se, value_se])
 
     return GapEstimate(
         h=h,

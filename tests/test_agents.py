@@ -1,5 +1,10 @@
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1021,3 +1026,80 @@ def test_windowed_train_follows_the_greedy_rule_at_every_step(monkeypatch, stop_
             assert np.array_equal(nxt.x, tr.x_next) and not np.array_equal(tr.x, tr.x_next)
         else:
             assert tr.done and nxt.t == 0.0 and np.array_equal(tr.x_next, tr.x)
+
+
+# train() in a fresh interpreter, so the process-wide heap setting and the
+# fault count belong to this run alone.
+_SRC = str(Path(agents_module.__file__).resolve().parents[1])
+
+_FAULTS_RUN = """
+import json, resource, sys
+from ctdrl import agents, envs
+env = envs.OptionTradingEnv(envs.GbmParams(0.0, 0.2))
+agent = agents.DsupAgent(1, 2, 0.2, q=0.5, m=100, hidden=(100, 100),
+                         terminal_reward=env.terminal_reward, seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+agents.train(agent, env, int(sys.argv[1]), agents.TrainConfig(batch_size=32, eval_every=0))
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"resident": agents._keep_heap_resident(), "faults": faults}))
+"""
+
+_FALLBACK_RUN = """
+import ctypes, hashlib, sys
+
+class Refusing:
+    def __init__(self, name):
+        pass
+
+    def mallopt(self, param, value):
+        return 0
+
+def missing(name):
+    raise OSError("no C library")
+
+if sys.argv[1] == "refused":
+    ctypes.CDLL = Refusing
+elif sys.argv[1] == "missing":
+    ctypes.CDLL = missing
+
+from ctdrl import agents, envs
+env = envs.OptionTradingEnv(envs.GbmParams(0.0, 0.2))
+agent = agents.DsupAgent(1, 2, 0.2, m=8, hidden=(16, 16),
+                         terminal_reward=env.terminal_reward, seed=1)
+cfg = agents.TrainConfig(batch_size=8, target_period=10, eval_every=20, eval_episodes=10)
+log = agents.train(agent, env, 60, cfg)
+digest = hashlib.sha256(repr(log).encode())
+for name, arr in sorted(agent.named_params().items()):
+    digest.update(name.encode())
+    digest.update(arr.tobytes())
+print(agents._keep_heap_resident(), len(log), digest.hexdigest())
+"""
+
+
+def _run_fresh(script, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+@pytest.mark.parametrize("updates", [60, 200])
+def test_train_does_not_refault_the_heap_every_update(updates):
+    """At the criterion-10 shape, the faults around train() stay flat in the
+    update count: without the heap setting each update re-faults about
+    100-160 pages that glibc trimmed after the previous one."""
+    run = json.loads(_run_fresh(_FAULTS_RUN, updates))
+    if not run["resident"]:
+        pytest.skip("mallopt is unavailable or refused")
+    assert run["faults"] < 1500
+
+
+@pytest.mark.parametrize("libc", ["refused", "missing"])
+def test_train_without_mallopt_runs_to_the_same_bytes(libc):
+    _, rows, digest = _run_fresh(_FALLBACK_RUN, "default").split()
+    fallback = _run_fresh(_FALLBACK_RUN, libc).split()
+    assert rows == "3"
+    assert fallback == ["False", rows, digest]

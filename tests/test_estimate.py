@@ -106,6 +106,25 @@ def test_action_gaps_identical_dynamics_vanish():
     assert est.dist_gap <= 0.05
 
 
+# Returns of +-1e308: every sample is finite, but at m = 64 the quantiles
+# interpolate between the two signs and overflow; at m = 16 they do not, and
+# the gap itself overflows.
+@pytest.mark.parametrize("m", [64, 16])
+def test_action_gaps_quantile_overflow_is_a_simulation_error(m):
+    env = ContinuousMdp(
+        state_dim=1,
+        actions=(0, 1),
+        drift=lambda t, X, a: 0.0,
+        diffusion=lambda t, X, a: float(a),
+        reward=lambda t, X: np.zeros(X.shape[0]),
+        terminal_reward=lambda X: np.where(X[:, 0] > 0, 1e308, -1e308),
+        horizon=1.0,
+    )
+    with pytest.raises(SimulationError, match="non-finite action-gap estimate"):
+        action_gaps(env, ConstantAction(1), 0.0, [0.0], 0.25, 64, 1,
+                    SimConfig(substeps=4, seed=1), m=m, bootstrap=5)
+
+
 def test_action_gaps_match_gaussian_oracle():
     env = brownian_gap_env()
     h = 0.25
