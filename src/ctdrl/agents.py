@@ -676,11 +676,12 @@ def _keep_heap_resident() -> bool:
 
     Under glibc's default thresholds the frees at the end of an update leave
     enough free memory at the top of the heap for glibc to return it, and
-    the next update faults those pages back in: about 100-160 minor faults
-    per update. Fixing the trim threshold keeps them; fixing the mmap
-    threshold too matters because any mallopt call freezes glibc's dynamic
-    mmap threshold, which could leave each backward pass's gradient vector
-    mmapped and unmapped per call. No computed value changes.
+    the next update faults those pages back in: about 100-230 minor faults
+    per update at the criterion-10 shape. Fixing the trim threshold keeps
+    them; fixing the mmap threshold too matters because any mallopt call
+    freezes glibc's dynamic mmap threshold, which could leave each backward
+    pass's gradient vector mmapped and unmapped per call. No computed value
+    changes.
 
     The setting is process-wide and lasts for the life of the process. Where
     mallopt is missing or refuses (musl, macOS, Windows) nothing is set.
@@ -690,6 +691,8 @@ def _keep_heap_resident() -> bool:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
                 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 

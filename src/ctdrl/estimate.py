@@ -108,6 +108,18 @@ def mc_action_return_dist(
     return dist.EmpiricalDist(gains)
 
 
+@contextlib.contextmanager
+def _overflow_raises(message):
+    """Floating-point overflow or an invalid operation inside the block
+    raises SimulationError(message): finite samples can still overflow the
+    quantiles interpolated between them."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise SimulationError(message) from exc
+
+
 def mc_superiority(
     zeta: dist.EmpiricalDist, eta: dist.EmpiricalDist, m: int = ESTIMATOR_M
 ) -> dist.QuantileRep:
@@ -119,18 +131,6 @@ def mc_superiority(
     with _overflow_raises("non-finite superiority estimate"):
         return dist.superiority(dist.to_quantile_rep(zeta, m),
                                 dist.to_quantile_rep(eta, m))
-
-
-@contextlib.contextmanager
-def _overflow_raises(message):
-    """Floating-point overflow or an invalid operation inside the block
-    raises SimulationError(message): finite samples can still overflow the
-    quantiles interpolated between them."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise SimulationError(message) from exc
 
 
 def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
