@@ -3,10 +3,13 @@ transport distance.
 
 The quantile Huber loss never forms the B x m x m' pair tensor. Each target
 row is sorted once and summarised by prefix sums of its atoms and their
-squares; three binary searches per prediction atom split the targets into
-the four regions where the loss is linear or quadratic and the asymmetric
-weight is tau or 1 - tau, and each region's contribution follows in closed
-form. The cost is O(B (m + m') log m').
+squares; up to three binary searches per prediction atom split the targets
+into the four regions where the loss is linear or quadratic and the
+asymmetric weight is tau or 1 - tau, and each region's contribution follows
+in closed form. The searches for the band edges p - kappa and p + kappa run
+only on rows whose targets leave the band on that side; on the others every
+target lies inside it and the edge is the row's first or last target. The
+cost is O(B (m + m') log m').
 """
 
 import numpy as np
@@ -21,13 +24,15 @@ def quantile_huber_batch(pred, target, kappa):
     loss = sum_kij |tau_i - 1{u_kij < 0}| L_kappa(u_kij) / (B m mp kappa),
     and grad has pred's shape. A non-finite input gives a non-finite loss.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    kappa = float(kappa)
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.ndim != 2 or target.ndim != 2 or pred.shape[0] != target.shape[0]:
-        raise ValueError("pred and target must be 2-d with matching batch size")
-    kappa = float(kappa)
+    if (pred.ndim != 2 or target.ndim != 2 or pred.shape[0] != target.shape[0]
+            or 0 in pred.shape or 0 in target.shape):
+        raise ValueError(
+            "pred and target must be nonempty 2-d arrays with matching batch size")
     b, m = pred.shape
     mp = target.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -39,7 +44,8 @@ def quantile_huber_batch(pred, target, kappa):
         # Work on each prediction row in ascending order, which keeps the
         # binary searches below cheap; the gradient is scattered back.
         order = np.argsort(pred, axis=1)
-        p = np.take_along_axis(pred, order, axis=1) - anchor
+        flat = order + np.arange(b)[:, None] * m
+        p = pred.take(flat) - anchor
         taus = (order + 0.5) / m
         s1 = np.zeros((b, mp + 1))
         s2 = np.zeros((b, mp + 1))
@@ -48,14 +54,21 @@ def quantile_huber_batch(pred, target, kappa):
 
         # Region bounds per prediction atom: t < p - kappa (linear, u < 0),
         # p - kappa <= t < p (quadratic, u < 0), p <= t <= p + kappa
-        # (quadratic, u >= 0), t > p + kappa (linear, u > 0).
-        lo = np.empty((b, m), dtype=np.intp)
+        # (quadratic, u >= 0), t > p + kappa (linear, u > 0). Rows are sorted
+        # and rounding is monotone, so a row whose first target is at or above
+        # its last p - kappa has lo = 0 throughout, and one whose last target
+        # is at or below its first p + kappa has hi = mp; only the other rows
+        # are searched. The negated tests send rows holding a NaN to the search.
+        lo = np.zeros((b, m), dtype=np.intp)
         mid = np.empty((b, m), dtype=np.intp)
-        hi = np.empty((b, m), dtype=np.intp)
+        hi = np.full((b, m), mp, dtype=np.intp)
+        p_lo, p_hi = p - kappa, p + kappa
         for k in range(b):
-            lo[k] = t[k].searchsorted(p[k] - kappa, side="left")
             mid[k] = t[k].searchsorted(p[k], side="left")
-            hi[k] = t[k].searchsorted(p[k] + kappa, side="right")
+        for k in np.flatnonzero(~(t[:, 0] >= p_lo[:, -1])):
+            lo[k] = t[k].searchsorted(p_lo[k], side="left")
+        for k in np.flatnonzero(~(t[:, -1] <= p_hi[:, 0])):
+            hi[k] = t[k].searchsorted(p_hi[k], side="right")
 
         row = np.arange(b)[:, None] * (mp + 1)
         s1_lo, s1_mid, s1_hi = s1.take(row + lo), s1.take(row + mid), s1.take(row + hi)
@@ -78,7 +91,7 @@ def quantile_huber_batch(pred, target, kappa):
         )
         dloss = below_w * (du_neg - kappa * lo) + taus * (du_pos + kappa * n_above)
         grad = np.empty((b, m))
-        np.put_along_axis(grad, order, -norm * dloss, axis=1)
+        grad.put(flat, -norm * dloss)
         return loss, grad
 
 

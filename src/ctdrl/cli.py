@@ -417,12 +417,9 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
             # Finite returns can still overflow the quantiles (mc_superiority
             # raises), their rescaled panels or their moments; any such
             # overflow is a divergence.
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    rows += _superiority_rows(cfg, seed, h, zeta, eta)
-            except (FloatingPointError, SimulationError) as exc:
-                raise SimulationError(
-                    f"non-finite superiority estimate at h={h:.8g}") from exc
+            with estimate._overflow_raises(
+                    f"non-finite superiority estimate at h={h:.8g}"):
+                rows += _superiority_rows(cfg, seed, h, zeta, eta)
     write_results_csv(out_dir / "results.csv", rows)
     return 0
 

@@ -110,13 +110,13 @@ def mc_action_return_dist(
 
 @contextlib.contextmanager
 def _overflow_raises(message):
-    """Floating-point overflow or an invalid operation inside the block
-    raises SimulationError(message): finite samples can still overflow the
-    quantiles interpolated between them."""
+    """Floating-point overflow or an invalid operation inside the block, or a
+    SimulationError raised there, raises SimulationError(message): finite
+    samples can still overflow the quantiles interpolated between them."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as exc:
+    except (FloatingPointError, SimulationError) as exc:
         raise SimulationError(message) from exc
 
 
