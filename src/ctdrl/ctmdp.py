@@ -14,9 +14,10 @@ diffusion on every path is x + b dt and leaves the generator untouched. A
 step whose drift and diffusion are both zero on every path leaves the states
 as they are, with no + 0 dt, so a signed zero stays signed.
 
-Policies return one action index per path. ``ConstantAction`` and the window
-of a ``persistent`` policy return theirs as a read-only zero-stride view,
-which the EM step takes as one action without scanning it.
+A rollout step plays one action on every path. Policies return one action
+index per path; an index vector that holds two actions raises ValueError.
+``ConstantAction`` and the window of a ``persistent`` policy return theirs as
+a read-only zero-stride view, which the EM step takes without scanning it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "ContinuousMdp",
     "SimConfig",
     "ConstantAction",
-    "DeterministicMap",
-    "FiniteAtomic",
     "PersistentModification",
     "persistent",
     "em_step",
@@ -92,8 +91,9 @@ class SimConfig:
 
     ``dt`` pins the step directly; otherwise it is derived from the
     persistence horizon as h/substeps with a floor of dt_floor (never above
-    h itself). ``tail_dt`` optionally coarsens the step after the persistence
-    window; it defaults to the window step.
+    h itself). ``tail_dt`` applies to action-conditioned rollouts only: it
+    optionally coarsens the step after the persistence window, and defaults
+    to the window step. A rollout without a window steps at dt throughout.
     """
 
     dt: float | None = None
@@ -136,43 +136,16 @@ class ConstantAction:
         return _uniform_indices(self.action, states.shape[0])
 
 
-class DeterministicMap:
-    """Action index as a function of (t, states)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def sample_actions(self, t, states, rng) -> np.ndarray:
-        idx = np.asarray(self.fn(t, states), dtype=np.intp)
-        return np.array(np.broadcast_to(idx, (states.shape[0],)))
-
-
-class FiniteAtomic:
-    """Probability vector over actions as a function of (t, states)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def sample_actions(self, t, states, rng) -> np.ndarray:
-        probs = np.asarray(self.fn(t, states), dtype=np.float64)
-        if probs.ndim == 1:
-            probs = np.broadcast_to(probs, (states.shape[0], probs.size))
-        sums = probs.sum(axis=1)
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise ValueError("action probabilities must sum to 1")
-        u = rng.random(states.shape[0])
-        cdf = np.cumsum(probs, axis=1)
-        return np.minimum(
-            (u[:, None] > cdf).sum(axis=1), probs.shape[1] - 1
-        ).astype(np.intp)
+def _check_persistence(h):
+    if not 0 < h < math.inf:
+        raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
 
 
 class PersistentModification:
     """delta_a on [t0, t0 + h), the base policy elsewhere."""
 
     def __init__(self, base, h: float, action: int, t0: float):
-        if h <= 0:
-            raise ValueError(f"persistence horizon must be positive, got {h}")
+        _check_persistence(h)
         self.base = base
         self.h = h
         self.action = int(action)
@@ -215,26 +188,20 @@ def _em_action_step(mdp, t, states, label, delta, draw):
 
 
 def _em_apply(mdp, t, states, action_indices, delta, draw):
-    """One EM step on a path bundle with per-path action indices.
+    """One EM step on a path bundle whose paths all play one action.
 
-    A bundle whose paths all play one action is stepped whole; a mixed one
-    is split by action and scattered back, each action reading its rows of
-    the one (paths, n) block that ``draw()`` returns. A zero-stride index
-    vector is uniform by construction and is not scanned. The result may be
+    A zero-stride index vector is uniform by construction and is not
+    scanned; any other that holds two actions raises ValueError. An empty
+    bundle gives an empty result and draws nothing. The result may be
     ``states`` itself (see _em_action_step).
     """
-    if action_indices.size and (
-        action_indices.strides[0] == 0 or (action_indices == action_indices[0]).all()
-    ):
-        label = mdp.actions[action_indices[0]]
-        return _em_action_step(mdp, t, states, label, delta, draw)
-    out = np.empty_like(states)
-    for idx in np.unique(action_indices):
-        mask = action_indices == idx
-        out[mask] = _em_action_step(
-            mdp, t, states[mask], mdp.actions[idx], delta, lambda m=mask: draw()[m]
-        )
-    return out
+    if not action_indices.size:
+        return np.empty_like(states)
+    first = action_indices[0]
+    if action_indices.strides[0] and (action_indices != first).any():
+        raise ValueError(f"the policy played {np.unique(action_indices).size} actions "
+                         f"in the step at t={t:.8g}; a step plays one action")
+    return _em_action_step(mdp, t, states, mdp.actions[first], delta, draw)
 
 
 def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
@@ -276,18 +243,6 @@ def _phase_steps(start, end, step):
     return deltas
 
 
-def _once(fn):
-    """A zero-argument call that runs fn the first time and returns that result."""
-    memo = []
-
-    def once():
-        if not memo:
-            memo.append(fn())
-        return memo[0]
-
-    return once
-
-
 def _rollout_returns(
     mdp: ContinuousMdp,
     policy,
@@ -313,6 +268,7 @@ def _rollout_returns(
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
     horizon = mdp.horizon
 
+    draw = functools.partial(rng.standard_normal, (n_paths, n))
     phases = []
     if window_end is not None and window_end < horizon - TIME_TOL:
         phases.append((t0, window_end, dt))
@@ -333,7 +289,6 @@ def _rollout_returns(
                 np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
                 np.multiply(step_gain, delta, out=step_gain)
             gains += step_gain
-            draw = _once(lambda: rng.standard_normal((n_paths, n)))
             acts = policy.sample_actions(s, states, rng)
             stepped = _em_apply(mdp, s, states, acts, delta, draw)
             if stepped is not states and not np.isfinite(stepped).all():
@@ -354,13 +309,14 @@ def _rollout_dt(
     """The EM step for rollouts from time t, after validating the start.
 
     Without a persistence horizon the start must precede the horizon. With
-    one, the window [t, t + h) must end by the horizon and the step must
-    divide h.
+    one, h must be positive and finite, the window [t, t + h) must end by the
+    horizon and the step must divide h.
     """
     if h is None:
         if t >= mdp.horizon:
             raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
         return cfg.resolve_dt()
+    _check_persistence(h)
     if t + h > mdp.horizon + TIME_TOL:
         raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
     return _window_dt(cfg, h)

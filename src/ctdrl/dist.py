@@ -4,14 +4,14 @@ A QuantileRep with values ``v_1..v_m`` encodes the distribution whose
 tau_i = (i - 1/2)/m quantile is ``v_i``; equivalently the uniform mixture of
 point masses at the (sorted) values. Values may be stored unsorted because
 learned quantile heads are positional; every metric and statistic here
-canonicalizes (sorts) internally before interpreting values as quantiles.
+sorts them internally before interpreting values as quantiles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,6 @@ __all__ = [
     "QuantileRep",
     "EmpiricalDist",
     "DistortionMeasure",
-    "canonicalize",
-    "quantile_function",
     "wasserstein",
     "wasserstein_bruteforce",
     "risk_measure",
@@ -85,31 +83,19 @@ class EmpiricalDist:
 class DistortionMeasure:
     """Distortion risk measure: a weighting of quantile levels.
 
-    ``expected_value`` weights all levels equally, ``cvar(alpha)`` spreads
-    U(0, alpha) over the level buckets by exact integration (so the weights
-    are continuous in alpha), and ``discrete`` pins user weights to the m
-    levels of the rep it is applied to.
+    ``expected_value`` weights all levels equally, and ``cvar(alpha)``
+    spreads U(0, alpha) over the level buckets by exact integration (so the
+    weights are continuous in alpha).
     """
 
     kind: str
     alpha: float = 1.0
-    weights: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if self.kind not in ("expected_value", "cvar", "discrete"):
+        if self.kind not in ("expected_value", "cvar"):
             raise ValueError(f"unknown distortion measure kind {self.kind!r}")
         if self.kind == "cvar" and not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"cvar alpha must be in (0, 1], got {self.alpha}")
-        if self.kind == "discrete":
-            w = _frozen_vector(self.weights, "weights")
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
-            total = float(w.sum())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"weights must sum to 1, got {total}")
-            w = w / total
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
 
     @classmethod
     def expected_value(cls):
@@ -119,38 +105,13 @@ class DistortionMeasure:
     def cvar(cls, alpha: float):
         return cls(kind="cvar", alpha=float(alpha))
 
-    @classmethod
-    def discrete(cls, weights):
-        return cls(kind="discrete", weights=np.asarray(weights, dtype=np.float64))
-
     def level_weights(self, m: int) -> np.ndarray:
         """Weights over the m quantile levels (i - 1/2)/m; they sum to 1."""
         if self.kind == "expected_value":
             return np.full(m, 1.0 / m)
-        if self.kind == "cvar":
-            grid = np.arange(m + 1) / m
-            mass = np.minimum(self.alpha, grid[1:]) - np.minimum(self.alpha, grid[:-1])
-            return mass / self.alpha
-        if self.weights.size != m:
-            raise ValueError(
-                f"discrete weights have size {self.weights.size}, rep has m={m}"
-            )
-        return np.asarray(self.weights)
-
-
-def canonicalize(rep: QuantileRep) -> QuantileRep:
-    """Sorted copy of the representation; identity on already-sorted values."""
-    return QuantileRep(np.sort(rep.values))
-
-
-def quantile_function(rep: QuantileRep, tau: float) -> float:
-    """Step-function inverse CDF: values[i] for tau in ((i-1)/m, i/m]."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    vals = np.sort(rep.values)
-    idx = int(math.ceil(tau * rep.m))
-    idx = min(max(idx, 1), rep.m)
-    return float(vals[idx - 1])
+        grid = np.arange(m + 1) / m
+        mass = np.minimum(self.alpha, grid[1:]) - np.minimum(self.alpha, grid[:-1])
+        return mass / self.alpha
 
 
 def _check_p(p):

@@ -82,7 +82,7 @@ def mc_return_dist(
         raise ValueError("need at least 2 paths")
     dt = _rollout_dt(mdp, t, cfg)
     rng = substream(cfg.seed, _TAG_RETURN)
-    gains = _rollout_returns(mdp, pi, t, x, n_paths, rng, dt, tail_dt=cfg.tail_dt)
+    gains = _rollout_returns(mdp, pi, t, x, n_paths, rng, dt)
     return dist.EmpiricalDist(gains)
 
 

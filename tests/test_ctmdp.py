@@ -8,8 +8,6 @@ import pytest
 from ctdrl.ctmdp import (
     ConstantAction,
     ContinuousMdp,
-    DeterministicMap,
-    FiniteAtomic,
     SimConfig,
     SimulationError,
     _em_apply,
@@ -176,12 +174,7 @@ def three_action_env(kind):
 
 
 def _bundle_actions(case, rng, states):
-    if case == "first":
-        return ConstantAction(0).sample_actions(0.1, states, rng)
-    if case == "last":
-        return ConstantAction(2).sample_actions(0.1, states, rng)
-    pol = FiniteAtomic(lambda t, X: np.array([0.2, 0.3, 0.5]))
-    return pol.sample_actions(0.1, states, rng)
+    return ConstantAction({"first": 0, "last": 2}[case]).sample_actions(0.1, states, rng)
 
 
 class CountedDraw:
@@ -201,7 +194,7 @@ class CountedDraw:
 @pytest.mark.parametrize("kind", ["elementwise", "hold_frozen"])
 @pytest.mark.parametrize(
     "case,n_paths",
-    [("first", 257), ("last", 257), ("mixed", 257), ("last", 1), ("first", 0)],
+    [("first", 257), ("last", 257), ("last", 1), ("first", 0)],
 )
 def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     env = three_action_env(kind)
@@ -209,8 +202,6 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     states = rng.normal(size=(n_paths, 3))
     noise = rng.standard_normal((n_paths, 3))
     acts = _bundle_actions(case, rng, states)
-    if case == "mixed":
-        assert np.unique(acts).size == 3
     draw = CountedDraw(noise)
     got = _em_apply(env, 0.1, states, acts, 1 / 48, draw)
     want = em_apply_oracle(env, 0.1, states, acts, 1 / 48, noise)
@@ -218,6 +209,30 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     assert np.array_equal(got, want)
     noisy = acts[acts != 0] if kind == "hold_frozen" else acts
     assert draw.calls == np.unique(noisy).size
+
+
+class SplitPolicy:
+    """Plays action 0 on the first path and action 1 on the others."""
+
+    def sample_actions(self, t, states, rng):
+        acts = np.ones(states.shape[0], dtype=np.intp)
+        acts[0] = 0
+        return acts
+
+
+def test_em_apply_rejects_two_actions_in_one_step():
+    env = brownian_gap_env()
+    states = np.zeros((4, 1))
+    acts = SplitPolicy().sample_actions(0.25, states, None)
+    draw = CountedDraw(np.ones((4, 1)))
+    with pytest.raises(ValueError, match=re.escape("2 actions in the step at t=0.25")):
+        _em_apply(env, 0.25, states, acts, 1 / 32, draw)
+    assert draw.calls == 0
+
+
+def test_rollout_rejects_a_policy_playing_two_actions():
+    with pytest.raises(ValueError, match=re.escape("2 actions in the step at t=0;")):
+        mc_return_dist(brownian_gap_env(), SplitPolicy(), 0.0, [0.0], 4, SimConfig(dt=1 / 32))
 
 
 # --------------------------------------------------------- diffusion shapes
@@ -257,8 +272,10 @@ def test_per_path_square_diffusion_is_elementwise(n_paths):
     head = slice(0, 2 * n_paths, 2)  # the paths playing action 0
     np.testing.assert_allclose(em_step(env, states[head], 0.0, 0, 1.0, noise[head]),
                                want[head], rtol=1e-14)
-    np.testing.assert_allclose(_em_apply(env, 0.0, states, acts, 1.0, lambda: noise),
-                               want, rtol=1e-14)
+    for action in (0, 1):
+        rows = slice(action, 2 * n_paths, 2)
+        got = _em_apply(env, 0.0, states[rows], acts[rows], 1.0, lambda: noise[rows])
+        np.testing.assert_allclose(got, want[rows], rtol=1e-14)
 
 
 # A (paths, 2, 2) stack broadcasts against 2 paths into a (2, 2, 2) state and
@@ -411,42 +428,16 @@ def test_persistent_wrapper_of_matching_base_is_identity():
         )
 
 
-def test_persistent_boundary_agrees_with_stochastic_base():
-    # twin generators: outside [1, 1.5) the wrapper draws what the base draws,
-    # inside it plays action 0 and draws nothing
-    base = FiniteAtomic(lambda t, X: np.array([0.25, 0.75]))
-    pol = persistent(base, 0.5, 0, 1.0)
-    states = np.zeros((64, 1))
-    rng_pol, rng_base = np.random.default_rng(8), np.random.default_rng(8)
-    for s in (0.5, 0.99, 1.0, 1.2, 1.49, 1.5, 2.0):
-        got = pol.sample_actions(s, states, rng_pol)
-        if 1.0 <= s < 1.5:
-            np.testing.assert_array_equal(got, 0)
-            continue
-        want = base.sample_actions(s, states, rng_base)
-        assert np.unique(want).size == 2
-        np.testing.assert_array_equal(got, want)
-    assert rng_pol.bit_generator.state == rng_base.bit_generator.state
-
-
-def test_finite_atomic_sampling_frequencies():
-    probs = np.array([0.3, 0.7])
-    pol = FiniteAtomic(lambda t, X: probs)
-    rng = np.random.default_rng(5)
-    acts = pol.sample_actions(0.0, np.zeros((20_000, 1)), rng)
-    freq = np.mean(acts == 1)
-    assert freq == pytest.approx(0.7, abs=3 * np.sqrt(0.21 / 20_000))
-    with pytest.raises(ValueError):
-        FiniteAtomic(lambda t, X: np.array([0.5, 0.6])).sample_actions(
-            0.0, np.zeros((2, 1)), rng
-        )
-
-
-def test_deterministic_map_policy():
-    pol = DeterministicMap(lambda t, X: (X[:, 0] > 0).astype(int))
-    states = np.array([[1.0], [-1.0]])
-    rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(pol.sample_actions(0.0, states, rng), [1, 0])
+# A NaN or infinite h used to give an empty window (the base action played at
+# t0) or fail deep in the step arithmetic.
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, -0.25])
+def test_persistence_horizon_must_be_positive_and_finite(h):
+    named = re.escape(f"persistence horizon h must be positive and finite, got {h}")
+    with pytest.raises(ValueError, match=named):
+        persistent(ConstantAction(0), h, 1, 0.0)
+    with pytest.raises(ValueError, match=named):
+        mc_action_return_dist(brownian_gap_env(), ConstantAction(0), 0.0, [0.0], 1, h,
+                              4, SimConfig(dt=1 / 32))
 
 
 # ----------------------------------------------------------- reproducibility
@@ -454,7 +445,7 @@ def test_deterministic_map_policy():
 
 def test_seed_determinism_bitwise():
     env = brownian_gap_env()
-    pol = persistent(FiniteAtomic(lambda t, X: np.array([0.5, 0.5])), 0.25, 1, 0.0)
+    pol = persistent(ConstantAction(0), 0.25, 1, 0.0)
     a = _rollout_returns(env, pol, 0.0, [0.0], 500, substream(9, 1), dt=1 / 64,
                          window_end=0.25)
     b = _rollout_returns(env, pol, 0.0, [0.0], 500, substream(9, 1), dt=1 / 64,
@@ -577,19 +568,13 @@ def _rollout_policy(name, n_actions):
     last = n_actions - 1
     if name == "constant":
         return ConstantAction(0)
-    if name == "persistent":
-        return persistent(ConstantAction(0), 0.25, last, 0.125)
-    if name == "atomic":
-        return FiniteAtomic(lambda t, X: np.full(n_actions, 1.0 / n_actions))
-    # per-path actions 0 and 1 on [0, 0.5), then action 1 as one scalar
-    return DeterministicMap(lambda t, X: (X[:, 0] > 0).astype(int) if t < 0.5 else 1)
+    return persistent(ConstantAction(0), 0.25, last, 0.125)
 
 
 # The persistent policy also runs with an explicit tail_dt that does not
 # divide the tail, so the tail ends on a short step.
 @pytest.mark.parametrize("policy, tail_dt", [
-    ("constant", None), ("persistent", None), ("persistent", 0.05),
-    ("atomic", None), ("map", None)])
+    ("constant", None), ("persistent", None), ("persistent", 0.05)])
 @pytest.mark.parametrize("env_name", sorted(_ROLLOUT_ENVS))
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
 def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy, tail_dt):
@@ -672,29 +657,6 @@ def test_frozen_rollout_leaves_generator_untouched():
     np.testing.assert_array_equal(gains, 0.5)
 
 
-class CountingRng:
-    """A generator wrapper that counts normal draws."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.normal_draws = 0
-
-    def standard_normal(self, shape):
-        self.normal_draws += 1
-        return self.rng.standard_normal(shape)
-
-    def random(self, size):
-        return self.rng.random(size)
-
-
-def test_mixed_rollout_draws_one_block_per_step():
-    env = three_action_env("hold_frozen")
-    pol = FiniteAtomic(lambda t, X: np.array([0.2, 0.3, 0.5]))
-    rng = CountingRng(substream(3, 7))
-    _rollout_returns(env, pol, 0.0, [0.0, 0.0, 0.0], 64, rng, 1 / 32)
-    assert rng.normal_draws == 32
-
-
 def integrated_brownian_law(sigma2, span, dt):
     """Variance of the integral over span of a Brownian motion with variance
     rate sigma2, started at 0, and how far the left-endpoint sum at step dt
@@ -733,22 +695,3 @@ def test_dt_refinement_changes_mean_less_than_mc_error():
     )
     se = np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(n)
     assert abs(coarse.mean() - fine.mean()) < se
-
-
-def test_mixed_drift_rollout_mean_is_policy_averaged():
-    # drifts 0 and 2 mixed 50/50 by sampled actions: the mean return is the
-    # averaged drift 1 integrated over [0, 1]
-    env = ContinuousMdp(
-        state_dim=1,
-        actions=(0, 1),
-        drift=lambda t, X, a: 2.0 if a == 1 else 0.0,
-        diffusion=lambda t, X, a: 0.0,
-        reward=lambda t, X: np.zeros(X.shape[0]),
-        terminal_reward=lambda X: X[:, 0],
-        horizon=1.0,
-    )
-    pol = FiniteAtomic(lambda t, X: np.array([0.5, 0.5]))
-    sampled = _rollout_returns(env, pol, 0.0, [0.0], 20_000, substream(17, 1),
-                               dt=1 / 256)
-    se = sampled.std(ddof=1) / np.sqrt(sampled.size)
-    assert abs(sampled.mean() - 1.0) <= 3 * se + 1e-6

@@ -7,10 +7,8 @@ from ctdrl.dist import (
     EmpiricalDist,
     QuantileRep,
     advantage_shift,
-    canonicalize,
     independent_cdr,
     mean,
-    quantile_function,
     rescale,
     risk_measure,
     superiority,
@@ -43,38 +41,6 @@ def test_rep_values_are_immutable():
     r = rep(1.0, 2.0)
     with pytest.raises(ValueError):
         r.values[0] = 5.0
-
-
-def test_canonicalize_examples():
-    np.testing.assert_array_equal(canonicalize(rep(3, 1, 2)).values, [1, 2, 3])
-    np.testing.assert_array_equal(canonicalize(rep(5)).values, [5])
-    np.testing.assert_array_equal(canonicalize(rep(0, 0, 0)).values, [0, 0, 0])
-
-
-def test_canonicalize_is_a_permutation_sort():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        vals = rng.normal(size=rng.integers(1, 20))
-        out = canonicalize(QuantileRep(vals)).values
-        assert np.all(np.diff(out) >= 0)
-        np.testing.assert_array_equal(np.sort(vals), out)
-
-
-def test_quantile_function_examples():
-    r = rep(1, 2, 3, 4)
-    assert quantile_function(r, 0.5) == 2
-    assert quantile_function(r, 0.9) == 4
-    assert quantile_function(rep(7.5), 0.1) == 7.5
-    assert quantile_function(rep(7.5), 0.99) == 7.5
-    # step boundaries: tau in ((i-1)/m, i/m] maps to values[i]
-    assert quantile_function(r, 0.25) == 1
-    assert quantile_function(r, 0.2500001) == 2
-
-
-def test_quantile_function_rejects_bad_tau():
-    for tau in (0.0, 1.0, -0.3, 1.5):
-        with pytest.raises(ValueError):
-            quantile_function(rep(1, 2), tau)
 
 
 # ---------------------------------------------------------------- transport
@@ -183,10 +149,8 @@ def test_risk_measure_examples():
     ev = DistortionMeasure.expected_value()
     assert risk_measure(ev, r) == pytest.approx(2.5)
     assert risk_measure(DistortionMeasure.cvar(0.5), r) == pytest.approx(1.5)
-    for measure in (ev, DistortionMeasure.cvar(0.3),
-                    DistortionMeasure.discrete([0.2, 0.8])):
-        delta = rep(-3.25) if measure.kind != "discrete" else rep(-3.25, -3.25)
-        assert risk_measure(measure, delta) == pytest.approx(-3.25)
+    for measure in (ev, DistortionMeasure.cvar(0.3)):
+        assert risk_measure(measure, rep(-3.25)) == pytest.approx(-3.25)
 
 
 def test_cvar_one_coincides_with_expected_value():
@@ -215,12 +179,6 @@ def test_distortion_validation():
         DistortionMeasure.cvar(0.0)
     with pytest.raises(ValueError):
         DistortionMeasure.cvar(1.2)
-    with pytest.raises(ValueError):
-        DistortionMeasure.discrete([0.5, 0.6])
-    with pytest.raises(ValueError):
-        DistortionMeasure.discrete([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        risk_measure(DistortionMeasure.discrete([0.5, 0.5]), rep(1, 2, 3))
 
 
 # ---------------------------------------------------------------- superiority

@@ -1,8 +1,13 @@
-"""Every name a ``ctdrl`` module lists in ``__all__`` exists, so a deleted
-function cannot leave a stale public name behind."""
+"""Every name a ``ctdrl`` module lists in ``__all__`` exists, and every one
+has a caller in the package or the benchmark, so a deleted function cannot
+leave a stale public name behind and a public name cannot outlive its last
+caller outside the tests."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,48 @@ MODULES = [ctdrl] + [
     for info in pkgutil.iter_modules(ctdrl.__path__)
 ]
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names kept for the tests alone, each with the reason it stays.
+TEST_ORACLES = {
+    "brownian_gap_w1_oracle": "closed-form W1 of criterion 2",
+    "independent_cdr": "product-coupling baseline of criterion 6",
+    "wasserstein_bruteforce": "exhaustive transport oracle of criterion 8",
+    "em_step": "the single-step Euler-Maruyama contract",
+}
+
+# A benchmark hook names its target as "ctdrl.module:Qualified.name".
+_HOOK = re.compile(r"ctdrl\.[\w.]+:([\w.]+)")
+
+
+def _referenced_names():
+    """Identifiers the package and the benchmark use as code: names,
+    attributes, imported names and hook targets. A def or class statement and
+    an ``__all__`` string are not uses."""
+    names = set()
+    for path in [*(ROOT / "src" / "ctdrl").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for target in _HOOK.findall(node.value):
+                    names.update(target.split("."))
+    return names
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
 def test_every_all_entry_resolves(module):
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    referenced = _referenced_names()
+    public = {n for module in MODULES for n in getattr(module, "__all__", [])}
+    assert sorted(public - referenced - TEST_ORACLES.keys()) == []
+    # an oracle that gains a caller, or leaves __all__, leaves the allowlist
+    assert sorted(TEST_ORACLES.keys() & referenced) == []
+    assert sorted(TEST_ORACLES.keys() - public) == []
