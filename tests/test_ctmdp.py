@@ -173,10 +173,6 @@ def three_action_env(kind):
     )
 
 
-def _bundle_actions(case, rng, states):
-    return ConstantAction({"first": 0, "last": 2}[case]).sample_actions(0.1, states, rng)
-
-
 class CountedDraw:
     """A zero-argument noise draw that counts its calls."""
 
@@ -201,7 +197,7 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     rng = np.random.default_rng([n_paths, len(case), len(kind)])
     states = rng.normal(size=(n_paths, 3))
     noise = rng.standard_normal((n_paths, 3))
-    acts = _bundle_actions(case, rng, states)
+    acts = ConstantAction({"first": 0, "last": 2}[case]).sample_actions(0.1, states, rng)
     draw = CountedDraw(noise)
     got = _em_apply(env, 0.1, states, acts, 1 / 48, draw)
     want = em_apply_oracle(env, 0.1, states, acts, 1 / 48, noise)
@@ -220,7 +216,7 @@ class SplitPolicy:
         return acts
 
 
-def test_em_apply_rejects_two_actions_in_one_step():
+def test_a_step_rejects_a_policy_playing_two_actions():
     env = brownian_gap_env()
     states = np.zeros((4, 1))
     acts = SplitPolicy().sample_actions(0.25, states, None)
@@ -228,11 +224,8 @@ def test_em_apply_rejects_two_actions_in_one_step():
     with pytest.raises(ValueError, match=re.escape("2 actions in the step at t=0.25")):
         _em_apply(env, 0.25, states, acts, 1 / 32, draw)
     assert draw.calls == 0
-
-
-def test_rollout_rejects_a_policy_playing_two_actions():
     with pytest.raises(ValueError, match=re.escape("2 actions in the step at t=0;")):
-        mc_return_dist(brownian_gap_env(), SplitPolicy(), 0.0, [0.0], 4, SimConfig(dt=1 / 32))
+        mc_return_dist(env, SplitPolicy(), 0.0, [0.0], 4, SimConfig(dt=1 / 32))
 
 
 # --------------------------------------------------------- diffusion shapes
@@ -413,8 +406,6 @@ def test_persistent_policy_window_semantics():
     np.testing.assert_array_equal(pol.sample_actions(1.49999, states, rng), 1)
     np.testing.assert_array_equal(pol.sample_actions(1.5, states, rng), 0)
     np.testing.assert_array_equal(pol.sample_actions(0.999, states, rng), 0)
-    with pytest.raises(ValueError):
-        persistent(base, 0.0, 1, 0.0)
 
 
 def test_persistent_wrapper_of_matching_base_is_identity():
@@ -428,9 +419,9 @@ def test_persistent_wrapper_of_matching_base_is_identity():
         )
 
 
-# A NaN or infinite h used to give an empty window (the base action played at
-# t0) or fail deep in the step arithmetic.
-@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, -0.25])
+# NaN compares false against the window's bounds and inf makes its end NaN,
+# so either would give an empty window that plays the base action at t0.
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.25])
 def test_persistence_horizon_must_be_positive_and_finite(h):
     named = re.escape(f"persistence horizon h must be positive and finite, got {h}")
     with pytest.raises(ValueError, match=named):
