@@ -175,8 +175,8 @@ class _AgentBase:
     def __init__(self, state_dim, n_actions, h, *, hidden=(100, 100), lr=1e-4,
                  discount=0.999, horizon=100.0, terminal_reward=None,
                  schedule: ExplorationSchedule | None = None, seed: int = 0):
-        if h <= 0:
-            raise ValueError("h must be positive")
+        if not 0 < h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {h}")
         self.state_dim = state_dim
         self.n_actions = n_actions
         self.h = h
@@ -514,8 +514,8 @@ def dau_loss_grads(agent, batch, a_star=None):
 
 def store_subsampled(buffer: ReplayBuffer, tr: Transition, h: float, rng) -> bool:
     """Bernoulli(h) acceptance; terminal transitions are always kept."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     keep = tr.done or rng.random() < min(1.0, h)
     if keep:
         buffer.add(tr)

@@ -232,11 +232,15 @@ def resolve_config(fields, config_path, set_args):
     errors = []
     raw = {}
     if config_path:
-        parser = configparser.ConfigParser()
-        read = parser.read(config_path)
-        if not read:
-            errors.append(f"config file not found: {config_path}")
-        for section in parser.sections():
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            if not parser.read(config_path, encoding="utf-8"):
+                errors.append(f"config file not found: {config_path}")
+            sections = parser.sections()
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            errors.append(f"cannot read config file {config_path}: {exc}")
+            sections = []
+        for section in sections:
             if section.lower() == "meta":
                 continue
             for key, val in parser.items(section):

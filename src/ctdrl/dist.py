@@ -10,7 +10,6 @@ sorts them internally before interpreting values as quantiles.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +58,6 @@ class QuantileRep:
     def m(self) -> int:
         return self.values.size
 
-    @property
-    def levels(self) -> np.ndarray:
-        return (np.arange(self.m) + 0.5) / self.m
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDist:
@@ -81,10 +76,10 @@ class EmpiricalDist:
 
 @dataclass(frozen=True, eq=False)
 class DistortionMeasure:
-    """Distortion risk measure: a weighting of quantile levels.
+    """Distortion risk measure: a weighting of the quantile midpoints tau_i.
 
-    ``expected_value`` weights all levels equally, and ``cvar(alpha)``
-    spreads U(0, alpha) over the level buckets by exact integration (so the
+    ``expected_value`` weights every tau_i equally, and ``cvar(alpha)``
+    spreads U(0, alpha) over the tau buckets by exact integration (so the
     weights are continuous in alpha).
     """
 
@@ -106,7 +101,7 @@ class DistortionMeasure:
         return cls(kind="cvar", alpha=float(alpha))
 
     def level_weights(self, m: int) -> np.ndarray:
-        """Weights over the m quantile levels (i - 1/2)/m; they sum to 1."""
+        """Weights over the m midpoints tau_i = (i - 1/2)/m; they sum to 1."""
         if self.kind == "expected_value":
             return np.full(m, 1.0 / m)
         grid = np.arange(m + 1) / m
@@ -120,19 +115,11 @@ def _check_p(p):
 
 
 def wasserstein(p: int, a: QuantileRep, b: QuantileRep) -> float:
-    """Exact W_p between the two uniform atom mixtures.
-
-    Representations of unequal size are re-quantized to their lcm, which
-    reproduces each atom exactly.
-    """
+    """Exact W_p between two uniform atom mixtures of equal size."""
     _check_p(p)
-    va = np.sort(a.values)
-    vb = np.sort(b.values)
     if a.m != b.m:
-        common = math.lcm(a.m, b.m)
-        va = np.repeat(va, common // a.m)
-        vb = np.repeat(vb, common // b.m)
-    return kernels.wasserstein_sorted(va, vb, p)
+        raise ValueError(f"rep sizes differ: {a.m} vs {b.m}")
+    return kernels.wasserstein_sorted(np.sort(a.values), np.sort(b.values), p)
 
 
 def wasserstein_bruteforce(
@@ -203,31 +190,17 @@ def advantage_shift(psi_q: QuantileRep, advantage: float, h: float, q: float) ->
     return QuantileRep(psi_q.values + (1.0 - h ** (1.0 - q)) * advantage)
 
 
-def _values_of(obj):
-    if isinstance(obj, QuantileRep):
-        return obj.values
-    if isinstance(obj, EmpiricalDist):
-        return obj.samples
-    raise TypeError(f"expected QuantileRep or EmpiricalDist, got {type(obj)}")
+def mean(rep: QuantileRep) -> float:
+    return float(np.mean(rep.values))
 
 
-def mean(obj) -> float:
-    return float(np.mean(_values_of(obj)))
-
-
-def variance(obj) -> float:
-    """Population variance for reps (the atoms are the distribution),
-    sample variance for empirical collections."""
-    vals = _values_of(obj)
-    if isinstance(obj, QuantileRep):
-        return float(np.var(vals))
-    if vals.size < 2:
-        return 0.0
-    return float(np.var(vals, ddof=1))
+def variance(rep: QuantileRep) -> float:
+    """Population variance: the atoms are the distribution."""
+    return float(np.var(rep.values))
 
 
 def _hazen(n: int, m: int):
-    """numpy's ``method="hazen"`` quantiles at the m midpoint levels of n
+    """numpy's ``method="hazen"`` quantiles at the m midpoints tau_i of n
     sorted values, bit for bit, as a reader built once per (n, m).
 
     ``read(sorted_values)`` interpolates the order statistics directly.
@@ -235,10 +208,10 @@ def _hazen(n: int, m: int):
     ``sorted_values[picks]``, where ``picks`` is a sorted vector of n indices
     into ``sorted_values`` (a resample's draws in sorted order).
     """
-    levels = (np.arange(m) + 0.5) / m
+    tau = (np.arange(m) + 0.5) / m
     # numpy's virtual index n*tau + (alpha + tau*(1 - alpha - beta)) - 1 with
     # alpha = beta = 1/2, in its own rounding order.
-    virtual = n * levels + 0.5 - 1
+    virtual = n * tau + 0.5 - 1
     prev = np.floor(virtual)
     # numpy's clipping: an index at or above n - 1 reads the last value (it
     # stores -1), one below 0 reads the first; gamma uses the stored index.
@@ -265,7 +238,7 @@ def _hazen(n: int, m: int):
 
 
 def to_quantile_rep(dist: EmpiricalDist, m: int) -> QuantileRep:
-    """Empirical quantiles at midpoint levels (i - 1/2)/m, interpolated
+    """Empirical quantiles at the midpoints tau_i = (i - 1/2)/m, interpolated
     linearly between order statistics (numpy's ``method="hazen"``). At
     m = n this recovers the sorted samples exactly. Samples holding zeros of
     both signs may give a zero of the other sign than np.quantile, which

@@ -4,7 +4,6 @@ gaps under transport distances, and log-log rate fitting."""
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ __all__ = [
     "mc_return_dist",
     "mc_action_return_dist",
     "mc_superiority",
+    "gap_estimate",
     "action_gaps",
     "fit_rate",
 ]
@@ -43,35 +43,20 @@ _TAG_BOOT = 13
 
 @dataclass(frozen=True, eq=False)
 class GapEstimate:
-    """Action-gap estimates at one (t, x, h).
+    """Distributional (W_p) and value (mean) gap between two actions, with
+    standard-error proxies: bootstrap for the transport distance,
+    delta-method for the mean difference."""
 
-    pair_distances holds the W_p value for every unordered action-index pair;
-    dist_gap / value_gap are the minima, with the lexicographically first
-    minimizing pair reported on ties. Standard errors are proxies: bootstrap
-    for the transport distance, delta-method for mean differences.
-    """
-
-    h: float
-    p: int
-    n_paths: int
-    pair_distances: dict
-    pair_value_gaps: dict
     dist_gap: float
-    dist_gap_pair: tuple
     dist_gap_se: float
     value_gap: float
-    value_gap_pair: tuple
     value_gap_se: float
-    means: tuple
-    mean_ses: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class RateFit:
     slope: float
-    intercept: float
     r_squared: float
-    log_points: tuple
 
 
 def mc_return_dist(
@@ -167,6 +152,37 @@ def _require_finite(message, values):
         raise SimulationError(message)
 
 
+def gap_estimate(
+    zeta_a: dist.EmpiricalDist,
+    zeta_b: dist.EmpiricalDist,
+    p: int,
+    m: int,
+    bootstrap: int,
+    rng: np.random.Generator,
+) -> GapEstimate:
+    """The W_p gap between the m-quantile reps of two return-sample sets, the
+    gap between their means, and their standard errors.
+
+    Raises SimulationError when a gap, mean or standard error is not finite.
+    """
+    diverged = "non-finite gap estimate"
+    with _overflow_raises(diverged):
+        rep_a = dist.to_quantile_rep(zeta_a, m)
+        rep_b = dist.to_quantile_rep(zeta_b, m)
+    a, b = zeta_a.samples, zeta_b.samples
+    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
+    se_a = float(np.std(a, ddof=1) / math.sqrt(a.size))
+    se_b = float(np.std(b, ddof=1) / math.sqrt(b.size))
+    dist_gap = dist.wasserstein(p, rep_a, rep_b)
+    value_gap = abs(mean_a - mean_b)
+    value_se = math.hypot(se_a, se_b)
+    _require_finite(diverged, [dist_gap, value_gap, value_se])
+    dist_se = _bootstrap_w_se(a, b, p, m, bootstrap, rng)
+    _require_finite(diverged, [dist_se])
+    return GapEstimate(dist_gap=dist_gap, dist_gap_se=dist_se,
+                       value_gap=value_gap, value_gap_se=value_se)
+
+
 def action_gaps(
     mdp: ContinuousMdp,
     pi,
@@ -179,57 +195,20 @@ def action_gaps(
     m: int = ESTIMATOR_M,
     bootstrap: int = BOOTSTRAP_RESAMPLES,
 ) -> GapEstimate:
-    """Estimate the distributional and value action gaps at (t, x).
+    """The gap estimate between the h-persistent returns of a two-action
+    mdp's actions 0 and 1 at (t, x).
 
     Raises SimulationError when a gap, mean or standard error is not finite.
     """
-    if mdp.n_actions < 2:
-        raise ValueError("action gaps need at least two actions")
-    diverged = f"non-finite action-gap estimate at h={h:.8g}"
-    samples = []
-    reps = []
-    for idx in range(mdp.n_actions):
-        emp = mc_action_return_dist(mdp, pi, t, x, idx, h, n_paths, cfg)
-        samples.append(emp.samples)
-        with _overflow_raises(diverged):
-            reps.append(dist.to_quantile_rep(emp, m))
-    means = tuple(float(np.mean(s)) for s in samples)
-    mean_ses = tuple(
-        float(np.std(s, ddof=1) / math.sqrt(s.size)) for s in samples
-    )
-
-    pair_distances = {}
-    pair_value_gaps = {}
-    for i, j in itertools.combinations(range(mdp.n_actions), 2):
-        pair_distances[(i, j)] = dist.wasserstein(p, reps[i], reps[j])
-        pair_value_gaps[(i, j)] = abs(means[i] - means[j])
-    _require_finite(diverged, [*means, *mean_ses, *pair_distances.values(),
-                               *pair_value_gaps.values()])
-
-    dist_pair = min(pair_distances, key=lambda k: (pair_distances[k], k))
-    value_pair = min(pair_value_gaps, key=lambda k: (pair_value_gaps[k], k))
-    i, j = dist_pair
-    boot_rng = substream(cfg.seed, _TAG_BOOT, i, j)
-    dist_se = _bootstrap_w_se(samples[i], samples[j], p, m, bootstrap, boot_rng)
-    vi, vj = value_pair
-    value_se = math.hypot(mean_ses[vi], mean_ses[vj])
-    _require_finite(diverged, [dist_se, value_se])
-
-    return GapEstimate(
-        h=h,
-        p=p,
-        n_paths=n_paths,
-        pair_distances=pair_distances,
-        pair_value_gaps=pair_value_gaps,
-        dist_gap=pair_distances[dist_pair],
-        dist_gap_pair=dist_pair,
-        dist_gap_se=dist_se,
-        value_gap=pair_value_gaps[value_pair],
-        value_gap_pair=value_pair,
-        value_gap_se=value_se,
-        means=means,
-        mean_ses=mean_ses,
-    )
+    if mdp.n_actions != 2:
+        raise ValueError(f"action gaps need exactly two actions, got {mdp.n_actions}")
+    zeta_0, zeta_1 = (mc_action_return_dist(mdp, pi, t, x, a, h, n_paths, cfg)
+                      for a in (0, 1))
+    try:
+        return gap_estimate(zeta_0, zeta_1, p, m, bootstrap,
+                            substream(cfg.seed, _TAG_BOOT, 0, 1))
+    except SimulationError as exc:
+        raise SimulationError(f"non-finite action-gap estimate at h={h:.8g}") from exc
 
 
 def fit_rate(points) -> RateFit:
@@ -239,9 +218,9 @@ def fit_rate(points) -> RateFit:
     if len(points) < 3:
         raise ValueError("need at least 3 points")
     for h, gap in points:
-        if gap <= 0:
+        if not 0 < gap < math.inf:
             raise ValueError(f"gap must be positive to take logs, got {gap} at h={h}")
-        if h <= 0:
+        if not 0 < h < math.inf:
             raise ValueError(f"h must be positive, got {h}")
     log_h = np.array([math.log(h) for h, _ in points])
     log_g = np.array([math.log(g) for _, g in points])
@@ -251,7 +230,6 @@ def fit_rate(points) -> RateFit:
     if denom == 0.0:
         raise ValueError("all h values are identical")
     slope = float(np.dot(xc, yc) / denom)
-    intercept = float(log_g.mean() - slope * log_h.mean())
     residuals = yc - slope * xc
     ss_res = float(np.dot(residuals, residuals))
     ss_tot = float(np.dot(yc, yc))
@@ -259,9 +237,4 @@ def fit_rate(points) -> RateFit:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return RateFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        log_points=tuple(zip(log_h.tolist(), log_g.tolist())),
-    )
+    return RateFit(slope=slope, r_squared=r2)

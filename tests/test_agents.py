@@ -546,8 +546,9 @@ def test_store_subsampled_rules():
     for _ in range(50):
         assert store_subsampled(buf, single_transition(done=False), 1.0, rng)
         assert store_subsampled(buf, single_transition(done=True), 1e-9, rng)
-    with pytest.raises(ValueError):
-        store_subsampled(buf, single_transition(), 0.0, rng)
+    for h in (0.0, -0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            store_subsampled(buf, single_transition(), h, rng)
 
     kept = 0
     offers = 100_000
@@ -556,10 +557,10 @@ def test_store_subsampled_rules():
     assert abs(kept / offers - 0.1) < 0.01
 
 
-@pytest.mark.parametrize("h", [0.0, -0.25])
+@pytest.mark.parametrize("h", [0.0, -0.25, np.nan, np.inf, -np.inf])
 def test_every_agent_kind_rejects_nonpositive_h(h):
     for cls in (DsupAgent, QrdqnAgent, DauAgent):
-        with pytest.raises(ValueError, match="h must be positive"):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
             cls(state_dim=1, n_actions=2, h=h, hidden=(4,))
 
 

@@ -299,6 +299,28 @@ def test_missing_config_file_is_an_error(tmp_path):
     assert errors
 
 
+# Files configparser cannot read; '%' is a plain character, not interpolation.
+UNREADABLE_CONFIGS = {
+    "no_section_header": b"lr = 0.001\n",
+    "duplicate_key": b"[train]\nlr = 0.001\nlr = 0.002\n",
+    "duplicate_section": b"[train]\nlr = 0.001\n[train]\nm = 8\n",
+    "percent_sign": b"[train]\nlr = 1%\n",
+    "not_utf8": b"[train]\nlr = \xff\n",
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    *(("train", name) for name in UNREADABLE_CONFIGS),
+    ("gap-rates", "no_section_header"),
+])
+def test_unreadable_config_file_exits_2_and_writes_nothing(tmp_path, capsys, command, name):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(UNREADABLE_CONFIGS[name])
+    assert run([command, "--config", str(cfgfile), "--out", str(tmp_path / "x")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_superiority_demo_runs_and_reproduces(tmp_path):
     args = TINY_SUPERIORITY
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig, SimulationError
+from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig, SimulationError, substream
 from ctdrl.dist import (
     EmpiricalDist,
     QuantileRep,
@@ -12,10 +14,12 @@ from ctdrl.dist import (
     wasserstein,
 )
 from ctdrl.estimate import (
+    _TAG_BOOT,
     _bootstrap_w_se,
     _sorted_ranks,
     action_gaps,
     fit_rate,
+    gap_estimate,
     mc_action_return_dist,
     mc_return_dist,
     mc_superiority,
@@ -104,6 +108,45 @@ def test_action_gaps_identical_dynamics_vanish():
                       SimConfig(substeps=16, seed=6), m=256, bootstrap=50)
     assert est.value_gap <= 3 * est.value_gap_se
     assert est.dist_gap <= 0.05
+
+
+def test_gap_estimate_hand_values():
+    a = np.array([0.0, 1.0, 2.0, 3.0])
+    zeta_a, zeta_b = EmpiricalDist(a), EmpiricalDist(a + 0.5)
+    est = gap_estimate(zeta_a, zeta_b, 1, 4, 20, np.random.default_rng(9))
+    # at m = n the reps are the sorted samples, so W1 is the shift exactly
+    assert est.dist_gap == 0.5
+    assert est.value_gap == 0.5
+    se = np.std(a, ddof=1) / 2.0
+    assert est.value_gap_se == math.hypot(se, se)
+    assert est.dist_gap_se == _bootstrap_w_se(a, a + 0.5, 1, 4, 20,
+                                              np.random.default_rng(9))
+
+
+def test_action_gaps_is_gap_estimate_of_its_rollouts():
+    env = brownian_gap_env()
+    cfg = SimConfig(substeps=8, seed=31)
+    est = action_gaps(env, POLICY0, 0.0, [0.2], 0.25, 300, 2, cfg, m=32,
+                      bootstrap=10)
+    zetas = [mc_action_return_dist(env, POLICY0, 0.0, [0.2], a, 0.25, 300, cfg)
+             for a in (0, 1)]
+    want = gap_estimate(*zetas, 2, 32, 10, substream(cfg.seed, _TAG_BOOT, 0, 1))
+    assert vars(est) == vars(want)
+
+
+@pytest.mark.parametrize("actions", [(0,), (0, 1, 2)], ids=["1", "3"])
+def test_action_gaps_needs_two_actions(actions):
+    env = ContinuousMdp(
+        state_dim=1,
+        actions=actions,
+        drift=lambda t, X, a: 0.0,
+        diffusion=lambda t, X, a: 1.0,
+        reward=lambda t, X: X[:, 0],
+        terminal_reward=lambda X: np.zeros(X.shape[0]),
+        horizon=1.0,
+    )
+    with pytest.raises(ValueError, match="exactly two actions"):
+        action_gaps(env, POLICY0, 0.0, [0.0], 0.25, 10, 1, SimConfig(substeps=4))
 
 
 # Returns of +-1e308: every sample is finite, but at m = 64 the quantiles
@@ -285,7 +328,6 @@ def test_fit_rate_exact_power_laws():
     assert half.r_squared == pytest.approx(1.0, abs=1e-12)
     lin = fit_rate([(h, 0.7 * h) for h in hs])
     assert lin.slope == pytest.approx(1.0, abs=1e-12)
-    assert lin.intercept == pytest.approx(np.log(0.7), abs=1e-12)
 
 
 def test_fit_rate_validations():
@@ -297,13 +339,8 @@ def test_fit_rate_validations():
         fit_rate([(0.5, 1.0), (-0.25, 0.5), (0.125, 0.3)])
     with pytest.raises(ValueError):
         fit_rate([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
-
-
-def test_gap_estimate_reports_minimizing_pairs():
-    env = brownian_gap_env()
-    est = action_gaps(env, POLICY0, 0.0, [0.0], 0.25, 1000, 1,
-                      SimConfig(substeps=8, seed=31), m=64, bootstrap=10)
-    assert est.dist_gap_pair in est.pair_distances
-    assert est.dist_gap == min(est.pair_distances.values())
-    assert est.value_gap == min(est.pair_value_gaps.values())
-    assert est.n_paths == 1000 and est.h == 0.25
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gap must be positive"):
+            fit_rate([(0.5, 1.0), (0.25, bad), (0.125, 0.3)])
+        with pytest.raises(ValueError, match="h must be positive"):
+            fit_rate([(0.5, 1.0), (bad, 0.5), (0.125, 0.3)])
