@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, agents, envs, estimate
 from .ctmdp import (
-    TIME_TOL, SimConfig, ConstantAction, SimulationError, _window_dt, substream,
+    TIME_TOL, SimConfig, SimulationError, _window_dt, substream,
 )
 from .dist import (
     DistortionMeasure,
@@ -233,6 +233,7 @@ def resolve_config(fields, config_path, set_args):
     raw = {}
     if config_path:
         parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str  # keys are read as written, as --set reads them
         try:
             if not parser.read(config_path, encoding="utf-8"):
                 errors.append(f"config file not found: {config_path}")
@@ -341,14 +342,13 @@ def _build_gap_env(cfg):
 
 def cmd_gap_rates(cfg, out_dir: Path) -> int:
     mdp = _build_gap_env(cfg)
-    policy = ConstantAction(cfg["base_action"])
     rows = []
     for seed in cfg["seeds"]:
         w_points, v_points = [], []
         for i, h in enumerate(sorted(cfg["h_grid"], reverse=True)):
             sim = _sim_config(cfg, _cell_seed(seed, 77, i))
             est = estimate.action_gaps(
-                mdp, policy, cfg["t"], [cfg["x"]], h, cfg["n_paths"], cfg["p"],
+                mdp, cfg["base_action"], cfg["t"], [cfg["x"]], h, cfg["n_paths"], cfg["p"],
                 sim, m=cfg["m"], bootstrap=cfg["bootstrap"],
             )
             rows.append(ResultRow("gap_rates", seed, h, "w_gap", est.dist_gap, est.dist_gap_se))
@@ -404,9 +404,8 @@ def _superiority_rows(cfg, seed, h, zeta, eta):
 
 def cmd_superiority_demo(cfg, out_dir: Path) -> int:
     mdp = _build_gap_env(cfg)
-    policy = ConstantAction(cfg["base_action"])
     steps = _sim_config(cfg)
-    n = cfg["n_paths"]
+    n, base = cfg["n_paths"], cfg["base_action"]
     rows = []
     for seed in cfg["seeds"]:
         for i, omega in enumerate(cfg["omega_grid"]):
@@ -415,9 +414,9 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
             sim = dataclasses.replace(steps, dt=steps.resolve_dt(h),
                                       seed=_cell_seed(seed, 78, i))
             zeta = estimate.mc_action_return_dist(
-                mdp, policy, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
+                mdp, base, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
             )
-            eta = estimate.mc_return_dist(mdp, policy, cfg["t"], [cfg["x"]], n, sim)
+            eta = estimate.mc_return_dist(mdp, base, cfg["t"], [cfg["x"]], n, sim)
             # Finite returns can still overflow the quantiles (mc_superiority
             # raises), their rescaled panels or their moments; any such
             # overflow is a divergence.

@@ -8,16 +8,17 @@ entry; a result that does not broadcast to X's shape raises ValueError.
 
 Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(s, X_s)
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
-A rollout step draws its (paths, n) normals after the policy has chosen its
-actions, and only when some path's diffusion is nonzero; a step with zero
-diffusion on every path is x + b dt and leaves the generator untouched. A
-step whose drift and diffusion are both zero on every path leaves the states
-as they are, with no + 0 dt, so a signed zero stays signed.
+A rollout step draws its (paths, n) normals only when some path's diffusion
+is nonzero; a step with zero diffusion on every path is x + b dt and leaves
+the generator untouched. A step whose drift and diffusion are both zero on
+every path leaves the states as they are, with no + 0 dt, so a signed zero
+stays signed.
 
-A rollout step plays one action on every path. Policies return one action
-index per path; an index vector that holds two actions raises ValueError.
-``ConstantAction`` and the window of a ``persistent`` policy return theirs as
-a read-only zero-stride view, which the EM step takes without scanning it.
+A rollout plays one action on every path, fixed for each of its phases: the
+window [t0, window_end) plays the window action and the tail up to the
+horizon plays the base action. A window that ends within TIME_TOL of the
+horizon plays the window action up to the horizon. This is the return of
+the persistent modification of the policy that always plays the base action.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ __all__ = [
     "SimulationError",
     "ContinuousMdp",
     "SimConfig",
-    "ConstantAction",
-    "PersistentModification",
-    "persistent",
     "em_step",
     "substream",
 ]
@@ -92,8 +90,10 @@ class SimConfig:
     ``dt`` pins the step directly; otherwise it is derived from the
     persistence horizon as h/substeps with a floor of dt_floor (never above
     h itself). ``tail_dt`` applies to action-conditioned rollouts only: it
-    optionally coarsens the step after the persistence window, and defaults
-    to the window step. A rollout without a window steps at dt throughout.
+    optionally sets the step of the tail that plays the base action after
+    the persistence window, and defaults to the window step. A rollout
+    without a window steps at dt throughout. dt and tail_dt must be positive
+    and finite when set, and dt_floor finite and >= 0.
     """
 
     dt: float | None = None
@@ -103,12 +103,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        # Each bound is written so that NaN fails it.
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        if self.tail_dt is not None and self.tail_dt <= 0:
-            raise ValueError("tail_dt must be positive")
+        if self.tail_dt is not None and not 0 < self.tail_dt < math.inf:
+            raise ValueError(f"tail_dt must be positive and finite, got {self.tail_dt}")
+        if not 0 <= self.dt_floor < math.inf:
+            raise ValueError(f"dt_floor must be finite and >= 0, got {self.dt_floor}")
 
     def resolve_dt(self, h: float | None = None) -> float:
         if self.dt is not None:
@@ -116,54 +119,6 @@ class SimConfig:
         if h is None:
             raise ValueError("SimConfig.dt is unset and no horizon h was given")
         return min(h, max(h / self.substeps, self.dt_floor))
-
-
-@functools.lru_cache(maxsize=64)
-def _uniform_indices(action: int, paths: int) -> np.ndarray:
-    """One action index for each of ``paths`` paths: a read-only zero-stride
-    view, shared by every call with the same arguments (building one costs
-    more than a step's other index work)."""
-    return np.broadcast_to(np.intp(action), (paths,))
-
-
-class ConstantAction:
-    """Always plays one action index."""
-
-    def __init__(self, action: int):
-        self.action = int(action)
-
-    def sample_actions(self, t, states, rng) -> np.ndarray:
-        return _uniform_indices(self.action, states.shape[0])
-
-
-def _check_persistence(h):
-    if not 0 < h < math.inf:
-        raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
-
-
-class PersistentModification:
-    """delta_a on [t0, t0 + h), the base policy elsewhere."""
-
-    def __init__(self, base, h: float, action: int, t0: float):
-        _check_persistence(h)
-        self.base = base
-        self.h = h
-        self.action = int(action)
-        self.t0 = t0
-        self._tol = TIME_TOL * max(1.0, abs(t0) + h)
-
-    def _in_window(self, t) -> bool:
-        return self.t0 - self._tol <= t < self.t0 + self.h - self._tol
-
-    def sample_actions(self, t, states, rng) -> np.ndarray:
-        if self._in_window(t):
-            return _uniform_indices(self.action, states.shape[0])
-        return self.base.sample_actions(t, states, rng)
-
-
-def persistent(pi, h: float, a: int, t0: float) -> PersistentModification:
-    """The (h, a)-persistent modification of pi at time t0."""
-    return PersistentModification(pi, h, a, t0)
 
 
 def _em_action_step(mdp, t, states, label, delta, draw):
@@ -188,20 +143,10 @@ def _em_action_step(mdp, t, states, label, delta, draw):
 
 
 def _em_apply(mdp, t, states, action_indices, delta, draw):
-    """One EM step on a path bundle whose paths all play one action.
-
-    A zero-stride index vector is uniform by construction and is not
-    scanned; any other that holds two actions raises ValueError. An empty
-    bundle gives an empty result and draws nothing. The result may be
-    ``states`` itself (see _em_action_step).
-    """
-    if not action_indices.size:
-        return np.empty_like(states)
-    first = action_indices[0]
-    if action_indices.strides[0] and (action_indices != first).any():
-        raise ValueError(f"the policy played {np.unique(action_indices).size} actions "
-                         f"in the step at t={t:.8g}; a step plays one action")
-    return _em_action_step(mdp, t, states, mdp.actions[first], delta, draw)
+    """One EM step on a path bundle whose paths all play the action
+    ``action_indices[0]``; the result may be ``states`` itself (see
+    _em_action_step)."""
+    return _em_action_step(mdp, t, states, mdp.actions[action_indices[0]], delta, draw)
 
 
 def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
@@ -245,7 +190,7 @@ def _phase_steps(start, end, step):
 
 def _rollout_returns(
     mdp: ContinuousMdp,
-    policy,
+    action: int,
     t0: float,
     x0,
     n_paths: int,
@@ -253,8 +198,14 @@ def _rollout_returns(
     dt: float,
     tail_dt: float | None = None,
     window_end: float | None = None,
+    window_action: int | None = None,
 ):
-    """Discounted returns of n_paths EM rollouts from (t0, x0) to the horizon."""
+    """Discounted returns of n_paths EM rollouts from (t0, x0) to the horizon.
+
+    Without a window every step plays ``action``. With one, [t0, window_end)
+    steps at dt playing ``window_action`` and the tail steps at tail_dt (dt
+    when None) playing ``action``; see the module docstring.
+    """
     n = mdp.state_dim
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.size != n:
@@ -269,16 +220,19 @@ def _rollout_returns(
     horizon = mdp.horizon
 
     draw = functools.partial(rng.standard_normal, (n_paths, n))
-    phases = []
-    if window_end is not None and window_end < horizon - TIME_TOL:
-        phases.append((t0, window_end, dt))
-        phases.append((window_end, horizon, tail_dt if tail_dt is not None else dt))
+    if window_end is None:
+        phases = [(t0, horizon, dt, action)]
+    elif window_end < horizon - TIME_TOL:
+        phases = [(t0, window_end, dt, window_action),
+                  (window_end, horizon, tail_dt if tail_dt is not None else dt, action)]
     else:
-        phases.append((t0, horizon, dt))
+        phases = [(t0, horizon, dt, window_action)]
 
     # Every state that enters a step is finite: x0 is checked above and each
     # new array below, so a step that returns its own input needs no scan.
-    for start, end, step in phases:
+    for start, end, step, phase_action in phases:
+        # one read-only zero-stride index vector for the phase's steps
+        acts = np.broadcast_to(np.intp(phase_action), (n_paths,))
         deltas = _phase_steps(start, end, step)
         for j, delta in enumerate(deltas):
             s = start + j * step
@@ -289,7 +243,6 @@ def _rollout_returns(
                 np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
                 np.multiply(step_gain, delta, out=step_gain)
             gains += step_gain
-            acts = policy.sample_actions(s, states, rng)
             stepped = _em_apply(mdp, s, states, acts, delta, draw)
             if stepped is not states and not np.isfinite(stepped).all():
                 raise SimulationError(f"non-finite state at t={s + delta:.8g}")
@@ -316,7 +269,8 @@ def _rollout_dt(
         if t >= mdp.horizon:
             raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
         return cfg.resolve_dt()
-    _check_persistence(h)
+    if not 0 < h < math.inf:
+        raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
     if t + h > mdp.horizon + TIME_TOL:
         raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
     return _window_dt(cfg, h)

@@ -17,7 +17,6 @@ from .ctmdp import (
     SimulationError,
     _rollout_dt,
     _rollout_returns,
-    persistent,
     substream,
 )
 
@@ -60,36 +59,30 @@ class RateFit:
 
 
 def mc_return_dist(
-    mdp: ContinuousMdp, pi, t, x, n_paths: int, cfg: SimConfig
+    mdp: ContinuousMdp, action: int, t, x, n_paths: int, cfg: SimConfig
 ) -> dist.EmpiricalDist:
-    """n_paths independent return samples under pi from (t, x)."""
+    """n_paths independent return samples from (t, x) of the policy that
+    always plays the action index ``action``."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     dt = _rollout_dt(mdp, t, cfg)
     rng = substream(cfg.seed, _TAG_RETURN)
-    gains = _rollout_returns(mdp, pi, t, x, n_paths, rng, dt)
+    gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt)
     return dist.EmpiricalDist(gains)
 
 
 def mc_action_return_dist(
-    mdp: ContinuousMdp, pi, t, x, a: int, h: float, n_paths: int, cfg: SimConfig
+    mdp: ContinuousMdp, action: int, t, x, a: int, h: float, n_paths: int,
+    cfg: SimConfig,
 ) -> dist.EmpiricalDist:
-    """n_paths independent h-persistent action-conditioned return samples."""
+    """n_paths independent h-persistent action-conditioned return samples:
+    a on [t, t + h), then the base action index ``action``."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     dt = _rollout_dt(mdp, t, cfg, h)
     rng = substream(cfg.seed, _TAG_ACTION, a)
-    gains = _rollout_returns(
-        mdp,
-        persistent(pi, h, a, t),
-        t,
-        x,
-        n_paths,
-        rng,
-        dt,
-        tail_dt=cfg.tail_dt,
-        window_end=t + h,
-    )
+    gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt, tail_dt=cfg.tail_dt,
+                             window_end=t + h, window_action=a)
     return dist.EmpiricalDist(gains)
 
 
@@ -166,26 +159,26 @@ def gap_estimate(
     Raises SimulationError when a gap, mean or standard error is not finite.
     """
     diverged = "non-finite gap estimate"
+    a, b = zeta_a.samples, zeta_b.samples
     with _overflow_raises(diverged):
         rep_a = dist.to_quantile_rep(zeta_a, m)
         rep_b = dist.to_quantile_rep(zeta_b, m)
-    a, b = zeta_a.samples, zeta_b.samples
-    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-    se_a = float(np.std(a, ddof=1) / math.sqrt(a.size))
-    se_b = float(np.std(b, ddof=1) / math.sqrt(b.size))
-    dist_gap = dist.wasserstein(p, rep_a, rep_b)
-    value_gap = abs(mean_a - mean_b)
-    value_se = math.hypot(se_a, se_b)
-    _require_finite(diverged, [dist_gap, value_gap, value_se])
-    dist_se = _bootstrap_w_se(a, b, p, m, bootstrap, rng)
-    _require_finite(diverged, [dist_se])
+        mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
+        se_a = float(np.std(a, ddof=1) / math.sqrt(a.size))
+        se_b = float(np.std(b, ddof=1) / math.sqrt(b.size))
+        dist_gap = dist.wasserstein(p, rep_a, rep_b)
+        value_gap = abs(mean_a - mean_b)
+        value_se = math.hypot(se_a, se_b)
+        _require_finite(diverged, [dist_gap, value_gap, value_se])
+        dist_se = _bootstrap_w_se(a, b, p, m, bootstrap, rng)
+        _require_finite(diverged, [dist_se])
     return GapEstimate(dist_gap=dist_gap, dist_gap_se=dist_se,
                        value_gap=value_gap, value_gap_se=value_se)
 
 
 def action_gaps(
     mdp: ContinuousMdp,
-    pi,
+    action: int,
     t,
     x,
     h: float,
@@ -196,13 +189,14 @@ def action_gaps(
     bootstrap: int = BOOTSTRAP_RESAMPLES,
 ) -> GapEstimate:
     """The gap estimate between the h-persistent returns of a two-action
-    mdp's actions 0 and 1 at (t, x).
+    mdp's actions 0 and 1 at (t, x), each followed by the base action index
+    ``action``.
 
     Raises SimulationError when a gap, mean or standard error is not finite.
     """
     if mdp.n_actions != 2:
         raise ValueError(f"action gaps need exactly two actions, got {mdp.n_actions}")
-    zeta_0, zeta_1 = (mc_action_return_dist(mdp, pi, t, x, a, h, n_paths, cfg)
+    zeta_0, zeta_1 = (mc_action_return_dist(mdp, action, t, x, a, h, n_paths, cfg)
                       for a in (0, 1))
     try:
         return gap_estimate(zeta_0, zeta_1, p, m, bootstrap,

@@ -22,7 +22,7 @@ from ctdrl.agents import (
     train,
 )
 from ctdrl.cli import main as cli_main
-from ctdrl.ctmdp import ConstantAction, SimConfig, substream
+from ctdrl.ctmdp import SimConfig, substream
 from ctdrl.dist import (
     DistortionMeasure,
     EmpiricalDist,
@@ -47,7 +47,7 @@ from ctdrl.envs import (
 from ctdrl.estimate import action_gaps, fit_rate, mc_action_return_dist, mc_return_dist, mc_superiority
 
 H_GRID = [2.0**-k for k in range(2, 8)]
-POLICY0 = ConstantAction(0)
+BASE_ACTION = 0
 
 
 def test_criterion_01_distributional_gap_rate():
@@ -56,7 +56,7 @@ def test_criterion_01_distributional_gap_rate():
     points = []
     for i, h in enumerate(H_GRID):
         cfg = SimConfig(substeps=32, seed=1000 + i)
-        est = action_gaps(env, POLICY0, 0.0, [0.0], h, 10_000, 1, cfg,
+        est = action_gaps(env, BASE_ACTION, 0.0, [0.0], h, 10_000, 1, cfg,
                           m=512, bootstrap=200)
         points.append((h, est.dist_gap))
     fit = fit_rate(points)
@@ -87,7 +87,7 @@ def test_criterion_02_analytic_w1_oracle():
     assert abs(cov + discrete_bias - h**2 / 2) <= 3 * cov_se
 
     env = brownian_gap_env(horizon=1.0, discount=1.0)
-    est = action_gaps(env, POLICY0, 0.0, [0.0], h, 100_000, 1,
+    est = action_gaps(env, BASE_ACTION, 0.0, [0.0], h, 100_000, 1,
                       SimConfig(substeps=32, seed=2024), m=512, bootstrap=200)
     oracle = brownian_gap_w1_oracle(h, horizon=1.0)
     rel = abs(est.dist_gap - oracle) / oracle
@@ -102,7 +102,7 @@ def test_criterion_03_mean_gap_rate():
     points = []
     for i, h in enumerate(H_GRID):
         cfg = SimConfig(substeps=32, tail_dt=0.05, seed=3000 + i)
-        est = action_gaps(env, POLICY0, 0.0, [0.0], h, 10_000, 1, cfg,
+        est = action_gaps(env, BASE_ACTION, 0.0, [0.0], h, 10_000, 1, cfg,
                           m=512, bootstrap=50)
         points.append((h, est.value_gap))
     fit = fit_rate(points)
@@ -113,8 +113,8 @@ def test_criterion_03_mean_gap_rate():
 def _illustration_panels(h, n, seed):
     env = illustration_env(horizon=10.0, discount=1.0)
     cfg = SimConfig(substeps=16, dt_floor=1e-4, tail_dt=0.05, seed=seed)
-    zeta = mc_action_return_dist(env, POLICY0, 0.0, [0.0], 1, h, n, cfg)
-    eta = mc_return_dist(env, POLICY0, 0.0, [0.0], n, SimConfig(dt=0.05, seed=seed + 1))
+    zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, h, n, cfg)
+    eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], n, SimConfig(dt=0.05, seed=seed + 1))
     psi = mc_superiority(zeta, eta, 512)
     se_mean = float(np.std(zeta.samples, ddof=1) / np.sqrt(n))
     return psi, se_mean

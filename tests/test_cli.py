@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,16 +250,21 @@ def test_gap_rates_illustration_env(tmp_path):
 
 
 # Finite keys whose returns overflow the gap and standard-error arithmetic.
+# The overflow raises inside the estimate: no warning is issued (a plain run
+# would print it to stderr) and stderr holds the divergence message alone.
 @pytest.mark.parametrize("key, value", [("drift", "1e308"), ("move_diffusion", "1e200")])
 def test_gap_rates_non_finite_estimate_exits_3(tmp_path, capsys, key, value):
     out = tmp_path / "x"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run([
             "gap-rates", "--out", str(out), *ILLUSTRATION_GAPS,
             "--set", "horizon=2", "--set", "n_paths=50", "--set", f"{key}={value}",
         ])
     assert code == 3
-    assert "non-finite action-gap estimate" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical divergence: non-finite action-gap estimate at h=0.25"]
+    assert not caught
     assert not (out / "results.csv").exists()
 
 
@@ -292,6 +298,20 @@ def test_set_overrides_config_file(tmp_path):
     cfg, errors = resolve_config(GAP_RATES_FIELDS, cfgfile, ["n_paths=321"])
     assert not errors
     assert cfg["n_paths"] == 321
+
+
+# A file key is read as written, as --set reads it; section names stay
+# cosmetic, and a [meta] section is skipped in any case.
+def test_config_file_keys_are_read_as_written(tmp_path, capsys):
+    cfgfile = tmp_path / "keys.cfg"
+    cfgfile.write_text("[mc]\nN_PATHS = 50\n", encoding="utf-8")
+    out = tmp_path / "x"
+    assert run(["gap-rates", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "unknown key: N_PATHS" in capsys.readouterr().err
+    assert not out.exists()
+    cfgfile.write_text("[META]\nversion = 0\n[MC]\nn_paths = 50\n", encoding="utf-8")
+    cfg, errors = resolve_config(GAP_RATES_FIELDS, cfgfile, [])
+    assert not errors and cfg["n_paths"] == 50
 
 
 def test_missing_config_file_is_an_error(tmp_path):
@@ -333,7 +353,7 @@ def test_superiority_demo_runs_and_reproduces(tmp_path):
             "psi_qhalf_shifted_mean", "psi_raw_q0000"} <= metrics
 
 
-# SHA-256 of the output files of seven tiny runs, with one train run per agent
+# SHA-256 of the output files of nine tiny runs, with one train run per agent
 # kind. A refactor must leave them alone; only a change that moves results by
 # design may re-record a digest, and CHANGES.md must then say which one moved
 # and why.
@@ -349,6 +369,21 @@ GOLDEN_RESULTS = {
     "superiority_demo": (
         TINY_SUPERIORITY,
         {"results.csv": "63f07878c39386c0b39b72f9b549c41d508eb2bb835df9d99d5c9420b75e819e"},
+    ),
+    # Base action 1 after a window that reaches the horizon (h = 0.5 from
+    # t = 0.5), with a tail step that differs from the window's.
+    "gap_rates_base1_window_to_horizon": (
+        ["gap-rates", "--set", "t=0.5", "--set", "h_grid=0.5,0.25,0.125",
+         "--set", "base_action=1", "--set", "tail_dt=0.0625", "--set", "n_paths=400",
+         "--set", "bootstrap=10", "--set", "m=64"],
+        {"results.csv": "2028d5ce4a47e3c6055459e2ed881700b2a4f9f9a56b903b44649c4ee8df1cdb"},
+    ),
+    # Base action 1 with action 0 in the window; h = 0.25 reaches the horizon.
+    "superiority_demo_base1_window_to_horizon": (
+        ["superiority-demo", "--set", "horizon=0.25", "--set", "omega_grid=4,16",
+         "--set", "n_paths=300", "--set", "m=32", "--set", "tail_dt=none",
+         "--set", "base_action=1", "--set", "action=0"],
+        {"results.csv": "d1e7cca7bc5ddfe274fa70a5be3e8cc4436c0253c14f97ca12a33c9e9496e05e"},
     ),
     "train": (
         ["train", *TINY_TRAIN],

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from ctdrl import ctmdp
 from ctdrl.ctmdp import (
-    ConstantAction,
+    TIME_TOL,
     ContinuousMdp,
     SimConfig,
     SimulationError,
@@ -14,7 +15,6 @@ from ctdrl.ctmdp import (
     _phase_steps,
     _rollout_returns,
     em_step,
-    persistent,
     substream,
 )
 from ctdrl.envs import illustration_env, brownian_gap_env
@@ -72,6 +72,18 @@ def test_simconfig_resolution():
         SimConfig(substeps=0)
     with pytest.raises(ValueError):
         SimConfig().resolve_dt()
+
+
+# Each bound fails NaN: inf as dt would be one EM step over the whole
+# horizon, and a NaN or negative dt_floor would be ignored by resolve_dt.
+@pytest.mark.parametrize("field, value", [
+    ("dt", math.inf), ("dt", math.nan), ("dt", 0.0), ("dt", -0.1),
+    ("tail_dt", math.inf), ("tail_dt", math.nan), ("tail_dt", 0.0),
+    ("dt_floor", math.inf), ("dt_floor", math.nan), ("dt_floor", -1e-4),
+])
+def test_simconfig_rejects_non_finite_and_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SimConfig(**{field: value})
 
 
 # ----------------------------------------------------------------- em_step
@@ -190,14 +202,14 @@ class CountedDraw:
 @pytest.mark.parametrize("kind", ["elementwise", "hold_frozen"])
 @pytest.mark.parametrize(
     "case,n_paths",
-    [("first", 257), ("last", 257), ("last", 1), ("first", 0)],
+    [("first", 257), ("last", 257), ("last", 1)],
 )
 def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     env = three_action_env(kind)
     rng = np.random.default_rng([n_paths, len(case), len(kind)])
     states = rng.normal(size=(n_paths, 3))
     noise = rng.standard_normal((n_paths, 3))
-    acts = ConstantAction({"first": 0, "last": 2}[case]).sample_actions(0.1, states, rng)
+    acts = np.broadcast_to(np.intp({"first": 0, "last": 2}[case]), (n_paths,))
     draw = CountedDraw(noise)
     got = _em_apply(env, 0.1, states, acts, 1 / 48, draw)
     want = em_apply_oracle(env, 0.1, states, acts, 1 / 48, noise)
@@ -205,27 +217,6 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     assert np.array_equal(got, want)
     noisy = acts[acts != 0] if kind == "hold_frozen" else acts
     assert draw.calls == np.unique(noisy).size
-
-
-class SplitPolicy:
-    """Plays action 0 on the first path and action 1 on the others."""
-
-    def sample_actions(self, t, states, rng):
-        acts = np.ones(states.shape[0], dtype=np.intp)
-        acts[0] = 0
-        return acts
-
-
-def test_a_step_rejects_a_policy_playing_two_actions():
-    env = brownian_gap_env()
-    states = np.zeros((4, 1))
-    acts = SplitPolicy().sample_actions(0.25, states, None)
-    draw = CountedDraw(np.ones((4, 1)))
-    with pytest.raises(ValueError, match=re.escape("2 actions in the step at t=0.25")):
-        _em_apply(env, 0.25, states, acts, 1 / 32, draw)
-    assert draw.calls == 0
-    with pytest.raises(ValueError, match=re.escape("2 actions in the step at t=0;")):
-        mc_return_dist(env, SplitPolicy(), 0.0, [0.0], 4, SimConfig(dt=1 / 32))
 
 
 # --------------------------------------------------------- diffusion shapes
@@ -293,7 +284,7 @@ def test_matrix_stack_diffusion_is_rejected_by_shape(n_paths, scale):
     rng = substream(3, 8)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=shape):
-        _rollout_returns(env, ConstantAction(0), 0.0, [1.0, 1.0], n_paths, rng, 0.5)
+        _rollout_returns(env, 0, 0.0, [1.0, 1.0], n_paths, rng, 0.5)
     assert rng.bit_generator.state == before
 
 
@@ -310,14 +301,14 @@ def test_sample_return_unit_reward_integrates_time():
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=2.0,
     )
-    got = mc_return_dist(env, ConstantAction(0), 0.5, [0.0], 2, SimConfig(dt=0.01))
+    got = mc_return_dist(env, 0, 0.5, [0.0], 2, SimConfig(dt=0.01))
     np.testing.assert_allclose(got.samples, 1.5, rtol=0, atol=1e-9)
 
 
 def test_sample_return_linear_drift_terminal_reward():
     c, t0, horizon, gamma = 2.0, 0.25, 1.0, 0.9
     env = constant_env(c, horizon=horizon, discount=gamma)
-    got = mc_return_dist(env, ConstantAction(0), t0, [1.0], 2, SimConfig(dt=0.0125))
+    got = mc_return_dist(env, 0, t0, [1.0], 2, SimConfig(dt=0.0125))
     expect = gamma ** (horizon - t0) * (1.0 + c * (horizon - t0))
     np.testing.assert_allclose(got.samples, expect, rtol=1e-9)
 
@@ -325,7 +316,7 @@ def test_sample_return_linear_drift_terminal_reward():
 def test_sample_return_frozen_gap_env_exact():
     env = brownian_gap_env(horizon=1.0, discount=1.0)
     x = 0.8
-    got = mc_return_dist(env, ConstantAction(0), 0.0, [x], 2, SimConfig(dt=1 / 64))
+    got = mc_return_dist(env, 0, 0.0, [x], 2, SimConfig(dt=1 / 64))
     np.testing.assert_allclose(got.samples, x * 1.0, rtol=1e-12)
 
 
@@ -333,7 +324,7 @@ def test_sample_return_discounted_frozen_state():
     gamma = 0.9
     env = brownian_gap_env(horizon=1.0, discount=gamma)
     x = 2.0
-    got = mc_return_dist(env, ConstantAction(0), 0.0, [x], 2, SimConfig(dt=1e-3))
+    got = mc_return_dist(env, 0, 0.0, [x], 2, SimConfig(dt=1e-3))
     exact = x * (gamma - 1.0) / np.log(gamma)
     np.testing.assert_allclose(got.samples, exact, rtol=1e-3)
 
@@ -341,28 +332,26 @@ def test_sample_return_discounted_frozen_state():
 def test_sample_return_rejects_start_past_horizon():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_return_dist(env, ConstantAction(0), 1.0, [0.0], 2, SimConfig(dt=0.1))
+        mc_return_dist(env, 0, 1.0, [0.0], 2, SimConfig(dt=0.1))
 
 
 # ------------------------------------------------- action-conditioned return
 
 
 def test_action_return_full_horizon_matches_plain_return():
+    # a window that reaches the horizon plays its action up to the horizon
     env = brownian_gap_env()
-    pi = persistent(ConstantAction(1), 1.0, 1, 0.0)
-    via_action = _rollout_returns(env, pi, 0.0, [0.0], 4, substream(7), dt=1 / 32,
-                                  window_end=1.0)
-    via_plain = _rollout_returns(env, ConstantAction(1), 0.0, [0.0], 4, substream(7),
-                                 dt=1 / 32)
+    via_action = _rollout_returns(env, 0, 0.0, [0.0], 4, substream(7), dt=1 / 32,
+                                  window_end=1.0, window_action=1)
+    via_plain = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(7), dt=1 / 32)
     np.testing.assert_array_equal(via_action, via_plain)
 
 
 def test_action_return_matching_deterministic_policy_identical_law():
     env = brownian_gap_env()
-    pi = ConstantAction(1)
-    a_cond = _rollout_returns(env, persistent(pi, 0.25, 1, 0.0), 0.0, [0.0], 4,
-                              substream(11), dt=1 / 32, window_end=0.25)
-    plain = _rollout_returns(env, pi, 0.0, [0.0], 4, substream(11), dt=1 / 32)
+    a_cond = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(11), dt=1 / 32,
+                              window_end=0.25, window_action=1)
+    plain = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(11), dt=1 / 32)
     np.testing.assert_array_equal(a_cond, plain)
 
 
@@ -370,16 +359,8 @@ def test_action_return_mean_is_martingale_value():
     env = brownian_gap_env(horizon=1.0)
     x, h, n = 0.5, 0.25, 30_000
     rng = substream(3, 0)
-    gains = _rollout_returns(
-        env,
-        persistent(ConstantAction(0), h, 1, 0.0),
-        0.0,
-        [x],
-        n,
-        rng,
-        dt=h / 32,
-        window_end=h,
-    )
+    gains = _rollout_returns(env, 0, 0.0, [x], n, rng, dt=h / 32, window_end=h,
+                             window_action=1)
     se = gains.std(ddof=1) / np.sqrt(n)
     assert abs(gains.mean() - x * 1.0) <= 3 * se
 
@@ -387,48 +368,21 @@ def test_action_return_mean_is_martingale_value():
 def test_action_return_validations():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_action_return_dist(env, ConstantAction(0), 0.9, [0.0], 1, 0.25, 2,
+        mc_action_return_dist(env, 0, 0.9, [0.0], 1, 0.25, 2,
                               SimConfig(dt=0.01))
     with pytest.raises(ValueError):
-        mc_action_return_dist(env, ConstantAction(0), 0.0, [0.0], 1, 0.25, 2,
+        mc_action_return_dist(env, 0, 0.0, [0.0], 1, 0.25, 2,
                               SimConfig(dt=0.11))
 
 
-# ------------------------------------------------------------------ policies
-
-
-def test_persistent_policy_window_semantics():
-    base = ConstantAction(0)
-    pol = persistent(base, 0.5, 1, 1.0)
-    states = np.zeros((3, 1))
-    rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(pol.sample_actions(1.0, states, rng), 1)
-    np.testing.assert_array_equal(pol.sample_actions(1.49999, states, rng), 1)
-    np.testing.assert_array_equal(pol.sample_actions(1.5, states, rng), 0)
-    np.testing.assert_array_equal(pol.sample_actions(0.999, states, rng), 0)
-
-
-def test_persistent_wrapper_of_matching_base_is_identity():
-    base = ConstantAction(1)
-    pol = persistent(base, 0.3, 1, 0.2)
-    states = np.zeros((4, 1))
-    rng = np.random.default_rng(0)
-    for s in (0.0, 0.2, 0.35, 0.5, 0.9):
-        np.testing.assert_array_equal(
-            pol.sample_actions(s, states, rng), base.sample_actions(s, states, rng)
-        )
-
-
-# NaN compares false against the window's bounds and inf makes its end NaN,
-# so either would give an empty window that plays the base action at t0.
+# NaN compares false against the horizon check and inf makes the window's end
+# inf, so either would give a window that plays its action to the horizon.
 @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.25])
 def test_persistence_horizon_must_be_positive_and_finite(h):
     named = re.escape(f"persistence horizon h must be positive and finite, got {h}")
     with pytest.raises(ValueError, match=named):
-        persistent(ConstantAction(0), h, 1, 0.0)
-    with pytest.raises(ValueError, match=named):
-        mc_action_return_dist(brownian_gap_env(), ConstantAction(0), 0.0, [0.0], 1, h,
-                              4, SimConfig(dt=1 / 32))
+        mc_action_return_dist(brownian_gap_env(), 0, 0.0, [0.0], 1, h, 4,
+                              SimConfig(dt=1 / 32))
 
 
 # ----------------------------------------------------------- reproducibility
@@ -436,24 +390,33 @@ def test_persistence_horizon_must_be_positive_and_finite(h):
 
 def test_seed_determinism_bitwise():
     env = brownian_gap_env()
-    pol = persistent(ConstantAction(0), 0.25, 1, 0.0)
-    a = _rollout_returns(env, pol, 0.0, [0.0], 500, substream(9, 1), dt=1 / 64,
-                         window_end=0.25)
-    b = _rollout_returns(env, pol, 0.0, [0.0], 500, substream(9, 1), dt=1 / 64,
-                         window_end=0.25)
+    a = _rollout_returns(env, 0, 0.0, [0.0], 500, substream(9, 1), dt=1 / 64,
+                         window_end=0.25, window_action=1)
+    b = _rollout_returns(env, 0, 0.0, [0.0], 500, substream(9, 1), dt=1 / 64,
+                         window_end=0.25, window_action=1)
     np.testing.assert_array_equal(a, b)
 
 
-def always_draw_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
-                       window_end=None):
-    """The always-draw step loop: every step draws its normals before the
-    policy acts and applies them through the masked oracle, diffusion zero
-    or not."""
+def window_rule(action, t0, window_end=None, window_action=None):
+    """The action index a step from s plays: the persistent modification's
+    window test t0 - tol <= s < window_end - tol, evaluated per step."""
+    if window_end is None:
+        return lambda s: action
+    tol = TIME_TOL * max(1.0, abs(t0) + (window_end - t0))
+    return lambda s: window_action if t0 - tol <= s < window_end - tol else action
+
+
+def always_draw_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
+                       window_end=None, window_action=None):
+    """The always-draw step loop: every step draws its normals, picks its
+    action by window_rule and applies them through the masked oracle,
+    diffusion zero or not."""
     n = mdp.state_dim
     states = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths, n)).copy()
     gains = np.zeros(n_paths)
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
+    rule = window_rule(action, t0, window_end, window_action)
     phases = [(t0, mdp.horizon, dt)]
     if window_end is not None:
         phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
@@ -464,37 +427,36 @@ def always_draw_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
             rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
             gains += disc * np.broadcast_to(rew, (n_paths,)) * delta
             noise = rng.standard_normal((n_paths, n))
-            acts = policy.sample_actions(s, states, rng)
+            acts = np.full(n_paths, rule(s), dtype=np.intp)
             states = em_apply_oracle(mdp, s, states, acts, delta, noise)
     disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (mdp.horizon - t0))
     term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
     return gains + disc_t * np.broadcast_to(term, (n_paths,))
 
 
-# Rollouts whose noise-free steps all follow their last noisy step, under
-# policies that draw nothing: the gap-rates sweep on brownian_gap_env (base
-# action 0) and superiority-demo's shape on illustration_env (a noisy window,
-# then a frozen tail at tail_dt).
+# Rollouts whose noise-free steps all follow their last noisy step: the
+# gap-rates sweep on brownian_gap_env and superiority-demo's shape on
+# illustration_env (a noisy window, then a frozen tail at tail_dt), also with
+# a window that reaches the horizon.
 _ORACLE_CASES = {
     "gap_base0_action0": (brownian_gap_env(), 0, 0, 0.25, 1 / 64, None),
     "gap_base0_action1": (brownian_gap_env(), 0, 1, 0.25, 1 / 64, None),
     "gap_base1_action1": (brownian_gap_env(discount=0.9), 1, 1, 0.125, 1 / 64, None),
     "demo_window": (illustration_env(horizon=2.0), 0, 1, 0.125, 0.125 / 16, 0.05),
     "demo_plain": (illustration_env(horizon=2.0), 0, None, None, 0.125 / 16, 0.05),
+    "demo_window_to_horizon": (illustration_env(horizon=0.125), 0, 1, 0.125,
+                               0.125 / 16, 0.05),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_rollout_matches_always_draw_oracle_bitwise(case):
     env, base, action, h, dt, tail_dt = _ORACLE_CASES[case]
-    pol = ConstantAction(base)
-    window_end = None
-    if action is not None:
-        pol, window_end = persistent(pol, h, action, 0.0), h
-    got = _rollout_returns(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
-                           tail_dt=tail_dt, window_end=window_end)
-    want = always_draw_oracle(env, pol, 0.0, [0.0], 300, substream(3, 5), dt,
-                              tail_dt=tail_dt, window_end=window_end)
+    window = {} if action is None else dict(window_end=h, window_action=action)
+    got = _rollout_returns(env, base, 0.0, [0.0], 300, substream(3, 5), dt,
+                           tail_dt=tail_dt, **window)
+    want = always_draw_oracle(env, base, 0.0, [0.0], 300, substream(3, 5), dt,
+                              tail_dt=tail_dt, **window)
     assert got.tobytes() == want.tobytes()
 
 
@@ -509,16 +471,18 @@ def em_step_oracle(mdp, t, states, label, delta, draw):
     return drifted + math.sqrt(delta) * (sig * draw())
 
 
-def rollout_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
-                   window_end=None):
+def rollout_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
+                   window_end=None, window_action=None):
     """The step loop before frozen steps kept their states: a fresh state
-    array, a full finiteness scan and a scan for a uniform action on every
-    step, and the discounted reward added through temporaries."""
+    array, a full finiteness scan, the action picked by window_rule and
+    applied per action mask on every step, and the discounted reward added
+    through temporaries."""
     n = mdp.state_dim
     states = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths, n)).copy()
     gains = np.zeros(n_paths)
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
+    rule = window_rule(action, t0, window_end, window_action)
     phases = [(t0, mdp.horizon, dt)]
     if window_end is not None:
         phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
@@ -535,7 +499,7 @@ def rollout_oracle(mdp, policy, t0, x0, n_paths, rng, dt, tail_dt=None,
                     memo.append(rng.standard_normal((n_paths, n)))
                 return memo[0]
 
-            acts = np.array(policy.sample_actions(s, states, rng))
+            acts = np.full(n_paths, rule(s), dtype=np.intp)
             out = np.empty_like(states)
             for idx in np.unique(acts):
                 mask = acts == idx
@@ -555,30 +519,34 @@ _ROLLOUT_ENVS = {
 }
 
 
-def _rollout_policy(name, n_actions):
-    last = n_actions - 1
-    if name == "constant":
-        return ConstantAction(0)
-    return persistent(ConstantAction(0), 0.25, last, 0.125)
+def _rollout_window(name, n_actions):
+    """(t0, window keywords) of a rollout: none, a window [0.125, 0.375) of
+    the last action, or a window [0.5, 1) that reaches the horizon."""
+    window = {"constant": (0.0, None), "persistent": (0.125, 0.375),
+              "to_horizon": (0.5, 1.0)}
+    t0, window_end = window[name]
+    if window_end is None:
+        return t0, {}
+    return t0, dict(window_end=window_end, window_action=n_actions - 1)
 
 
-# The persistent policy also runs with an explicit tail_dt that does not
-# divide the tail, so the tail ends on a short step.
+# The windowed rollouts also run with an explicit tail_dt that does not
+# divide the tail, so the tail ends on a short step; a window that reaches
+# the horizon has no tail, and its tail_dt goes unused.
 @pytest.mark.parametrize("policy, tail_dt", [
-    ("constant", None), ("persistent", None), ("persistent", 0.05)])
+    ("constant", None), ("persistent", None), ("persistent", 0.05),
+    ("to_horizon", 0.05)])
 @pytest.mark.parametrize("env_name", sorted(_ROLLOUT_ENVS))
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
 def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy, tail_dt):
     env = dataclasses.replace(_ROLLOUT_ENVS[env_name](), discount=gamma)
-    pol = _rollout_policy(policy, env.n_actions)
+    t0, window = _rollout_window(policy, env.n_actions)
     x0 = np.linspace(0.1, 0.3, env.state_dim)
-    window_end = 0.375 if policy == "persistent" else None
     key = (5, len(policy), len(env_name), tail_dt is not None)
     rng, oracle_rng = substream(*key), substream(*key)
-    got = _rollout_returns(env, pol, 0.0, x0, 96, rng, 1 / 32, tail_dt=tail_dt,
-                           window_end=window_end)
-    want = rollout_oracle(env, pol, 0.0, x0, 96, oracle_rng, 1 / 32, tail_dt=tail_dt,
-                          window_end=window_end)
+    got = _rollout_returns(env, 0, t0, x0, 96, rng, 1 / 32, tail_dt=tail_dt, **window)
+    want = rollout_oracle(env, 0, t0, x0, 96, oracle_rng, 1 / 32, tail_dt=tail_dt,
+                          **window)
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -588,19 +556,41 @@ def test_rollout_from_negative_zero_matches_step_loop_oracle_in_value():
     # +0.0, so a reward that reads the state's sign bit could differ; the
     # values are equal, which is what the returns are compared by here.
     env = brownian_gap_env(discount=0.9)
-    pol = persistent(ConstantAction(0), 0.25, 1, 0.5)
+    window = dict(window_end=0.5, window_action=0)  # frozen, then noisy
     rng, oracle_rng = substream(6, 2), substream(6, 2)
-    got = _rollout_returns(env, pol, 0.0, [-0.0], 64, rng, 1 / 32, window_end=0.75)
-    want = rollout_oracle(env, pol, 0.0, [-0.0], 64, oracle_rng, 1 / 32, window_end=0.75)
+    got = _rollout_returns(env, 1, 0.0, [-0.0], 64, rng, 1 / 32, **window)
+    want = rollout_oracle(env, 1, 0.0, [-0.0], 64, oracle_rng, 1 / 32, **window)
     assert np.array_equal(got, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("window_end, phases", [
+    (None, [(0, 32)]), (0.25, [(1, 8), (0, 24)]), (1.0, [(1, 32)])])
+def test_rollout_plays_one_zero_stride_index_vector_per_phase(monkeypatch, window_end,
+                                                              phases):
+    seen = []
+
+    def recorded(*args):
+        seen.append(args[3])  # action_indices
+        return _em_apply(*args)
+
+    monkeypatch.setattr(ctmdp, "_em_apply", recorded)
+    _rollout_returns(brownian_gap_env(), 0, 0.0, [0.0], 5, substream(6, 4), 1 / 32,
+                     window_end=window_end, window_action=1)
+    runs = []
+    for acts in seen:
+        assert acts.shape == (5,) and acts.strides == (0,) and not acts.flags.writeable
+        if runs and acts is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([acts, 1])
+    assert [(int(acts[0]), steps) for acts, steps in runs] == phases
 
 
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
 def test_frozen_rollout_from_non_finite_start_raises(x0):
     with pytest.raises(SimulationError, match="non-finite state"):
-        _rollout_returns(brownian_gap_env(), ConstantAction(0), 0.0, [x0], 4,
-                         substream(6, 3), 1 / 8)
+        _rollout_returns(brownian_gap_env(), 0, 0.0, [x0], 4, substream(6, 3), 1 / 8)
 
 
 @pytest.mark.parametrize("shape", [(1,), (5, 1)])
@@ -630,20 +620,11 @@ def test_em_apply_zero_stride_indices_match_materialised(kind, action):
     assert draws[0].calls == draws[1].calls
 
 
-def test_constant_policies_return_read_only_zero_stride_indices():
-    states = np.zeros((6, 1))
-    rng = np.random.default_rng(0)
-    for pol in (ConstantAction(1), persistent(ConstantAction(0), 0.5, 1, 0.0)):
-        acts = pol.sample_actions(0.25, states, rng)
-        assert acts.strides == (0,) and not acts.flags.writeable
-        np.testing.assert_array_equal(acts, 1)
-
-
 def test_frozen_rollout_leaves_generator_untouched():
     env = brownian_gap_env()
     rng = substream(3, 6)
     before = rng.bit_generator.state
-    gains = _rollout_returns(env, ConstantAction(0), 0.0, [0.5], 50, rng, 1 / 64)
+    gains = _rollout_returns(env, 0, 0.0, [0.5], 50, rng, 1 / 64)
     assert rng.bit_generator.state == before
     np.testing.assert_array_equal(gains, 0.5)
 
@@ -662,9 +643,8 @@ def test_frozen_window_before_noisy_tail_has_integrated_brownian_variance():
     # is the integral of a Brownian motion over T - h, variance (T - h)^3 / 3
     env = brownian_gap_env()
     h, tail_dt, n = 0.25, 1 / 1024, 20_000
-    pol = persistent(ConstantAction(1), h, 0, 0.0)
-    gains = _rollout_returns(env, pol, 0.0, [0.0], n, substream(41, 0), h / 16,
-                             tail_dt=tail_dt, window_end=h)
+    gains = _rollout_returns(env, 1, 0.0, [0.0], n, substream(41, 0), h / 16,
+                             tail_dt=tail_dt, window_end=h, window_action=0)
     var, bias = integrated_brownian_law(1.0, 1.0 - h, tail_dt)
     se = var * math.sqrt(2.0 / (n - 1))
     assert abs(gains.var(ddof=1) - var) <= 4 * se + bias
@@ -676,13 +656,9 @@ def test_dt_refinement_changes_mean_less_than_mc_error():
     env = illustration_env()
     n = 100_000
     h = 0.25
-    coarse = _rollout_returns(
-        env, persistent(ConstantAction(0), h, 1, 0.0), 0.0, [0.0], n,
-        substream(5, 0), dt=h / 16, tail_dt=0.05, window_end=h,
-    )
-    fine = _rollout_returns(
-        env, persistent(ConstantAction(0), h, 1, 0.0), 0.0, [0.0], n,
-        substream(5, 1), dt=h / 32, tail_dt=0.05, window_end=h,
-    )
+    coarse = _rollout_returns(env, 0, 0.0, [0.0], n, substream(5, 0), dt=h / 16,
+                              tail_dt=0.05, window_end=h, window_action=1)
+    fine = _rollout_returns(env, 0, 0.0, [0.0], n, substream(5, 1), dt=h / 32,
+                            tail_dt=0.05, window_end=h, window_action=1)
     se = np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(n)
     assert abs(coarse.mean() - fine.mean()) < se

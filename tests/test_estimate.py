@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ctdrl.ctmdp import ConstantAction, ContinuousMdp, SimConfig, SimulationError, substream
+from ctdrl.ctmdp import ContinuousMdp, SimConfig, SimulationError, substream
 from ctdrl.dist import (
     EmpiricalDist,
     QuantileRep,
@@ -26,32 +26,32 @@ from ctdrl.estimate import (
 )
 from ctdrl.envs import illustration_env, brownian_gap_env, brownian_gap_w1_oracle
 
-POLICY0 = ConstantAction(0)
+BASE_ACTION = 0
 
 
 def test_mc_return_dist_deterministic_env_collapses():
     env = brownian_gap_env()
-    emp = mc_return_dist(env, POLICY0, 0.0, [0.6], 50, SimConfig(dt=1 / 32, seed=1))
+    emp = mc_return_dist(env, BASE_ACTION, 0.0, [0.6], 50, SimConfig(dt=1 / 32, seed=1))
     np.testing.assert_allclose(emp.samples, 0.6, rtol=1e-12)
 
 
 def test_mc_return_dist_validates_sample_count():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_return_dist(env, POLICY0, 0.0, [0.0], 1, SimConfig(dt=1 / 32))
+        mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, SimConfig(dt=1 / 32))
 
 
 def test_mc_return_dist_rejects_start_at_horizon():
     env = brownian_gap_env()
     with pytest.raises(ValueError, match="before the horizon"):
-        mc_return_dist(env, POLICY0, 1.0, [0.0], 10, SimConfig(dt=1 / 32))
+        mc_return_dist(env, BASE_ACTION, 1.0, [0.0], 10, SimConfig(dt=1 / 32))
 
 
 def test_mc_action_return_mean_matches_martingale_value():
     env = brownian_gap_env()
     x = 0.5
     emp = mc_action_return_dist(
-        env, POLICY0, 0.0, [x], 1, 0.25, 30_000, SimConfig(substeps=32, seed=2)
+        env, BASE_ACTION, 0.0, [x], 1, 0.25, 30_000, SimConfig(substeps=32, seed=2)
     )
     se = np.std(emp.samples, ddof=1) / np.sqrt(emp.n)
     assert abs(np.mean(emp.samples) - x) <= 3 * se
@@ -104,7 +104,7 @@ def test_action_gaps_identical_dynamics_vanish():
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=1.0,
     )
-    est = action_gaps(env, POLICY0, 0.0, [0.0], 0.25, 4000, 1,
+    est = action_gaps(env, BASE_ACTION, 0.0, [0.0], 0.25, 4000, 1,
                       SimConfig(substeps=16, seed=6), m=256, bootstrap=50)
     assert est.value_gap <= 3 * est.value_gap_se
     assert est.dist_gap <= 0.05
@@ -126,9 +126,9 @@ def test_gap_estimate_hand_values():
 def test_action_gaps_is_gap_estimate_of_its_rollouts():
     env = brownian_gap_env()
     cfg = SimConfig(substeps=8, seed=31)
-    est = action_gaps(env, POLICY0, 0.0, [0.2], 0.25, 300, 2, cfg, m=32,
+    est = action_gaps(env, BASE_ACTION, 0.0, [0.2], 0.25, 300, 2, cfg, m=32,
                       bootstrap=10)
-    zetas = [mc_action_return_dist(env, POLICY0, 0.0, [0.2], a, 0.25, 300, cfg)
+    zetas = [mc_action_return_dist(env, BASE_ACTION, 0.0, [0.2], a, 0.25, 300, cfg)
              for a in (0, 1)]
     want = gap_estimate(*zetas, 2, 32, 10, substream(cfg.seed, _TAG_BOOT, 0, 1))
     assert vars(est) == vars(want)
@@ -146,12 +146,13 @@ def test_action_gaps_needs_two_actions(actions):
         horizon=1.0,
     )
     with pytest.raises(ValueError, match="exactly two actions"):
-        action_gaps(env, POLICY0, 0.0, [0.0], 0.25, 10, 1, SimConfig(substeps=4))
+        action_gaps(env, BASE_ACTION, 0.0, [0.0], 0.25, 10, 1, SimConfig(substeps=4))
 
 
 # Returns of +-1e308: every sample is finite, but at m = 64 the quantiles
 # interpolate between the two signs and overflow; at m = 16 they do not, and
-# the gap itself overflows.
+# the gap itself overflows. Either way the overflow raises and warns nothing.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m", [64, 16])
 def test_action_gaps_quantile_overflow_is_a_simulation_error(m):
     env = ContinuousMdp(
@@ -164,14 +165,14 @@ def test_action_gaps_quantile_overflow_is_a_simulation_error(m):
         horizon=1.0,
     )
     with pytest.raises(SimulationError, match="non-finite action-gap estimate"):
-        action_gaps(env, ConstantAction(1), 0.0, [0.0], 0.25, 64, 1,
+        action_gaps(env, 1, 0.0, [0.0], 0.25, 64, 1,
                     SimConfig(substeps=4, seed=1), m=m, bootstrap=5)
 
 
 def test_action_gaps_match_gaussian_oracle():
     env = brownian_gap_env()
     h = 0.25
-    est = action_gaps(env, POLICY0, 0.0, [0.0], h, 20_000, 1,
+    est = action_gaps(env, BASE_ACTION, 0.0, [0.0], h, 20_000, 1,
                       SimConfig(substeps=32, seed=7), m=512, bootstrap=100)
     oracle = brownian_gap_w1_oracle(h)
     assert est.dist_gap == pytest.approx(oracle, rel=0.03)
@@ -182,7 +183,7 @@ def test_action_gaps_match_gaussian_oracle():
 def test_action_gaps_illustration_value_gap_oracle():
     env = illustration_env()
     h = 0.0625
-    est = action_gaps(env, POLICY0, 0.0, [0.0], h, 20_000, 1,
+    est = action_gaps(env, BASE_ACTION, 0.0, [0.0], h, 20_000, 1,
                       SimConfig(substeps=32, tail_dt=0.05, seed=8), m=512,
                       bootstrap=50)
     drift, horizon = 10.0, 10.0
@@ -193,7 +194,7 @@ def test_action_gaps_illustration_value_gap_oracle():
 def test_distributional_gap_dominates_value_gap():
     env = brownian_gap_env()
     for h, seed in ((0.5, 11), (0.25, 12), (0.125, 13)):
-        est = action_gaps(env, POLICY0, 0.0, [0.3], h, 4000, 1,
+        est = action_gaps(env, BASE_ACTION, 0.0, [0.3], h, 4000, 1,
                           SimConfig(substeps=16, seed=seed), m=256, bootstrap=50)
         slack = 2 * (est.dist_gap_se + est.value_gap_se)
         assert est.dist_gap >= est.value_gap - slack
@@ -214,8 +215,9 @@ def test_collapse_is_monotone_on_bounded_reward_fixture():
     ws, ses = [], []
     for i, h in enumerate(h_grid):
         cfg = SimConfig(substeps=16, seed=100 + i)
-        zeta = mc_action_return_dist(env, POLICY0, 0.0, [0.0], 1, h, n, cfg)
-        eta = mc_return_dist(env, POLICY0, 0.0, [0.0], n, SimConfig(dt=1 / 32, seed=200 + i))
+        zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, h, n, cfg)
+        eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], n,
+                             SimConfig(dt=1 / 32, seed=200 + i))
         psi = mc_superiority(zeta, eta, 256)
         ws.append(wasserstein(1, psi, mc_superiority(eta, eta, 256)))
         ses.append(np.std(zeta.samples, ddof=1) / np.sqrt(n))
@@ -230,10 +232,10 @@ def test_rescaled_family_gap_scales_exactly():
     env = brownian_gap_env()
     h, m = 0.25, 256
     cfg = SimConfig(substeps=16, seed=21)
-    eta = mc_return_dist(env, POLICY0, 0.0, [0.0], 4000, SimConfig(dt=1 / 64, seed=22))
+    eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 4000, SimConfig(dt=1 / 64, seed=22))
     psis = []
     for a in (0, 1):
-        zeta = mc_action_return_dist(env, POLICY0, 0.0, [0.0], a, h, 4000, cfg)
+        zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], a, h, 4000, cfg)
         psis.append(mc_superiority(zeta, eta, m))
     for q in (0.5, 1.0):
         raw = wasserstein(1, psis[0], psis[1])
@@ -249,7 +251,7 @@ def test_estimator_spread_shrinks_with_sample_size():
     for s in range(10):
         for n, acc in ((400, gaps_n), (800, gaps_2n)):
             cfg = SimConfig(substeps=16, seed=5000 + s * 7 + n)
-            est = action_gaps(env, POLICY0, 0.0, [0.0], 0.25, n, 1, cfg,
+            est = action_gaps(env, BASE_ACTION, 0.0, [0.0], 0.25, n, 1, cfg,
                               m=128, bootstrap=10)
             acc.append(est.dist_gap)
     ratio = np.std(gaps_n, ddof=1) / np.std(gaps_2n, ddof=1)
