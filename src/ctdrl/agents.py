@@ -715,7 +715,8 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     (``_keep_heap_resident``), so each update reuses resident heap pages.
 
     Raises TrainingDiverged (with the partial log attached) on a non-finite
-    loss or on a SimulationError from the env.
+    loss, a floating-point overflow or invalid operation, or a
+    SimulationError from the env.
     """
     _keep_heap_resident()
     log = []
@@ -732,41 +733,39 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     updates = 0
     last_loss = float("nan")
     state = None
-    for u in range(total_updates):
-        noise = env_rng.standard_normal(ipu)
-        coins = explore_rng.random(ipu)
-        random_actions = explore_rng.integers(agent.n_actions, size=ipu)
-        eps = agent.schedule.epsilon(env_steps + window)
-        try:
-            state = _act_window(agent, env, buffer, x0, state, noise, eps, coins,
-                                random_actions, subsample_rng)
-        except SimulationError as exc:
-            raise TrainingDiverged(str(exc), log) from exc
-        env_steps += ipu
-        if len(buffer) >= cfg.batch_size:
-            batch = buffer.sample(cfg.batch_size, replay_rng)
-            last_loss = agent.train_step(batch)
-            if not math.isfinite(last_loss):
-                raise TrainingDiverged(f"non-finite loss at update {updates}", log)
-            updates += 1
-            if cfg.target_period and updates % cfg.target_period == 0:
-                agent.sync_target()
-        if cfg.eval_every and (u + 1) % cfg.eval_every == 0:
-            ev_rng = substream(cfg.seed, 22, u)
-            try:
-                mean_ret, cvar_ret = evaluate(
-                    agent, env, cfg.eval_episodes, ev_rng, cfg.eval_cvar_alpha
-                )
-            except SimulationError as exc:
-                raise TrainingDiverged(str(exc), log) from exc
-            log.append(
-                TrainRow(
-                    wall_step=u + 1,
-                    env_time=env_steps * h,
-                    loss=last_loss,
-                    eval_mean_return=mean_ret,
-                    eval_cvar_return=cvar_ret,
-                    epsilon=agent.schedule.epsilon(env_steps),
-                )
-            )
+    # One errstate for the whole run: an overflow or invalid operation
+    # anywhere in it is a divergence, at no per-update cost.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for u in range(total_updates):
+                noise = env_rng.standard_normal(ipu)
+                coins = explore_rng.random(ipu)
+                random_actions = explore_rng.integers(agent.n_actions, size=ipu)
+                eps = agent.schedule.epsilon(env_steps + window)
+                state = _act_window(agent, env, buffer, x0, state, noise, eps,
+                                    coins, random_actions, subsample_rng)
+                env_steps += ipu
+                if len(buffer) >= cfg.batch_size:
+                    batch = buffer.sample(cfg.batch_size, replay_rng)
+                    last_loss = agent.train_step(batch)
+                    if not math.isfinite(last_loss):
+                        raise TrainingDiverged(f"non-finite loss at update {updates}",
+                                               log)
+                    updates += 1
+                    if cfg.target_period and updates % cfg.target_period == 0:
+                        agent.sync_target()
+                if cfg.eval_every and (u + 1) % cfg.eval_every == 0:
+                    mean_ret, cvar_ret = evaluate(agent, env, cfg.eval_episodes,
+                                                  substream(cfg.seed, 22, u),
+                                                  cfg.eval_cvar_alpha)
+                    log.append(TrainRow(
+                        wall_step=u + 1,
+                        env_time=env_steps * h,
+                        loss=last_loss,
+                        eval_mean_return=mean_ret,
+                        eval_cvar_return=cvar_ret,
+                        epsilon=agent.schedule.epsilon(env_steps),
+                    ))
+    except (SimulationError, FloatingPointError) as exc:
+        raise TrainingDiverged(str(exc), log) from exc
     return log

@@ -9,11 +9,16 @@ artifacts. Exit codes: 0 success, 2 validation error, 3 numerical divergence.
 Every key is checked against its domain as the config is read: its parser
 in the field table rejects values outside it, and NaN and inf are rejected
 wherever a finite value is needed. Rules that join keys live in one
-check_<command> each: t + h must not exceed the horizon and the EM step must
-divide each h (gap-rates, superiority-demo); batch_size must not exceed
-buffer_capacity, and eval_episodes must be >= 1 when eval_every > 0 (train).
-They run once every key is valid. A rejected config exits 2, lists its
-errors and writes nothing.
+check_<command> each: t + h must not exceed the horizon (gap-rates,
+superiority-demo); batch_size must not exceed buffer_capacity, and
+eval_episodes must be >= 1 when eval_every > 0 (train). They run once every
+key is valid. A rejected config exits 2, lists its errors and writes
+nothing; a key the command does not have is an error too, so a config that
+still sets the removed dt_floor exits 2.
+
+gap-rates and superiority-demo step each window [t, t + h) at h / substeps
+and the tail after it at tail_dt, or at the window step when tail_dt is
+none.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from . import __version__, agents, envs, estimate
 from .ctmdp import (
-    TIME_TOL, SimConfig, SimulationError, _window_dt, substream,
+    TIME_TOL, SimConfig, SimulationError, substream,
 )
 from .dist import (
     DistortionMeasure,
@@ -168,7 +173,6 @@ GAP_RATES_FIELDS = {
     "m": (_at_least(1), 512),
     "bootstrap": (_at_least(2), 200),
     "substeps": (_at_least(1), 32),
-    "dt_floor": (_nonnegative, 1e-4),
     "tail_dt": (_tail_dt, None),
     "seeds": (_seeds, [0]),
 }
@@ -186,7 +190,6 @@ SUPERIORITY_FIELDS = {
     "action": (_action, 1),
     "base_action": (_action, 0),
     "substeps": (_at_least(1), 16),
-    "dt_floor": (_nonnegative, 1e-4),
     "tail_dt": (_tail_dt, 0.05),
     "write_quantiles": (_parse_bool, True),
     "seeds": (_seeds, [0]),
@@ -285,28 +288,18 @@ def _cell_seed(seed: int, *key) -> int:
     return int(substream(seed, *key).bit_generator.seed_seq.generate_state(1)[0])
 
 
-def _sim_config(cfg, seed=0) -> SimConfig:
+def _sim_config(cfg, seed) -> SimConfig:
     """The EM settings of a gap-rates or superiority-demo config."""
-    return SimConfig(substeps=cfg["substeps"], dt_floor=cfg["dt_floor"],
-                     tail_dt=cfg["tail_dt"], seed=seed)
+    return SimConfig(substeps=cfg["substeps"], tail_dt=cfg["tail_dt"], seed=seed)
 
 
 def _window_errors(cfg, hs):
-    """Errors in the rules that join a gap env's keys: every window
-    [t, t + h) must end by the horizon, and the EM step that substeps and
-    dt_floor give each h must divide it."""
-    errors = []
+    """Errors in the rule that joins a gap env's keys: every window
+    [t, t + h) must end by the horizon."""
     if cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
-        errors.append(f"t + h must not exceed the horizon {cfg['horizon']}, "
-                      f"got t={cfg['t']} and h={max(hs)}")
-    sim = _sim_config(cfg)
-    try:
-        for h in hs:
-            _window_dt(sim, h)
-    except ValueError as exc:
-        errors.append(f"dt_floor={cfg['dt_floor']} with "
-                      f"substeps={cfg['substeps']}: {exc}")
-    return errors
+        return [f"t + h must not exceed the horizon {cfg['horizon']}, "
+                f"got t={cfg['t']} and h={max(hs)}"]
+    return []
 
 
 def check_gap_rates(cfg):
@@ -404,19 +397,18 @@ def _superiority_rows(cfg, seed, h, zeta, eta):
 
 def cmd_superiority_demo(cfg, out_dir: Path) -> int:
     mdp = _build_gap_env(cfg)
-    steps = _sim_config(cfg)
     n, base = cfg["n_paths"], cfg["base_action"]
     rows = []
     for seed in cfg["seeds"]:
         for i, omega in enumerate(cfg["omega_grid"]):
             h = 1.0 / omega
-            # Both rollouts step at the window's dt, the plain one included.
-            sim = dataclasses.replace(steps, dt=steps.resolve_dt(h),
-                                      seed=_cell_seed(seed, 78, i))
+            sim = _sim_config(cfg, _cell_seed(seed, 78, i))
             zeta = estimate.mc_action_return_dist(
                 mdp, base, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
             )
-            eta = estimate.mc_return_dist(mdp, base, cfg["t"], [cfg["x"]], n, sim)
+            # The plain rollout steps at the window's dt throughout.
+            eta = estimate.mc_return_dist(mdp, base, cfg["t"], [cfg["x"]], n,
+                                          h / cfg["substeps"], sim.seed)
             # Finite returns can still overflow the quantiles (mc_superiority
             # raises), their rescaled panels or their moments; any such
             # overflow is a divergence.
@@ -497,18 +489,19 @@ def cmd_train(cfg, out_dir: Path) -> int:
             save_checkpoint(out_dir / f"checkpoint_{tag}.npz", agent.named_params())
 
             try:
-                ev_rng = substream(_cell_seed(seed, 93), 0)
-                final_mean, final_cvar = agents.evaluate(
-                    agent, eval_env, cfg["final_eval_episodes"], ev_rng,
-                    cfg["eval_cvar_alpha"],
-                )
-                base_rng = substream(_cell_seed(seed, 94), 0)
-                rand_mean, rand_cvar, _ = agents.evaluate_policy(
-                    eval_env,
-                    lambda t, X: base_rng.integers(0, 2, X.shape[0]),
-                    cfg["final_eval_episodes"], base_rng, h, cfg["eval_cvar_alpha"],
-                )
-            except SimulationError as exc:
+                with np.errstate(over="raise", invalid="raise"):
+                    ev_rng = substream(_cell_seed(seed, 93), 0)
+                    final_mean, final_cvar = agents.evaluate(
+                        agent, eval_env, cfg["final_eval_episodes"], ev_rng,
+                        cfg["eval_cvar_alpha"],
+                    )
+                    base_rng = substream(_cell_seed(seed, 94), 0)
+                    rand_mean, rand_cvar, _ = agents.evaluate_policy(
+                        eval_env,
+                        lambda t, X: base_rng.integers(0, 2, X.shape[0]),
+                        cfg["final_eval_episodes"], base_rng, h, cfg["eval_cvar_alpha"],
+                    )
+            except (SimulationError, FloatingPointError) as exc:
                 print(f"divergence in cell {tag}: {exc}", file=sys.stderr)
                 exit_code = 3
                 continue

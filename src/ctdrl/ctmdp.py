@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,49 +86,38 @@ class ContinuousMdp:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration settings.
+    """Integration settings of an action-conditioned rollout.
 
-    ``dt`` pins the step directly; otherwise it is derived from the
-    persistence horizon as h/substeps with a floor of dt_floor (never above
-    h itself). ``tail_dt`` applies to action-conditioned rollouts only: it
+    The persistence window [t, t + h) steps at h / substeps. ``tail_dt``
     optionally sets the step of the tail that plays the base action after
-    the persistence window, and defaults to the window step. A rollout
-    without a window steps at dt throughout. dt and tail_dt must be positive
-    and finite when set, and dt_floor finite and >= 0.
+    the window, and defaults to the window step. substeps must be an integer
+    >= 1 and tail_dt positive and finite when set.
     """
 
-    dt: float | None = None
     substeps: int = 16
-    dt_floor: float = 1e-4
     tail_dt: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        # Each bound is written so that NaN fails it.
-        if self.dt is not None and not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        # A bool is an Integral; NaN, inf and 2.5 are not.
+        if (isinstance(self.substeps, bool)
+                or not isinstance(self.substeps, numbers.Integral)
+                or self.substeps < 1):
+            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
+        # Written so that NaN fails it.
         if self.tail_dt is not None and not 0 < self.tail_dt < math.inf:
             raise ValueError(f"tail_dt must be positive and finite, got {self.tail_dt}")
-        if not 0 <= self.dt_floor < math.inf:
-            raise ValueError(f"dt_floor must be finite and >= 0, got {self.dt_floor}")
-
-    def resolve_dt(self, h: float | None = None) -> float:
-        if self.dt is not None:
-            return self.dt
-        if h is None:
-            raise ValueError("SimConfig.dt is unset and no horizon h was given")
-        return min(h, max(h / self.substeps, self.dt_floor))
 
 
-def _em_action_step(mdp, t, states, label, delta, draw):
-    """x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) z for one action label.
+def _em_apply(mdp, t, states, action_indices, delta, draw):
+    """One EM step x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) z on a path
+    bundle whose paths all play the action ``action_indices[0]``.
 
     ``draw()`` returns the normals z; it is not called when sigma is zero on
     every path, and such a step is x + b delta. When b is zero on every path
     too, the step returns ``states`` itself.
     """
+    label = mdp.actions[action_indices[0]]
     b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
     sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
     if sig.ndim and np.broadcast(sig, states).shape != states.shape:
@@ -142,13 +132,6 @@ def _em_action_step(mdp, t, states, label, delta, draw):
     return drifted + math.sqrt(delta) * (sig * draw())
 
 
-def _em_apply(mdp, t, states, action_indices, delta, draw):
-    """One EM step on a path bundle whose paths all play the action
-    ``action_indices[0]``; the result may be ``states`` itself (see
-    _em_action_step)."""
-    return _em_action_step(mdp, t, states, mdp.actions[action_indices[0]], delta, draw)
-
-
 def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     """x' = x + b(t,x,a) dt + sigma(t,x,a) sqrt(dt) noise.
 
@@ -157,6 +140,8 @@ def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if a not in mdp.actions:
+        raise ValueError(f"action {a!r} is not one of {mdp.actions}")
     states = np.asarray(x, dtype=np.float64)
     z = np.asarray(noise, dtype=np.float64)
     if z.shape != states.shape:
@@ -167,7 +152,7 @@ def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     single = states.ndim == 1
     if single:
         states, z = states[None, :], z[None, :]
-    out = _em_action_step(mdp, t, states, a, dt, lambda: z)
+    out = _em_apply(mdp, t, states, (mdp.actions.index(a),), dt, lambda: z)
     if out is states:
         out = out.copy()  # a frozen step; the result never aliases x
     if not np.isfinite(out).all():
@@ -256,30 +241,11 @@ def _rollout_returns(
     return gains
 
 
-def _rollout_dt(
-    mdp: ContinuousMdp, t: float, cfg: SimConfig, h: float | None = None
-) -> float:
-    """The EM step for rollouts from time t, after validating the start.
-
-    Without a persistence horizon the start must precede the horizon. With
-    one, h must be positive and finite, the window [t, t + h) must end by the
-    horizon and the step must divide h.
-    """
-    if h is None:
-        if t >= mdp.horizon:
-            raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
-        return cfg.resolve_dt()
+def _rollout_dt(mdp: ContinuousMdp, t: float, cfg: SimConfig, h: float) -> float:
+    """The window step h / cfg.substeps, after checking that h is positive
+    and finite and that the window [t, t + h) ends by the horizon."""
     if not 0 < h < math.inf:
         raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
     if t + h > mdp.horizon + TIME_TOL:
         raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
-    return _window_dt(cfg, h)
-
-
-def _window_dt(cfg: SimConfig, h: float) -> float:
-    """cfg's EM step for the persistence horizon h, which it must divide."""
-    dt = cfg.resolve_dt(h)
-    ratio = h / dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(f"dt={dt} does not divide the persistence horizon h={h}")
-    return dt
+    return h / cfg.substeps

@@ -59,14 +59,17 @@ class RateFit:
 
 
 def mc_return_dist(
-    mdp: ContinuousMdp, action: int, t, x, n_paths: int, cfg: SimConfig
+    mdp: ContinuousMdp, action: int, t, x, n_paths: int, dt: float, seed: int
 ) -> dist.EmpiricalDist:
     """n_paths independent return samples from (t, x) of the policy that
-    always plays the action index ``action``."""
+    always plays the action index ``action``, stepping at dt."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    dt = _rollout_dt(mdp, t, cfg)
-    rng = substream(cfg.seed, _TAG_RETURN)
+    if not 0 < dt < math.inf:  # NaN fails it too
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if t >= mdp.horizon:
+        raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
+    rng = substream(seed, _TAG_RETURN)
     gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt)
     return dist.EmpiricalDist(gains)
 

@@ -3,9 +3,9 @@ import json
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from ctdrl import ctmdp
 from ctdrl.cli import main, resolve_config, check_train, GAP_RATES_FIELDS, TRAIN_FIELDS
 
 
@@ -108,7 +108,7 @@ BAD_VALUES = [
     ("gap-rates", "t", "5"),
     ("gap-rates", "bootstrap", "1"),
     ("gap-rates", "discount", "0"),
-    ("gap-rates", "dt_floor", "0.1"),
+    ("gap-rates", "dt_floor", "0.1"),  # not a key: see test_dt_floor_is_an_unknown_key
     ("gap-rates", "t", "nan"),
     ("gap-rates", "h_grid", "nan"),
     ("gap-rates", "dt_floor", "nan"),
@@ -171,6 +171,42 @@ BAD_VALUES = [
     ("train", "train_sigma", "1e200"),
     ("train", "eval_sigma", "1e200"),
 ]
+
+
+# dt_floor, which once floored the EM step, is no longer a key: an old
+# config that sets it exits 2 and writes nothing.
+@pytest.mark.parametrize("command", ["gap-rates", "superiority-demo"])
+@pytest.mark.parametrize("via", ["set", "file"])
+def test_dt_floor_is_an_unknown_key(tmp_path, capsys, command, via):
+    if via == "file":
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text("[sim]\ndt_floor = 1e-4\n", encoding="utf-8")
+        given = ["--config", str(cfgfile)]
+    else:
+        given = ["--set", "dt_floor=1e-4"]
+    assert run([command, "--out", str(tmp_path / "x"), *given]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: unknown key: dt_floor"]
+    assert not (tmp_path / "x").exists()
+
+
+# Every window steps at h / substeps, however small h is: here 2^-14, and
+# the tail at the window step, so each rollout makes h_max / dt steps.
+def test_gap_rates_runs_at_the_next_octave_of_its_grid(tmp_path, monkeypatch):
+    deltas = []
+    em_apply = ctmdp._em_apply
+
+    def recorded(*args):
+        deltas.append(args[4])
+        return em_apply(*args)
+
+    monkeypatch.setattr(ctmdp, "_em_apply", recorded)
+    out = tmp_path / "x"
+    assert run([
+        "gap-rates", "--out", str(out), "--set", "h_grid=0.25,0.001953125",
+        "--set", "n_paths=4", "--set", "m=4", "--set", "bootstrap=2",
+    ]) == 0
+    assert "gap_rates,0,0.001953125,w_gap," in (out / "results.csv").read_text()
+    assert deltas == 2 * [2.0**-7] * 2**7 + 2 * [2.0**-14] * 2**14
 
 
 @pytest.mark.parametrize("command, key, value", BAD_VALUES)
@@ -273,14 +309,14 @@ def test_gap_rates_non_finite_estimate_exits_3(tmp_path, capsys, key, value):
                                         ("move_diffusion", "1e200")])
 def test_superiority_demo_non_finite_estimate_exits_3(tmp_path, capsys, key, value):
     out = tmp_path / "x"
-    with np.errstate(all="ignore"):
-        code = run([
-            "superiority-demo", "--out", str(out), "--set", "horizon=2",
-            "--set", "omega_grid=4,16", "--set", "n_paths=50", "--set", "m=8",
-            "--set", f"{key}={value}",
-        ])
+    code = run([
+        "superiority-demo", "--out", str(out), "--set", "horizon=2",
+        "--set", "omega_grid=4,16", "--set", "n_paths=50", "--set", "m=8",
+        "--set", f"{key}={value}",
+    ])
     assert code == 3
-    assert "non-finite superiority estimate" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical divergence: non-finite superiority estimate at h=0.25"]
     assert not (out / "results.csv").exists()
 
 
@@ -479,13 +515,13 @@ def test_train_agent_kind_validation(tmp_path, capsys):
 
 
 def test_train_divergence_exits_3(tmp_path, capsys):
-    with np.errstate(all="ignore"):
-        code = run([
-            "train", "--out", str(tmp_path / "x"), *TINY_TRAIN,
-            "--set", "lr=1e300",
-        ])
+    code = run([
+        "train", "--out", str(tmp_path / "x"), *TINY_TRAIN,
+        "--set", "lr=1e300",
+    ])
     assert code == 3
-    assert "divergence" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "divergence in cell seed0_omega5: overflow encountered in matmul"]
 
 
 # A drift this negative underflows the GBM price to 0: in the eval env only
@@ -497,6 +533,22 @@ def test_train_price_underflow_exits_3_and_keeps_trainlog(tmp_path, capsys, key,
     code = run(["train", "--out", str(out), *TINY_TRAIN, "--set", f"{key}=-1e300"])
     assert code == 3
     assert "GBM price underflowed" in capsys.readouterr().err
+    log = (out / "trainlog_seed0_omega5.csv").read_text().splitlines()
+    assert len(log) == 2 + log_rows
+    results = (out / "results.csv").read_text().splitlines()
+    assert len(results) == 2  # schema and header: the cell wrote no rows
+
+
+# A drift this large overflows the GBM price: in the eval env only the final
+# evaluation diverges, in the train env the first hold does.
+@pytest.mark.parametrize("key, log_rows", [("eval_mu", 2), ("train_mu", 0)])
+def test_train_price_overflow_exits_3_and_keeps_trainlog(tmp_path, capsys, key,
+                                                         log_rows):
+    out = tmp_path / "x"
+    code = run(["train", "--out", str(out), *TINY_TRAIN, "--set", f"{key}=1e300"])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "divergence in cell seed0_omega5: overflow encountered in exp"]
     log = (out / "trainlog_seed0_omega5.csv").read_text().splitlines()
     assert len(log) == 2 + log_rows
     results = (out / "results.csv").read_text().splitlines()

@@ -60,26 +60,12 @@ def test_mdp_validation():
         ContinuousMdp(horizon=1.0, **bad)
 
 
-def test_simconfig_resolution():
-    assert SimConfig(dt=0.01).resolve_dt() == 0.01
-    assert SimConfig(substeps=16).resolve_dt(0.32) == pytest.approx(0.02)
-    # floor kicks in but never exceeds h itself
-    assert SimConfig(substeps=16, dt_floor=1e-4).resolve_dt(1e-3) == pytest.approx(1e-4)
-    assert SimConfig(substeps=16, dt_floor=1e-4).resolve_dt(5e-5) == pytest.approx(5e-5)
-    with pytest.raises(ValueError):
-        SimConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        SimConfig(substeps=0)
-    with pytest.raises(ValueError):
-        SimConfig().resolve_dt()
-
-
-# Each bound fails NaN: inf as dt would be one EM step over the whole
-# horizon, and a NaN or negative dt_floor would be ignored by resolve_dt.
+# Each bound fails NaN: inf as tail_dt would be one EM step over the whole
+# tail, and a NaN substeps one step per window.
 @pytest.mark.parametrize("field, value", [
-    ("dt", math.inf), ("dt", math.nan), ("dt", 0.0), ("dt", -0.1),
+    ("substeps", 0), ("substeps", math.nan), ("substeps", math.inf),
+    ("substeps", 2.5), ("substeps", True),
     ("tail_dt", math.inf), ("tail_dt", math.nan), ("tail_dt", 0.0),
-    ("dt_floor", math.inf), ("dt_floor", math.nan), ("dt_floor", -1e-4),
 ])
 def test_simconfig_rejects_non_finite_and_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -123,6 +109,11 @@ def test_em_step_rejects_nonfinite():
         em_step(env, np.array([0.0]), 0.0, 0, 0.1, np.array([0.0]))
     with pytest.raises(ValueError):
         em_step(brownian_gap_env(), np.array([0.0]), 0.0, 0, 0.0, np.array([0.0]))
+
+
+def test_em_step_rejects_an_action_not_in_the_mdp():
+    with pytest.raises(ValueError, match=re.escape("action 2 is not one of (0, 1)")):
+        em_step(brownian_gap_env(), np.array([0.0]), 0.0, 2, 0.1, np.array([0.0]))
 
 
 # (7,) noise would broadcast into a (4, 7) state, and (1,) noise would give
@@ -301,14 +292,14 @@ def test_sample_return_unit_reward_integrates_time():
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=2.0,
     )
-    got = mc_return_dist(env, 0, 0.5, [0.0], 2, SimConfig(dt=0.01))
+    got = mc_return_dist(env, 0, 0.5, [0.0], 2, 0.01, 0)
     np.testing.assert_allclose(got.samples, 1.5, rtol=0, atol=1e-9)
 
 
 def test_sample_return_linear_drift_terminal_reward():
     c, t0, horizon, gamma = 2.0, 0.25, 1.0, 0.9
     env = constant_env(c, horizon=horizon, discount=gamma)
-    got = mc_return_dist(env, 0, t0, [1.0], 2, SimConfig(dt=0.0125))
+    got = mc_return_dist(env, 0, t0, [1.0], 2, 0.0125, 0)
     expect = gamma ** (horizon - t0) * (1.0 + c * (horizon - t0))
     np.testing.assert_allclose(got.samples, expect, rtol=1e-9)
 
@@ -316,7 +307,7 @@ def test_sample_return_linear_drift_terminal_reward():
 def test_sample_return_frozen_gap_env_exact():
     env = brownian_gap_env(horizon=1.0, discount=1.0)
     x = 0.8
-    got = mc_return_dist(env, 0, 0.0, [x], 2, SimConfig(dt=1 / 64))
+    got = mc_return_dist(env, 0, 0.0, [x], 2, 1 / 64, 0)
     np.testing.assert_allclose(got.samples, x * 1.0, rtol=1e-12)
 
 
@@ -324,7 +315,7 @@ def test_sample_return_discounted_frozen_state():
     gamma = 0.9
     env = brownian_gap_env(horizon=1.0, discount=gamma)
     x = 2.0
-    got = mc_return_dist(env, 0, 0.0, [x], 2, SimConfig(dt=1e-3))
+    got = mc_return_dist(env, 0, 0.0, [x], 2, 1e-3, 0)
     exact = x * (gamma - 1.0) / np.log(gamma)
     np.testing.assert_allclose(got.samples, exact, rtol=1e-3)
 
@@ -332,7 +323,7 @@ def test_sample_return_discounted_frozen_state():
 def test_sample_return_rejects_start_past_horizon():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_return_dist(env, 0, 1.0, [0.0], 2, SimConfig(dt=0.1))
+        mc_return_dist(env, 0, 1.0, [0.0], 2, 0.1, 0)
 
 
 # ------------------------------------------------- action-conditioned return
@@ -368,11 +359,7 @@ def test_action_return_mean_is_martingale_value():
 def test_action_return_validations():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_action_return_dist(env, 0, 0.9, [0.0], 1, 0.25, 2,
-                              SimConfig(dt=0.01))
-    with pytest.raises(ValueError):
-        mc_action_return_dist(env, 0, 0.0, [0.0], 1, 0.25, 2,
-                              SimConfig(dt=0.11))
+        mc_action_return_dist(env, 0, 0.9, [0.0], 1, 0.25, 2, SimConfig())
 
 
 # NaN compares false against the horizon check and inf makes the window's end
@@ -381,8 +368,7 @@ def test_action_return_validations():
 def test_persistence_horizon_must_be_positive_and_finite(h):
     named = re.escape(f"persistence horizon h must be positive and finite, got {h}")
     with pytest.raises(ValueError, match=named):
-        mc_action_return_dist(brownian_gap_env(), 0, 0.0, [0.0], 1, h, 4,
-                              SimConfig(dt=1 / 32))
+        mc_action_return_dist(brownian_gap_env(), 0, 0.0, [0.0], 1, h, 4, SimConfig())
 
 
 # ----------------------------------------------------------- reproducibility

@@ -17,7 +17,7 @@ def test_brownian_gap_env_frozen_return_closed_form():
     for gamma in (1.0, 0.9):
         env = brownian_gap_env(horizon=1.0, discount=gamma)
         x = 1.3
-        got = mc_return_dist(env, 0, 0.0, [x], 2, SimConfig(dt=1e-3))
+        got = mc_return_dist(env, 0, 0.0, [x], 2, 1e-3, 0)
         if gamma == 1.0:
             expect = x
         else:
@@ -36,18 +36,16 @@ def test_brownian_gap_w1_oracle_value():
 
 def test_illustration_env_value_at_origin_is_zero():
     env = illustration_env()
-    emp = mc_return_dist(env, 0, 0.0, [0.0], 100,
-                         SimConfig(dt=0.05, seed=1))
+    emp = mc_return_dist(env, 0, 0.0, [0.0], 100, 0.05, 1)
     np.testing.assert_array_equal(emp.samples, 0.0)
 
 
 def test_illustration_rescaled_superiority_mean_near_drift_times_horizon():
     env = illustration_env()
     h, n = 0.01, 20_000
-    cfg = SimConfig(substeps=16, dt_floor=1e-4, tail_dt=0.05, seed=2)
+    cfg = SimConfig(substeps=16, tail_dt=0.05, seed=2)
     zeta = mc_action_return_dist(env, 0, 0.0, [0.0], 1, h, n, cfg)
-    eta = mc_return_dist(env, 0, 0.0, [0.0], n,
-                         SimConfig(dt=0.05, seed=3))
+    eta = mc_return_dist(env, 0, 0.0, [0.0], n, 0.05, 3)
     psi1 = rescale(mc_superiority(zeta, eta, 512), h, 1.0)
     se = np.std(zeta.samples, ddof=1) / np.sqrt(n) / h
     assert mean(psi1) == pytest.approx(100.0, abs=3 * se + 5 * h)

@@ -31,20 +31,28 @@ BASE_ACTION = 0
 
 def test_mc_return_dist_deterministic_env_collapses():
     env = brownian_gap_env()
-    emp = mc_return_dist(env, BASE_ACTION, 0.0, [0.6], 50, SimConfig(dt=1 / 32, seed=1))
+    emp = mc_return_dist(env, BASE_ACTION, 0.0, [0.6], 50, 1 / 32, 1)
     np.testing.assert_allclose(emp.samples, 0.6, rtol=1e-12)
 
 
 def test_mc_return_dist_validates_sample_count():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, SimConfig(dt=1 / 32))
+        mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, 1 / 32, 0)
 
 
 def test_mc_return_dist_rejects_start_at_horizon():
     env = brownian_gap_env()
     with pytest.raises(ValueError, match="before the horizon"):
-        mc_return_dist(env, BASE_ACTION, 1.0, [0.0], 10, SimConfig(dt=1 / 32))
+        mc_return_dist(env, BASE_ACTION, 1.0, [0.0], 10, 1 / 32, 0)
+
+
+# inf would be one EM step over the whole horizon; NaN compares false
+# against every step bound.
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1])
+def test_mc_return_dist_rejects_non_finite_or_non_positive_dt(dt):
+    with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
+        mc_return_dist(brownian_gap_env(), BASE_ACTION, 0.0, [0.0], 4, dt, 0)
 
 
 def test_mc_action_return_mean_matches_martingale_value():
@@ -216,8 +224,7 @@ def test_collapse_is_monotone_on_bounded_reward_fixture():
     for i, h in enumerate(h_grid):
         cfg = SimConfig(substeps=16, seed=100 + i)
         zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, h, n, cfg)
-        eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], n,
-                             SimConfig(dt=1 / 32, seed=200 + i))
+        eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], n, 1 / 32, 200 + i)
         psi = mc_superiority(zeta, eta, 256)
         ws.append(wasserstein(1, psi, mc_superiority(eta, eta, 256)))
         ses.append(np.std(zeta.samples, ddof=1) / np.sqrt(n))
@@ -232,7 +239,7 @@ def test_rescaled_family_gap_scales_exactly():
     env = brownian_gap_env()
     h, m = 0.25, 256
     cfg = SimConfig(substeps=16, seed=21)
-    eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 4000, SimConfig(dt=1 / 64, seed=22))
+    eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 4000, 1 / 64, 22)
     psis = []
     for a in (0, 1):
         zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], a, h, 4000, cfg)
