@@ -1,18 +1,18 @@
 """Continuous-time MDPs and Euler-Maruyama return simulation.
 
-Coefficient callables are vectorized over paths: drift(t, X, a) and
-diffusion(t, X, a) receive X of shape (paths, n) and a single action label,
-reward(t, X) and terminal_reward(X) likewise. Diffusion is elementwise: its
-result broadcasts against X and multiplies the (paths, n) normals entry by
-entry; a result that does not broadcast to X's shape raises ValueError.
+An MDP's drift and diffusion are constant per action: one finite float per
+action, in ``actions`` order, so action a moves every path by
+dX = b_a dt + sigma_a dW with W a standard n-dimensional Brownian motion.
+The reward reward(X) and terminal reward terminal_reward(X) are pure
+functions of the (paths, n) states alone.
 
-Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(s, X_s)
+Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(X_s)
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
-A rollout step draws its (paths, n) normals only when some path's diffusion
-is nonzero; a step with zero diffusion on every path is x + b dt and leaves
-the generator untouched. A step whose drift and diffusion are both zero on
-every path leaves the states as they are, with no + 0 dt, so a signed zero
-stays signed.
+A rollout step draws its (paths, n) normals only when its action's diffusion
+is nonzero; a step with zero diffusion is x + b dt and leaves the generator
+untouched. A step whose drift and diffusion are both zero leaves the states
+as they are, with no + 0 dt, so a signed zero stays signed, and the rollout
+reuses the reward it read from those states.
 
 A rollout plays one action on every path, fixed for each of its phases: the
 window [t0, window_end) plays the window action and the tail up to the
@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SimulationError",
-    "ContinuousMdp",
-    "SimConfig",
-    "em_step",
-    "substream",
-]
+__all__ = ["SimulationError", "ContinuousMdp", "SimConfig", "em_step", "substream"]
 
 TIME_TOL = 1e-9
 
@@ -53,16 +47,31 @@ def substream(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _per_action(name, values, n_actions):
+    """``values`` as a tuple of floats, after checking that it holds one
+    finite real number (not a bool) per action."""
+    try:
+        table = tuple(values)
+        ok = len(table) == n_actions and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) for v in table)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must hold one finite number per action "
+                         f"({n_actions}), got {values!r}")
+    return tuple(float(v) for v in table)
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuousMdp:
-    """dX = drift(t, X, a) dt + diffusion(t, X, a) * dW with W a standard
-    n-dimensional Brownian motion; the diffusion is elementwise, so its
-    result must broadcast against X (see the module docstring)."""
+    """dX = drift[a] dt + diffusion[a] dW under action index a, with W a
+    standard n-dimensional Brownian motion (see the module docstring)."""
 
     state_dim: int
     actions: tuple
-    drift: callable
-    diffusion: callable
+    drift: tuple
+    diffusion: tuple
     reward: callable
     terminal_reward: callable
     horizon: float
@@ -72,6 +81,12 @@ class ContinuousMdp:
         object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ValueError("action list must be nonempty")
+        for name in ("drift", "diffusion"):
+            table = _per_action(name, getattr(self, name), len(self.actions))
+            object.__setattr__(self, name, table)
+        for name in ("reward", "terminal_reward"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 < self.discount <= 1.0:
@@ -110,30 +125,23 @@ class SimConfig:
 
 
 def _em_apply(mdp, t, states, action_indices, delta, draw):
-    """One EM step x + b(t,x,a) delta + sigma(t,x,a) sqrt(delta) z on a path
-    bundle whose paths all play the action ``action_indices[0]``.
+    """One EM step x + b delta + sigma sqrt(delta) z on a path bundle whose
+    paths all play the action index ``action_indices[0]``, with that action's
+    drift b and diffusion sigma; the coefficients do not depend on t.
 
-    ``draw()`` returns the normals z; it is not called when sigma is zero on
-    every path, and such a step is x + b delta. When b is zero on every path
-    too, the step returns ``states`` itself.
+    ``draw()`` returns the normals z; it is not called when sigma is zero,
+    and such a step is x + b delta. When b is zero too, the step returns
+    ``states`` itself.
     """
-    label = mdp.actions[action_indices[0]]
-    b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
-    sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
-    if sig.ndim and np.broadcast(sig, states).shape != states.shape:
-        raise ValueError(f"diffusion of shape {sig.shape} does not broadcast to "
-                         f"the states' shape {states.shape}")
-    noisy = np.count_nonzero(sig)
-    if not noisy and not np.count_nonzero(b):
-        return states
-    drifted = states + b * delta
-    if not noisy:
-        return drifted
-    return drifted + math.sqrt(delta) * (sig * draw())
+    a = action_indices[0]
+    b, sig = mdp.drift[a], mdp.diffusion[a]
+    if not sig:
+        return states + b * delta if b else states
+    return states + b * delta + math.sqrt(delta) * (sig * draw())
 
 
 def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
-    """x' = x + b(t,x,a) dt + sigma(t,x,a) sqrt(dt) noise.
+    """x' = x + b_a dt + sigma_a sqrt(dt) noise.
 
     Accepts a single state (n,) or a bundle (paths, n) and finite noise of
     the same shape; `a` is an action label from mdp.actions.
@@ -173,18 +181,9 @@ def _phase_steps(start, end, step):
     return deltas
 
 
-def _rollout_returns(
-    mdp: ContinuousMdp,
-    action: int,
-    t0: float,
-    x0,
-    n_paths: int,
-    rng: np.random.Generator,
-    dt: float,
-    tail_dt: float | None = None,
-    window_end: float | None = None,
-    window_action: int | None = None,
-):
+def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: int,
+                     rng: np.random.Generator, dt: float, tail_dt: float | None = None,
+                     window_end: float | None = None, window_action: int | None = None):
     """Discounted returns of n_paths EM rollouts from (t0, x0) to the horizon.
 
     Without a window every step plays ``action``. With one, [t0, window_end)
@@ -215,15 +214,22 @@ def _rollout_returns(
 
     # Every state that enters a step is finite: x0 is checked above and each
     # new array below, so a step that returns its own input needs no scan.
+    # The reward is read again only after a step returns a new array, and at
+    # gamma == 1 its product with the step only when either has changed, so a
+    # frozen step adds the same step_gain into the gains as the one before.
+    rew_states = gain_delta = None
     for start, end, step, phase_action in phases:
         # one read-only zero-stride index vector for the phase's steps
         acts = np.broadcast_to(np.intp(phase_action), (n_paths,))
-        deltas = _phase_steps(start, end, step)
-        for j, delta in enumerate(deltas):
+        for j, delta in enumerate(_phase_steps(start, end, step)):
             s = start + j * step
-            rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
+            if states is not rew_states:
+                rew = np.asarray(mdp.reward(states), dtype=np.float64)
+                rew_states, gain_delta = states, None
             if gamma == 1.0:  # 1.0 * r is r: the discount multiply is skipped
-                np.multiply(rew, delta, out=step_gain)
+                if delta != gain_delta:
+                    np.multiply(rew, delta, out=step_gain)
+                    gain_delta = delta
             else:
                 np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
                 np.multiply(step_gain, delta, out=step_gain)

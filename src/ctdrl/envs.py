@@ -70,9 +70,9 @@ def illustration_env(
     return ContinuousMdp(
         state_dim=1,
         actions=(0, 1),
-        drift=lambda t, X, a: drift if a == 1 else 0.0,
-        diffusion=lambda t, X, a: move_diffusion if a == 1 else 0.0,
-        reward=lambda t, X: X[:, 0],
+        drift=(0.0, drift),
+        diffusion=(0.0, move_diffusion),
+        reward=lambda X: X[:, 0],
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=horizon,
         discount=discount,

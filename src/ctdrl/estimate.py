@@ -58,6 +58,12 @@ class RateFit:
     r_squared: float
 
 
+def _check_start(mdp, t):
+    if not -math.inf < t < mdp.horizon:  # NaN fails it too
+        raise ValueError(f"start time t={t} must be finite and before the horizon "
+                         f"{mdp.horizon}")
+
+
 def mc_return_dist(
     mdp: ContinuousMdp, action: int, t, x, n_paths: int, dt: float, seed: int
 ) -> dist.EmpiricalDist:
@@ -67,8 +73,7 @@ def mc_return_dist(
         raise ValueError("need at least 2 paths")
     if not 0 < dt < math.inf:  # NaN fails it too
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if t >= mdp.horizon:
-        raise ValueError(f"start time {t} must be before the horizon {mdp.horizon}")
+    _check_start(mdp, t)
     rng = substream(seed, _TAG_RETURN)
     gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt)
     return dist.EmpiricalDist(gains)
@@ -82,6 +87,7 @@ def mc_action_return_dist(
     a on [t, t + h), then the base action index ``action``."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
+    _check_start(mdp, t)
     dt = _rollout_dt(mdp, t, cfg, h)
     rng = substream(cfg.seed, _TAG_ACTION, a)
     gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt, tail_dt=cfg.tail_dt,
@@ -148,14 +154,8 @@ def _require_finite(message, values):
         raise SimulationError(message)
 
 
-def gap_estimate(
-    zeta_a: dist.EmpiricalDist,
-    zeta_b: dist.EmpiricalDist,
-    p: int,
-    m: int,
-    bootstrap: int,
-    rng: np.random.Generator,
-) -> GapEstimate:
+def gap_estimate(zeta_a: dist.EmpiricalDist, zeta_b: dist.EmpiricalDist, p: int, m: int,
+                 bootstrap: int, rng: np.random.Generator) -> GapEstimate:
     """The W_p gap between the m-quantile reps of two return-sample sets, the
     gap between their means, and their standard errors.
 
@@ -179,18 +179,9 @@ def gap_estimate(
                        value_gap=value_gap, value_gap_se=value_se)
 
 
-def action_gaps(
-    mdp: ContinuousMdp,
-    action: int,
-    t,
-    x,
-    h: float,
-    n_paths: int,
-    p: int,
-    cfg: SimConfig,
-    m: int = ESTIMATOR_M,
-    bootstrap: int = BOOTSTRAP_RESAMPLES,
-) -> GapEstimate:
+def action_gaps(mdp: ContinuousMdp, action: int, t, x, h: float, n_paths: int, p: int,
+                cfg: SimConfig, m: int = ESTIMATOR_M,
+                bootstrap: int = BOOTSTRAP_RESAMPLES) -> GapEstimate:
     """The gap estimate between the h-persistent returns of a two-action
     mdp's actions 0 and 1 at (t, x), each followed by the base action index
     ``action``.

@@ -25,9 +25,9 @@ def constant_env(c, horizon=1.0, discount=1.0):
     return ContinuousMdp(
         state_dim=1,
         actions=(0,),
-        drift=lambda t, X, a: c,
-        diffusion=lambda t, X, a: 0.0,
-        reward=lambda t, X: np.zeros(X.shape[0]),
+        drift=(c,),
+        diffusion=(0.0,),
+        reward=lambda X: np.zeros(X.shape[0]),
         terminal_reward=lambda X: X[:, 0],
         horizon=horizon,
         discount=discount,
@@ -41,9 +41,9 @@ def test_mdp_validation():
     kwargs = dict(
         state_dim=1,
         actions=(0,),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: 0.0,
-        reward=lambda t, X: 0.0,
+        drift=(0.0,),
+        diffusion=(0.0,),
+        reward=lambda X: 0.0,
         terminal_reward=lambda X: 0.0,
     )
     # an infinite horizon would leave a rollout with no steps after its window
@@ -58,6 +58,42 @@ def test_mdp_validation():
     bad["actions"] = ()
     with pytest.raises(ValueError):
         ContinuousMdp(horizon=1.0, **bad)
+
+
+def two_action_fields(**changes):
+    fields = dict(state_dim=1, actions=(0, 1), drift=(0.0, 1.0), diffusion=(0.0, 1.0),
+                  reward=lambda X: X[:, 0], terminal_reward=lambda X: 0.0 * X[:, 0],
+                  horizon=1.0)
+    return {**fields, **changes}
+
+
+def test_coefficient_tables_become_float_tuples():
+    env = ContinuousMdp(**two_action_fields(drift=[0, np.float64(2.5)],
+                                            diffusion=(0.0, 1)))
+    assert env.drift == (0.0, 2.5) and env.diffusion == (0.0, 1.0)
+    assert all(type(v) is float for v in env.drift + env.diffusion)
+
+
+# A table needs one finite real number per action: the callable form, a
+# short or long table, NaN, an infinity, a bool, a string or None is refused.
+@pytest.mark.parametrize("field", ["drift", "diffusion"])
+@pytest.mark.parametrize("table", [
+    lambda t, X, a: 0.0, (1.0,), (0.0, 1.0, 2.0), (0.0, math.nan), (math.inf, 0.0),
+    (0.0, -math.inf), (0.0, True), (0.0, "1.0"), (None, 0.0), 1.0, "01", 10**400,
+    (0.0, 10**400)],
+    ids=["callable", "short", "long", "nan", "inf", "-inf", "bool", "str", "none",
+         "scalar", "string", "huge_int", "huge_int_entry"])
+def test_coefficient_table_must_hold_one_finite_number_per_action(field, table):
+    named = f"^{field} must hold one finite number per action \\(2\\)"
+    with pytest.raises(ValueError, match=named):
+        ContinuousMdp(**two_action_fields(**{field: table}))
+
+
+@pytest.mark.parametrize("field", ["reward", "terminal_reward"])
+@pytest.mark.parametrize("value", [None, 0.0, (0.0, 1.0)], ids=["none", "float", "tuple"])
+def test_reward_must_be_callable(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be callable$"):
+        ContinuousMdp(**two_action_fields(**{field: value}))
 
 
 # Each bound fails NaN: inf as tail_dt would be one EM step over the whole
@@ -104,9 +140,12 @@ def test_em_step_brownian_variance():
 
 
 def test_em_step_rejects_nonfinite():
-    env = constant_env(np.inf)
-    with pytest.raises(SimulationError):
-        em_step(env, np.array([0.0]), 0.0, 0, 0.1, np.array([0.0]))
+    # an infinite drift is refused when the MDP is built; a finite one can
+    # still overflow the state, which numpy reports before the step raises
+    with pytest.raises(ValueError, match="^drift must hold"):
+        constant_env(np.inf)
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SimulationError):
+        em_step(constant_env(1e308), np.array([1e308]), 0.0, 0, 1.0, np.array([0.0]))
     with pytest.raises(ValueError):
         em_step(brownian_gap_env(), np.array([0.0]), 0.0, 0, 0.0, np.array([0.0]))
 
@@ -143,34 +182,23 @@ def em_apply_oracle(mdp, t, states, action_indices, delta, noise):
     root = math.sqrt(delta)
     for idx in np.unique(action_indices):
         mask = action_indices == idx
-        sub = states[mask]
-        label = mdp.actions[idx]
-        b = np.asarray(mdp.drift(t, sub, label), dtype=np.float64)
-        sig = np.asarray(mdp.diffusion(t, sub, label), dtype=np.float64)
-        out[mask] = sub + b * delta + root * (sig * noise[mask])
+        b, sig = mdp.drift[idx], mdp.diffusion[idx]
+        out[mask] = states[mask] + b * delta + root * (sig * noise[mask])
     return out
 
 
-_LABEL_SCALE = {"hold": 0.0, "buy": 1.0, "sell": -2.5}
-
-
-def _diffusion(kind):
-    def elementwise(t, X, a):
-        return 0.5 + 0.1 * _LABEL_SCALE[a] * np.sin(X + t)
-
-    def hold_frozen(t, X, a):
-        return abs(_LABEL_SCALE[a]) * elementwise(t, X, a)
-
-    return {"elementwise": elementwise, "hold_frozen": hold_frozen}[kind]
+# "elementwise": every action reads noise, which its diffusion scales entry
+# by entry; "hold_frozen": "hold" has zero drift and zero diffusion.
+_DIFFUSION = {"elementwise": (0.5, 0.75, 0.25), "hold_frozen": (0.0, 0.75, 0.25)}
 
 
 def three_action_env(kind):
     return ContinuousMdp(
         state_dim=3,
         actions=("hold", "buy", "sell"),
-        drift=lambda t, X, a: _LABEL_SCALE[a] * (X - 0.3 * t) ** 2,
-        diffusion=_diffusion(kind),
-        reward=lambda t, X: np.zeros(X.shape[0]),
+        drift=(0.0, 1.0, -2.5),
+        diffusion=_DIFFUSION[kind],
+        reward=lambda X: np.cos(X).sum(axis=1),
         terminal_reward=lambda X: X[:, 0],
         horizon=1.0,
     )
@@ -210,75 +238,6 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     assert draw.calls == np.unique(noisy).size
 
 
-# --------------------------------------------------------- diffusion shapes
-
-def square_diffusion_env():
-    """Two-dimensional env whose diffusion is (paths, 2) per path; a bundle
-    of 2 paths makes it (2, 2), the shape of a 2x2 matrix."""
-    return ContinuousMdp(
-        state_dim=2,
-        actions=(0, 1),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: (1.0 + a) * np.abs(X),
-        reward=lambda t, X: np.zeros(X.shape[0]),
-        terminal_reward=lambda X: X[:, 0],
-        horizon=1.0,
-    )
-
-
-def test_per_path_diffusion_on_two_paths_hand_value():
-    env = square_diffusion_env()
-    out = em_step(env, np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0, 0, 1.0, np.eye(2))
-    np.testing.assert_array_equal(out, [[2.0, 2.0], [3.0, 8.0]])
-    # zero diffusion on the first path only: the other path still reads noise
-    out = em_step(env, np.array([[0.0, 0.0], [3.0, 4.0]]), 0.0, 0, 1.0, np.eye(2))
-    np.testing.assert_array_equal(out, [[0.0, 0.0], [3.0, 8.0]])
-
-
-@pytest.mark.parametrize("n_paths", [2, 3])
-def test_per_path_square_diffusion_is_elementwise(n_paths):
-    env = square_diffusion_env()
-    rng = np.random.default_rng([n_paths, 8])
-    states = rng.normal(size=(2 * n_paths, 2))
-    noise = rng.standard_normal((2 * n_paths, 2))
-    acts = np.tile([0, 1], n_paths)  # each action's sub-bundle has n_paths paths
-    want = states + (1.0 + acts)[:, None] * np.abs(states) * noise
-
-    head = slice(0, 2 * n_paths, 2)  # the paths playing action 0
-    np.testing.assert_allclose(em_step(env, states[head], 0.0, 0, 1.0, noise[head]),
-                               want[head], rtol=1e-14)
-    for action in (0, 1):
-        rows = slice(action, 2 * n_paths, 2)
-        got = _em_apply(env, 0.0, states[rows], acts[rows], 1.0, lambda: noise[rows])
-        np.testing.assert_allclose(got, want[rows], rtol=1e-14)
-
-
-# A (paths, 2, 2) stack broadcasts against 2 paths into a (2, 2, 2) state and
-# fails to broadcast against 3; either way the error names the stack's shape,
-# also when the stack is zero and no noise is read.
-@pytest.mark.parametrize("scale", [0.0, 1.0])
-@pytest.mark.parametrize("n_paths", [2, 3])
-def test_matrix_stack_diffusion_is_rejected_by_shape(n_paths, scale):
-    corr = scale * np.array([[1.0, 0.0], [0.9, 0.1]])
-    env = ContinuousMdp(
-        state_dim=2,
-        actions=(0,),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: np.broadcast_to(corr, (X.shape[0], 2, 2)),
-        reward=lambda t, X: np.zeros(X.shape[0]),
-        terminal_reward=lambda X: X[:, 0],
-        horizon=1.0,
-    )
-    shape = re.escape(str((n_paths, 2, 2)))
-    with pytest.raises(ValueError, match=shape):
-        em_step(env, np.ones((n_paths, 2)), 0.0, 0, 0.5, np.ones((n_paths, 2)))
-    rng = substream(3, 8)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=shape):
-        _rollout_returns(env, 0, 0.0, [1.0, 1.0], n_paths, rng, 0.5)
-    assert rng.bit_generator.state == before
-
-
 # ----------------------------------------------------------- mc_return_dist
 
 
@@ -286,9 +245,9 @@ def test_sample_return_unit_reward_integrates_time():
     env = ContinuousMdp(
         state_dim=1,
         actions=(0,),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: 0.0,
-        reward=lambda t, X: np.ones(X.shape[0]),
+        drift=(0.0,),
+        diffusion=(0.0,),
+        reward=lambda X: np.ones(X.shape[0]),
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=2.0,
     )
@@ -410,7 +369,7 @@ def always_draw_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
         for j, delta in enumerate(_phase_steps(start, end, step)):
             s = start + j * step
             disc = 1.0 if gamma == 1.0 else math.exp(log_gamma * (s - t0))
-            rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
+            rew = np.asarray(mdp.reward(states), dtype=np.float64)
             gains += disc * np.broadcast_to(rew, (n_paths,)) * delta
             noise = rng.standard_normal((n_paths, n))
             acts = np.full(n_paths, rule(s), dtype=np.intp)
@@ -446,23 +405,21 @@ def test_rollout_matches_always_draw_oracle_bitwise(case):
     assert got.tobytes() == want.tobytes()
 
 
-def em_step_oracle(mdp, t, states, label, delta, draw):
+def em_step_oracle(mdp, states, idx, delta, draw):
     """The EM step before frozen steps kept their states: x + b delta, plus
-    the noise term when some path's diffusion is nonzero."""
-    b = np.asarray(mdp.drift(t, states, label), dtype=np.float64)
-    sig = np.asarray(mdp.diffusion(t, states, label), dtype=np.float64)
-    drifted = states + b * delta
-    if not sig.any():
+    the noise term when the action's diffusion is nonzero."""
+    drifted = states + mdp.drift[idx] * delta
+    if not mdp.diffusion[idx]:
         return drifted
-    return drifted + math.sqrt(delta) * (sig * draw())
+    return drifted + math.sqrt(delta) * (mdp.diffusion[idx] * draw())
 
 
 def rollout_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
                    window_end=None, window_action=None):
-    """The step loop before frozen steps kept their states: a fresh state
-    array, a full finiteness scan, the action picked by window_rule and
-    applied per action mask on every step, and the discounted reward added
-    through temporaries."""
+    """The per-step loop: every step reads the reward from its states and
+    multiplies it by its discount and its step, picks its action by
+    window_rule, makes a fresh state array (a frozen step adds 0 dt) and
+    scans it for finiteness."""
     n = mdp.state_dim
     states = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths, n)).copy()
     gains = np.zeros(n_paths)
@@ -476,22 +433,10 @@ def rollout_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
         for j, delta in enumerate(_phase_steps(start, end, step)):
             s = start + j * step
             disc = 1.0 if gamma == 1.0 else math.exp(log_gamma * (s - t0))
-            rew = np.asarray(mdp.reward(s, states), dtype=np.float64)
+            rew = np.asarray(mdp.reward(states), dtype=np.float64)
             gains += disc * rew * delta
-            memo = []
-
-            def draw():
-                if not memo:
-                    memo.append(rng.standard_normal((n_paths, n)))
-                return memo[0]
-
-            acts = np.full(n_paths, rule(s), dtype=np.intp)
-            out = np.empty_like(states)
-            for idx in np.unique(acts):
-                mask = acts == idx
-                out[mask] = em_step_oracle(mdp, s, states[mask], mdp.actions[idx], delta,
-                                           lambda m=mask: draw()[m])
-            states = out
+            states = em_step_oracle(mdp, states, rule(s), delta,
+                                    lambda: rng.standard_normal((n_paths, n)))
             assert np.all(np.isfinite(states))
     disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (mdp.horizon - t0))
     term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
@@ -535,6 +480,34 @@ def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy, tail_
                           **window)
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# A frozen step leaves the generator as it was, and the rollout reads the
+# reward once per state array that enters a step, so a frozen phase reads it
+# at most once, on entry.
+@pytest.mark.parametrize("window_action, base", [(1, 0), (0, 1)],
+                         ids=["noisy_then_frozen", "frozen_then_noisy"])
+def test_frozen_phase_leaves_generator_untouched_and_reads_reward_once(
+        monkeypatch, window_action, base):
+    rng = substream(6, 5)
+    steps, reads = [], []
+
+    def recorded(mdp, t, states, acts, delta, draw):
+        before = rng.bit_generator.state
+        out = _em_apply(mdp, t, states, acts, delta, draw)
+        steps.append((int(acts[0]), states, before == rng.bit_generator.state))
+        return out
+
+    env = dataclasses.replace(brownian_gap_env(),
+                              reward=lambda X: reads.append(X) or X[:, 0])
+    monkeypatch.setattr(ctmdp, "_em_apply", recorded)
+    _rollout_returns(env, base, 0.0, [0.5], 8, rng, 1 / 32, tail_dt=0.05,
+                     window_end=0.25, window_action=window_action)
+    assert {(a, kept) for a, _, kept in steps} == {(0, True), (1, False)}
+    entering = [states for _, states, _ in steps]
+    distinct = [x for i, x in enumerate(entering) if i == 0 or x is not entering[i - 1]]
+    assert len(reads) == len(distinct)
+    assert all(x is y for x, y in zip(reads, distinct))
 
 
 def test_rollout_from_negative_zero_matches_step_loop_oracle_in_value():

@@ -47,6 +47,20 @@ def test_mc_return_dist_rejects_start_at_horizon():
         mc_return_dist(env, BASE_ACTION, 1.0, [0.0], 10, 1 / 32, 0)
 
 
+# NaN compares false against the horizon and -inf would step forever: both
+# used to fail inside the rollout's step count instead of naming t.
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1.0])
+@pytest.mark.parametrize("sampler", ["plain", "action"])
+def test_start_time_must_be_finite_and_before_the_horizon(sampler, t):
+    env = brownian_gap_env()
+    named = f"^start time t={t} must be finite and before the horizon 1.0$"
+    with pytest.raises(ValueError, match=named):
+        if sampler == "plain":
+            mc_return_dist(env, BASE_ACTION, t, [0.0], 4, 1 / 32, 0)
+        else:
+            mc_action_return_dist(env, BASE_ACTION, t, [0.0], 1, 0.25, 4, SimConfig())
+
+
 # inf would be one EM step over the whole horizon; NaN compares false
 # against every step bound.
 @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1])
@@ -106,9 +120,9 @@ def test_action_gaps_identical_dynamics_vanish():
     env = ContinuousMdp(
         state_dim=1,
         actions=(0, 1),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: 1.0,
-        reward=lambda t, X: X[:, 0],
+        drift=(0.0, 0.0),
+        diffusion=(1.0, 1.0),
+        reward=lambda X: X[:, 0],
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=1.0,
     )
@@ -147,9 +161,9 @@ def test_action_gaps_needs_two_actions(actions):
     env = ContinuousMdp(
         state_dim=1,
         actions=actions,
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: 1.0,
-        reward=lambda t, X: X[:, 0],
+        drift=(0.0,) * len(actions),
+        diffusion=(1.0,) * len(actions),
+        reward=lambda X: X[:, 0],
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=1.0,
     )
@@ -166,9 +180,9 @@ def test_action_gaps_quantile_overflow_is_a_simulation_error(m):
     env = ContinuousMdp(
         state_dim=1,
         actions=(0, 1),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: float(a),
-        reward=lambda t, X: np.zeros(X.shape[0]),
+        drift=(0.0, 0.0),
+        diffusion=(0.0, 1.0),
+        reward=lambda X: np.zeros(X.shape[0]),
         terminal_reward=lambda X: np.where(X[:, 0] > 0, 1e308, -1e308),
         horizon=1.0,
     )
@@ -212,9 +226,9 @@ def test_collapse_is_monotone_on_bounded_reward_fixture():
     env = ContinuousMdp(
         state_dim=1,
         actions=(0, 1),
-        drift=lambda t, X, a: 0.0,
-        diffusion=lambda t, X, a: 1.0 if a == 1 else 0.0,
-        reward=lambda t, X: np.tanh(X[:, 0]),
+        drift=(0.0, 0.0),
+        diffusion=(0.0, 1.0),
+        reward=lambda X: np.tanh(X[:, 0]),
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=1.0,
     )
