@@ -4,7 +4,8 @@ An MDP's drift and diffusion are constant per action: one finite float per
 action, in ``actions`` order, so action a moves every path by
 dX = b_a dt + sigma_a dW with W a standard n-dimensional Brownian motion.
 The reward reward(X) and terminal reward terminal_reward(X) are pure
-functions of the (paths, n) states alone.
+functions of the (paths, n) states alone that act row by row: a row's value
+depends on that row only, so one row of states gives that row's value.
 
 Returns are accumulated by left-endpoint quadrature of gamma**(s - t) * r(X_s)
 plus gamma**(T - t) * g(X_T); the discount factor is exactly 1 when gamma == 1.
@@ -12,7 +13,11 @@ A rollout step draws its (paths, n) normals only when its action's diffusion
 is nonzero; a step with zero diffusion is x + b dt and leaves the generator
 untouched. A step whose drift and diffusion are both zero leaves the states
 as they are, with no + 0 dt, so a signed zero stays signed, and the rollout
-reuses the reward it read from those states.
+reuses the reward it read from those states. Until a step's action has
+nonzero diffusion, every path holds the same state, so the rollout steps a
+one-row bundle and accumulates one return; the first diffusive step's
+(paths, n) normals widen it to every path, and a rollout that never diffuses
+broadcasts its one return to every path at the end.
 
 A rollout plays one action on every path, fixed for each of its phases: the
 window [t0, window_end) plays the window action and the tail up to the
@@ -66,7 +71,12 @@ def _per_action(name, values, n_actions):
 @dataclass(frozen=True, eq=False)
 class ContinuousMdp:
     """dX = drift[a] dt + diffusion[a] dW under action index a, with W a
-    standard n-dimensional Brownian motion (see the module docstring)."""
+    standard n-dimensional Brownian motion (see the module docstring).
+
+    ``reward`` and ``terminal_reward`` map (paths, n) states to one value per
+    row (or a scalar), and a row's value depends on that row only: a rollout
+    reads them on a one-row bundle until its paths part.
+    """
 
     state_dim: int
     actions: tuple
@@ -131,7 +141,8 @@ def _em_apply(mdp, t, states, action_indices, delta, draw):
 
     ``draw()`` returns the normals z; it is not called when sigma is zero,
     and such a step is x + b delta. When b is zero too, the step returns
-    ``states`` itself.
+    ``states`` itself. A one-row ``states`` broadcasts against the normals,
+    so a diffusive step returns one row per row of z.
     """
     a = action_indices[0]
     b, sig = mdp.drift[a], mdp.diffusion[a]
@@ -160,7 +171,8 @@ def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
     single = states.ndim == 1
     if single:
         states, z = states[None, :], z[None, :]
-    out = _em_apply(mdp, t, states, (mdp.actions.index(a),), dt, lambda: z)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        out = _em_apply(mdp, t, states, (mdp.actions.index(a),), dt, lambda: z)
     if out is states:
         out = out.copy()  # a frozen step; the result never aliases x
     if not np.isfinite(out).all():
@@ -196,9 +208,12 @@ def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: in
         raise ValueError(f"state has dim {x0.size}, mdp expects {n}")
     if not np.isfinite(x0).all():
         raise SimulationError(f"non-finite state at t={t0:.8g}")
-    states = np.broadcast_to(x0, (n_paths, n)).copy()
-    gains = np.zeros(n_paths)
-    step_gain = np.empty(n_paths)
+    # The bundle is one row, and gains and step_gain one entry, until a step
+    # diffuses: before that every path is x0 moved by the same drifts, and
+    # the reward reads row by row, so one row stands for all of them.
+    states = x0.reshape(1, n).copy()
+    gains = np.zeros(1)
+    step_gain = np.empty(1)
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
     horizon = mdp.horizon
@@ -217,34 +232,41 @@ def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: in
     # The reward is read again only after a step returns a new array, and at
     # gamma == 1 its product with the step only when either has changed, so a
     # frozen step adds the same step_gain into the gains as the one before.
+    # An overflow shows as a non-finite state or return, raised below, so
+    # numpy does not warn of it.
     rew_states = gain_delta = None
-    for start, end, step, phase_action in phases:
-        # one read-only zero-stride index vector for the phase's steps
-        acts = np.broadcast_to(np.intp(phase_action), (n_paths,))
-        for j, delta in enumerate(_phase_steps(start, end, step)):
-            s = start + j * step
-            if states is not rew_states:
-                rew = np.asarray(mdp.reward(states), dtype=np.float64)
-                rew_states, gain_delta = states, None
-            if gamma == 1.0:  # 1.0 * r is r: the discount multiply is skipped
-                if delta != gain_delta:
-                    np.multiply(rew, delta, out=step_gain)
-                    gain_delta = delta
-            else:
-                np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
-                np.multiply(step_gain, delta, out=step_gain)
-            gains += step_gain
-            stepped = _em_apply(mdp, s, states, acts, delta, draw)
-            if stepped is not states and not np.isfinite(stepped).all():
-                raise SimulationError(f"non-finite state at t={s + delta:.8g}")
-            states = stepped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, end, step, phase_action in phases:
+            # one read-only zero-stride index vector for the phase's steps
+            acts = np.broadcast_to(np.intp(phase_action), (n_paths,))
+            for j, delta in enumerate(_phase_steps(start, end, step)):
+                s = start + j * step
+                if states is not rew_states:
+                    rew = np.asarray(mdp.reward(states), dtype=np.float64)
+                    rew_states, gain_delta = states, None
+                if gamma == 1.0:  # 1.0 * r is r: the discount multiply is skipped
+                    if delta != gain_delta:
+                        np.multiply(rew, delta, out=step_gain)
+                        gain_delta = delta
+                else:
+                    np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
+                    np.multiply(step_gain, delta, out=step_gain)
+                gains += step_gain
+                stepped = _em_apply(mdp, s, states, acts, delta, draw)
+                if stepped is not states:
+                    if not np.isfinite(stepped).all():
+                        raise SimulationError(f"non-finite state at t={s + delta:.8g}")
+                    if stepped.shape[0] != gains.size:  # the first diffusive step
+                        gains = np.repeat(gains, n_paths)
+                        step_gain = np.empty(n_paths)
+                    states = stepped
 
-    disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (horizon - t0))
-    term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
-    gains += disc_t * np.broadcast_to(term, (n_paths,))
+        disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (horizon - t0))
+        term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
+        gains += disc_t * np.broadcast_to(term, gains.shape)
     if not np.isfinite(gains).all():
         raise SimulationError("non-finite return accumulation")
-    return gains
+    return np.repeat(gains, n_paths) if gains.size != n_paths else gains
 
 
 def _rollout_dt(mdp: ContinuousMdp, t: float, cfg: SimConfig, h: float) -> float:

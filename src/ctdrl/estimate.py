@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,18 +126,31 @@ def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
 
     A resample stays implicit: its draws, mapped to their sorted-order ranks
     (small unsigned integers) and sorted, locate the order statistics that the
-    hazen quantiles read, so no resample value is gathered or sorted.
+    hazen quantiles read, so no resample value is gathered or sorted. A side
+    whose samples all have the same bits resamples to itself, so its sorted
+    quantiles are read once; its draws are still made, in the same order, to
+    keep the stream.
     """
     reps = np.empty(n_resamples)
     na, nb = samples_a.size, samples_b.size
-    sorted_a, rank_a = _sorted_ranks(samples_a)
-    sorted_b, rank_b = _sorted_ranks(samples_b)
-    hazen_a, hazen_b = dist._hazen(na, m), dist._hazen(nb, m)
+    read_a, read_b = _bootstrap_side(samples_a, m), _bootstrap_side(samples_b, m)
     for i in range(n_resamples):
-        qa = hazen_a(sorted_a, np.sort(rank_a[rng.integers(0, na, na)]))
-        qb = hazen_b(sorted_b, np.sort(rank_b[rng.integers(0, nb, nb)]))
-        reps[i] = kernels.wasserstein_sorted(np.sort(qa), np.sort(qb), p)
+        qa = read_a(rng.integers(0, na, na))
+        qb = read_b(rng.integers(0, nb, nb))
+        reps[i] = kernels.wasserstein_sorted(qa, qb, p)
     return float(np.std(reps, ddof=1))
+
+
+def _bootstrap_side(samples, m):
+    """read(draws): the sorted m hazen quantiles of the resample
+    samples[draws] of one side."""
+    hazen = dist._hazen(samples.size, m)
+    bits = samples.view(np.int64)
+    if (bits == bits[0]).all():  # sorted as it is, and every resample is itself
+        const = np.sort(hazen(samples))
+        return lambda draws: const
+    sorted_s, rank = _sorted_ranks(samples)
+    return lambda draws: np.sort(hazen(sorted_s, np.sort(rank[draws])))
 
 
 def _sorted_ranks(samples):
@@ -159,8 +173,13 @@ def gap_estimate(zeta_a: dist.EmpiricalDist, zeta_b: dist.EmpiricalDist, p: int,
     """The W_p gap between the m-quantile reps of two return-sample sets, the
     gap between their means, and their standard errors.
 
-    Raises SimulationError when a gap, mean or standard error is not finite.
+    Raises ValueError when ``bootstrap`` is not an integer >= 2, and
+    SimulationError when a gap, mean or standard error is not finite.
     """
+    # A bool is an Integral; 2.0 and NaN are not.
+    if (isinstance(bootstrap, bool) or not isinstance(bootstrap, numbers.Integral)
+            or bootstrap < 2):
+        raise ValueError(f"bootstrap must be an integer >= 2, got {bootstrap!r}")
     diverged = "non-finite gap estimate"
     a, b = zeta_a.samples, zeta_b.samples
     with _overflow_raises(diverged):

@@ -132,23 +132,31 @@ def test_worker_setup_runs(workload):
 
 def test_gap_rates_applies_one_em_step_per_call(tmp_path, monkeypatch):
     # The benchmark's gap_rates update interval is the time between two
-    # _em_apply calls, so each EM step must be exactly one call.
-    calls = Counter()
+    # _em_apply calls, so each EM step must be exactly one call. Its
+    # ctmdp.path_steps counts the rows of the states each call steps: one on
+    # a rollout that has not diffused, n_paths from its first diffusive step.
+    rows = []
     em_apply = ctmdp._em_apply
 
-    def counted(*args):
-        calls["em_apply"] += 1
-        return em_apply(*args)
+    def counted(mdp, t, states, action_indices, delta, draw):
+        out = em_apply(mdp, t, states, action_indices, delta, draw)
+        rows.append((states.shape[0], out.shape[0]))
+        return out
 
     monkeypatch.setattr(ctmdp, "_em_apply", counted)
     _run(cli.cmd_gap_rates, cli.GAP_RATES_FIELDS, TINY_GAP_RATES, tmp_path / "gap")
     cfg, _ = cli.resolve_config(cli.GAP_RATES_FIELDS, None, TINY_GAP_RATES)
-    t, horizon = cfg["t"], cfg["horizon"]
-    steps = 0
-    for h in cfg["h_grid"]:
+    t, horizon, n = cfg["t"], cfg["horizon"], cfg["n_paths"]
+    steps = []
+    for h in sorted(cfg["h_grid"], reverse=True):
         dt = h / cfg["substeps"]
         window = ctmdp._phase_steps(t, t + h, dt)
         tail = ctmdp._phase_steps(t + h, horizon, cfg["tail_dt"] or dt)
-        steps += len(window) + len(tail)
-    rollouts = cli._build_gap_env(cfg).n_actions * len(cfg["seeds"])  # per h
-    assert calls["em_apply"] == rollouts * steps
+        steps.append(len(window) + len(tail))
+    assert len(rows) == 768  # as many calls as when every bundle had n_paths rows
+    # per h, the frozen action 0 on one row, then action 1, whose window
+    # diffuses from its first step
+    want = []
+    for k in steps:
+        want += [(1, 1)] * k + [(1, n)] + [(n, n)] * (k - 1)
+    assert rows == want

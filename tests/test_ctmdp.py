@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -139,15 +141,42 @@ def test_em_step_brownian_variance():
     assert abs(var - t) <= 3 * se
 
 
+@contextlib.contextmanager
+def no_warning_raises(exc, match):
+    """pytest.raises(exc, match=match), asserting that no warning is issued
+    before it is raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(exc, match=match):
+            yield
+    assert [str(w.message) for w in caught] == []
+
+
 def test_em_step_rejects_nonfinite():
     # an infinite drift is refused when the MDP is built; a finite one can
-    # still overflow the state, which numpy reports before the step raises
+    # still overflow the state, which the step reports with no numpy warning
     with pytest.raises(ValueError, match="^drift must hold"):
         constant_env(np.inf)
-    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(SimulationError):
+    with no_warning_raises(SimulationError, "non-finite state"):
         em_step(constant_env(1e308), np.array([1e308]), 0.0, 0, 1.0, np.array([0.0]))
     with pytest.raises(ValueError):
         em_step(brownian_gap_env(), np.array([0.0]), 0.0, 0, 0.0, np.array([0.0]))
+
+
+# A drift that overflows the state, on the one-row bundle of a rollout that
+# never diffuses and on the full-width bundle after a diffusive window.
+@pytest.mark.parametrize("sampler", ["plain", "frozen_window", "diffusive_window"])
+def test_overflowing_rollout_raises_without_warning(sampler):
+    x = [1e308]
+    with no_warning_raises(SimulationError, "non-finite state"):
+        if sampler == "plain":
+            mc_return_dist(constant_env(1e308), 0, 0.0, x, 4, 0.25, 0)
+        elif sampler == "frozen_window":
+            mc_action_return_dist(constant_env(1e308), 0, 0.0, x, 0, 0.25, 4,
+                                  SimConfig(substeps=2))
+        else:
+            env = ContinuousMdp(**two_action_fields(drift=(1e308, 1e308)))
+            mc_action_return_dist(env, 0, 0.0, x, 1, 0.25, 4, SimConfig(substeps=2))
 
 
 def test_em_step_rejects_an_action_not_in_the_mdp():
@@ -478,6 +507,82 @@ def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy, tail_
     got = _rollout_returns(env, 0, t0, x0, 96, rng, 1 / 32, tail_dt=tail_dt, **window)
     want = rollout_oracle(env, 0, t0, x0, 96, oracle_rng, 1 / 32, tail_dt=tail_dt,
                           **window)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def full_width_rollout(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
+                       window_end=None, window_action=None):
+    """The rollout with its bundle broadcast to n_paths rows from the start:
+    the same phases, reward reuse, adds and _em_apply calls, on every path."""
+    n = mdp.state_dim
+    states = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n_paths, n)).copy()
+    gains = np.zeros(n_paths)
+    step_gain = np.empty(n_paths)
+    gamma = mdp.discount
+    log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
+
+    def draw():
+        return rng.standard_normal((n_paths, n))
+
+    phases = [(t0, mdp.horizon, dt, action)]
+    if window_end is not None:
+        phases = [(t0, window_end, dt, window_action),
+                  (window_end, mdp.horizon, tail_dt or dt, action)]
+    rew_states = gain_delta = None
+    for start, end, step, phase_action in phases:
+        acts = np.full(n_paths, phase_action, dtype=np.intp)
+        for j, delta in enumerate(_phase_steps(start, end, step)):
+            s = start + j * step
+            if states is not rew_states:
+                rew = np.asarray(mdp.reward(states), dtype=np.float64)
+                rew_states, gain_delta = states, None
+            if gamma == 1.0:
+                if delta != gain_delta:
+                    np.multiply(rew, delta, out=step_gain)
+                    gain_delta = delta
+            else:
+                np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
+                np.multiply(step_gain, delta, out=step_gain)
+            gains += step_gain
+            states = _em_apply(mdp, s, states, acts, delta, draw)
+    disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (mdp.horizon - t0))
+    term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
+    gains += disc_t * np.broadcast_to(term, (n_paths,))
+    return gains
+
+
+# (env, base action, window action, window end): the bundle stays one row
+# while no step diffuses and widens at the first step that does.
+_WIDTH_CASES = {
+    "frozen_only": (brownian_gap_env(), 0, None, None),
+    "drift_then_frozen": (illustration_env(horizon=1.0, drift=2.0, move_diffusion=0.0),
+                          0, 1, 0.25),
+    "drift_only": (illustration_env(horizon=1.0, drift=-3.0, move_diffusion=0.0),
+                   1, None, None),
+    "diffusing_window_then_frozen": (brownian_gap_env(), 0, 1, 0.25),
+    "frozen_window_then_diffusing": (brownian_gap_env(), 1, 0, 0.25),
+    "diffusing_base": (illustration_env(horizon=1.0, drift=2.0), 1, None, None),
+    "three_action_drift_then_diffusing": (three_action_env("hold_frozen"), 0, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("terminal", ["env", "nonzero"])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("case", sorted(_WIDTH_CASES))
+def test_rollout_matches_full_width_rollout_bitwise(case, gamma, terminal):
+    env, base, window_action, window_end = _WIDTH_CASES[case]
+    env = dataclasses.replace(env, discount=gamma)
+    if terminal == "nonzero":
+        env = dataclasses.replace(env, terminal_reward=lambda X: np.sin(X).sum(axis=1) + 2)
+    window = {} if window_end is None else dict(window_end=window_end,
+                                                window_action=window_action)
+    x0 = np.linspace(-0.3, 0.4, env.state_dim)
+    rng, oracle_rng = substream(8, len(case), gamma < 1), substream(8, len(case), gamma < 1)
+    got = _rollout_returns(env, base, 0.0, x0, 40, rng, 1 / 32, tail_dt=0.05, **window)
+    want = full_width_rollout(env, base, 0.0, x0, 40, oracle_rng, 1 / 32, tail_dt=0.05,
+                              **window)
+    assert got.shape == (40,) and got.flags.writeable
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ctdrl import estimate
 from ctdrl.ctmdp import ContinuousMdp, SimConfig, SimulationError, substream
 from ctdrl.dist import (
     EmpiricalDist,
@@ -143,6 +145,26 @@ def test_gap_estimate_hand_values():
     assert est.value_gap_se == math.hypot(se, se)
     assert est.dist_gap_se == _bootstrap_w_se(a, a + 0.5, 1, 4, 20,
                                               np.random.default_rng(9))
+
+
+# One resample has no spread to measure: its SE would be a NaN that the
+# estimate reports as a divergence, after numpy warns of it.
+@pytest.mark.parametrize("bootstrap", [1, 0, -3, 2.0, 2.5, math.nan, True, "2", None])
+def test_gap_estimate_rejects_bootstrap_below_two_or_not_an_integer(bootstrap):
+    zeta = EmpiricalDist([0.0, 1.0, 2.0])
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(
+            f"bootstrap must be an integer >= 2, got {bootstrap!r}")):
+        gap_estimate(zeta, zeta, 1, 4, bootstrap, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_gap_estimate_takes_a_numpy_integer_bootstrap():
+    zeta_a, zeta_b = EmpiricalDist([0.0, 1.0, 2.0]), EmpiricalDist([0.5, 1.0, 3.0])
+    got = gap_estimate(zeta_a, zeta_b, 1, 4, np.int64(2), np.random.default_rng(9))
+    assert vars(got) == vars(gap_estimate(zeta_a, zeta_b, 1, 4, 2,
+                                          np.random.default_rng(9)))
 
 
 def test_action_gaps_is_gap_estimate_of_its_rollouts():
@@ -303,21 +325,45 @@ def _bootstrap_samples(kind, rng):
         return rng.normal(size=40), rng.exponential(size=55)
     if kind == "m_equals_n":
         return rng.normal(size=64), rng.gumbel(size=64)
+    if kind == "constant_b":
+        return rng.normal(0.7, 0.5, size=200), np.full(90, -1.25)
+    if kind == "both_constant":
+        return np.full(120, 0.7), np.full(90, -1.25)
+    if kind == "negative_zero":
+        # every hazen read of a -0.0 side gives zeros of both signs
+        return np.full(150, -0.0), rng.normal(size=80)
+    if kind == "mixed_zeros":
+        # equal values, not equal bits: the side is resampled in full
+        return np.where(rng.random(150) < 0.5, -0.0, 0.0), rng.normal(size=80)
     # the frozen action's returns are one constant
     return np.full(120, 0.7), rng.normal(0.7, 0.5, size=200)
 
 
+# Sides whose samples all have the same bits: (a, b) for each kind.
+_CONSTANT_SIDES = {"constant": (True, False), "constant_b": (False, True),
+                   "both_constant": (True, True), "negative_zero": (True, False)}
+
+
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("kind", ["continuous", "ties", "m_above_n", "m_equals_n",
-                                  "constant"])
-def test_bootstrap_w_se_matches_sequential_oracle(p, kind):
+                                  *_CONSTANT_SIDES, "mixed_zeros"])
+def test_bootstrap_w_se_matches_sequential_oracle(monkeypatch, p, kind):
     samples_a, samples_b = _bootstrap_samples(kind, np.random.default_rng(41))
     m = 128 if kind == "m_above_n" else 64
+    ranked = []
+    sorted_ranks = estimate._sorted_ranks
+    monkeypatch.setattr(estimate, "_sorted_ranks",
+                        lambda samples: ranked.append(samples) or sorted_ranks(samples))
     rng, oracle_rng = np.random.default_rng(42), np.random.default_rng(42)
     got = _bootstrap_w_se(samples_a, samples_b, p, m, 25, rng)
     want = bootstrap_w_se_oracle(samples_a, samples_b, p, m, 25, oracle_rng)
     assert got == want
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # only a side that is not constant by bits is ranked and resampled
+    constant = _CONSTANT_SIDES.get(kind, (False, False))
+    resampled = [x for x, c in zip((samples_a, samples_b), constant) if not c]
+    assert len(ranked) == len(resampled)
+    assert all(x is y for x, y in zip(ranked, resampled))
 
 
 def _tied_signed_zero_samples(n, rng):
@@ -328,13 +374,24 @@ def _tied_signed_zero_samples(n, rng):
     return samples
 
 
-@pytest.mark.parametrize("na, nb", [(256, 257), (65536, 65537), (65537, 256)])
-def test_bootstrap_w_se_matches_oracle_at_rank_dtype_boundaries(na, nb):
+# A constant side ("a" or "b", here -0.0) is read once; the other side is
+# still resampled through its ranks.
+@pytest.mark.parametrize("na, nb, constant", [
+    pytest.param(256, 257, None, id="256-257"),
+    pytest.param(65536, 65537, None, id="65536-65537"),
+    pytest.param(65537, 256, None, id="65537-256"),
+    pytest.param(65537, 256, "a", id="65537-256-a_constant"),
+    pytest.param(256, 65537, "b", id="256-65537-b_constant")])
+def test_bootstrap_w_se_matches_oracle_at_rank_dtype_boundaries(na, nb, constant):
     # n - 1 = 255 is the last uint8 rank, 65535 the last uint16 rank
     rank_dtype = {256: np.uint8, 257: np.uint16, 65536: np.uint16, 65537: np.uint32}
     data_rng = np.random.default_rng(na + nb)
     samples_a = _tied_signed_zero_samples(na, data_rng)
     samples_b = _tied_signed_zero_samples(nb, data_rng)
+    if constant == "a":
+        samples_a = np.full(na, -0.0)
+    elif constant == "b":
+        samples_b = np.full(nb, -0.0)
     assert _sorted_ranks(samples_a)[1].dtype == rank_dtype[na]
     assert _sorted_ranks(samples_b)[1].dtype == rank_dtype[nb]
     rng, oracle_rng = np.random.default_rng(43), np.random.default_rng(43)
