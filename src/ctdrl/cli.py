@@ -18,7 +18,9 @@ still sets the removed dt_floor exits 2.
 
 gap-rates and superiority-demo step each window [t, t + h) at h / substeps
 and the tail after it at tail_dt, or at the window step when tail_dt is
-none.
+none. superiority-demo draws eta as the base action's own h-persistent
+return, so zeta and eta share that grid and the base action's superiority is
+exactly 0.
 """
 
 from __future__ import annotations
@@ -406,9 +408,9 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
             zeta = estimate.mc_action_return_dist(
                 mdp, base, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
             )
-            # The plain rollout steps at the window's dt throughout.
-            eta = estimate.mc_return_dist(mdp, base, cfg["t"], [cfg["x"]], n,
-                                          h / cfg["substeps"], sim.seed)
+            eta = estimate.mc_action_return_dist(
+                mdp, base, cfg["t"], [cfg["x"]], base, h, n, sim
+            )
             # Finite returns can still overflow the quantiles (mc_superiority
             # raises), their rescaled panels or their moments; any such
             # overflow is a divergence.

@@ -1,8 +1,9 @@
 """Continuous-time MDPs and Euler-Maruyama return simulation.
 
 An MDP's drift and diffusion are constant per action: one finite float per
-action, in ``actions`` order, so action a moves every path by
-dX = b_a dt + sigma_a dW with W a standard n-dimensional Brownian motion.
+action index, so action a moves every path by dX = b_a dt + sigma_a dW with
+W a standard n-dimensional Brownian motion. The drift table fixes the number
+of actions.
 The reward reward(X) and terminal reward terminal_reward(X) are pure
 functions of the (paths, n) states alone that act row by row: a row's value
 depends on that row only, so one row of states gives that row's value.
@@ -23,7 +24,9 @@ A rollout plays one action on every path, fixed for each of its phases: the
 window [t0, window_end) plays the window action and the tail up to the
 horizon plays the base action. A window that ends within TIME_TOL of the
 horizon plays the window action up to the horizon. This is the return of
-the persistent modification of the policy that always plays the base action.
+the persistent modification of the policy that always plays the base action;
+with the base action in the window it is that policy's own return, on the
+same step grid.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimulationError", "ContinuousMdp", "SimConfig", "em_step", "substream"]
+__all__ = ["SimulationError", "ContinuousMdp", "SimConfig", "substream"]
 
 TIME_TOL = 1e-9
 
@@ -52,26 +55,34 @@ def substream(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _per_action(name, values, n_actions):
+def _is_integer(v):
+    """A bool is an Integral; 2.0, 2.5, NaN and inf are not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _per_action(name, values, n_actions=None):
     """``values`` as a tuple of floats, after checking that it holds one
-    finite real number (not a bool) per action."""
+    finite real number (not a bool) per action: ``n_actions`` of them, or at
+    least one when n_actions is None."""
     try:
         table = tuple(values)
-        ok = len(table) == n_actions and all(
+        ok = (len(table) == n_actions if n_actions is not None else bool(table)) and all(
             isinstance(v, numbers.Real) and not isinstance(v, bool)
             and math.isfinite(v) for v in table)
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ValueError(f"{name} must hold one finite number per action "
-                         f"({n_actions}), got {values!r}")
+        count = "" if n_actions is None else f" ({n_actions})"
+        raise ValueError(f"{name} must hold one finite number per action{count}, "
+                         f"got {values!r}")
     return tuple(float(v) for v in table)
 
 
 @dataclass(frozen=True, eq=False)
 class ContinuousMdp:
     """dX = drift[a] dt + diffusion[a] dW under action index a, with W a
-    standard n-dimensional Brownian motion (see the module docstring).
+    standard n-dimensional Brownian motion (see the module docstring). The
+    actions are the indices of the nonempty drift table.
 
     ``reward`` and ``terminal_reward`` map (paths, n) states to one value per
     row (or a scalar), and a row's value depends on that row only: a rollout
@@ -79,7 +90,6 @@ class ContinuousMdp:
     """
 
     state_dim: int
-    actions: tuple
     drift: tuple
     diffusion: tuple
     reward: callable
@@ -88,12 +98,10 @@ class ContinuousMdp:
     discount: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if not self.actions:
-            raise ValueError("action list must be nonempty")
-        for name in ("drift", "diffusion"):
-            table = _per_action(name, getattr(self, name), len(self.actions))
-            object.__setattr__(self, name, table)
+        drift = _per_action("drift", self.drift)
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "diffusion",
+                           _per_action("diffusion", self.diffusion, len(drift)))
         for name in ("reward", "terminal_reward"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"{name} must be callable")
@@ -106,7 +114,7 @@ class ContinuousMdp:
 
     @property
     def n_actions(self) -> int:
-        return len(self.actions)
+        return len(self.drift)
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # A bool is an Integral; NaN, inf and 2.5 are not.
-        if (isinstance(self.substeps, bool)
-                or not isinstance(self.substeps, numbers.Integral)
-                or self.substeps < 1):
+        if not (_is_integer(self.substeps) and self.substeps >= 1):
             raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
         # Written so that NaN fails it.
         if self.tail_dt is not None and not 0 < self.tail_dt < math.inf:
@@ -151,35 +156,6 @@ def _em_apply(mdp, t, states, action_indices, delta, draw):
     return states + b * delta + math.sqrt(delta) * (sig * draw())
 
 
-def em_step(mdp: ContinuousMdp, x, t: float, a, dt: float, noise) -> np.ndarray:
-    """x' = x + b_a dt + sigma_a sqrt(dt) noise.
-
-    Accepts a single state (n,) or a bundle (paths, n) and finite noise of
-    the same shape; `a` is an action label from mdp.actions.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if a not in mdp.actions:
-        raise ValueError(f"action {a!r} is not one of {mdp.actions}")
-    states = np.asarray(x, dtype=np.float64)
-    z = np.asarray(noise, dtype=np.float64)
-    if z.shape != states.shape:
-        raise ValueError(f"noise of shape {z.shape} does not match the state shape "
-                         f"{states.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("noise must be finite")
-    single = states.ndim == 1
-    if single:
-        states, z = states[None, :], z[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        out = _em_apply(mdp, t, states, (mdp.actions.index(a),), dt, lambda: z)
-    if out is states:
-        out = out.copy()  # a frozen step; the result never aliases x
-    if not np.isfinite(out).all():
-        raise SimulationError(f"non-finite state after step at t={t:.8g}")
-    return out[0] if single else out
-
-
 def _phase_steps(start, end, step):
     """Step sizes covering [start, end] with a truncated final step."""
     total = end - start
@@ -194,13 +170,12 @@ def _phase_steps(start, end, step):
 
 
 def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: int,
-                     rng: np.random.Generator, dt: float, tail_dt: float | None = None,
-                     window_end: float | None = None, window_action: int | None = None):
+                     rng: np.random.Generator, dt: float, window_end: float,
+                     window_action: int, tail_dt: float | None = None):
     """Discounted returns of n_paths EM rollouts from (t0, x0) to the horizon.
 
-    Without a window every step plays ``action``. With one, [t0, window_end)
-    steps at dt playing ``window_action`` and the tail steps at tail_dt (dt
-    when None) playing ``action``; see the module docstring.
+    [t0, window_end) steps at dt playing ``window_action`` and the tail steps
+    at tail_dt (dt when None) playing ``action``; see the module docstring.
     """
     n = mdp.state_dim
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -219,9 +194,7 @@ def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: in
     horizon = mdp.horizon
 
     draw = functools.partial(rng.standard_normal, (n_paths, n))
-    if window_end is None:
-        phases = [(t0, horizon, dt, action)]
-    elif window_end < horizon - TIME_TOL:
+    if window_end < horizon - TIME_TOL:
         phases = [(t0, window_end, dt, window_action),
                   (window_end, horizon, tail_dt if tail_dt is not None else dt, action)]
     else:
@@ -268,12 +241,3 @@ def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: in
         raise SimulationError("non-finite return accumulation")
     return np.repeat(gains, n_paths) if gains.size != n_paths else gains
 
-
-def _rollout_dt(mdp: ContinuousMdp, t: float, cfg: SimConfig, h: float) -> float:
-    """The window step h / cfg.substeps, after checking that h is positive
-    and finite and that the window [t, t + h) ends by the horizon."""
-    if not 0 < h < math.inf:
-        raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
-    if t + h > mdp.horizon + TIME_TOL:
-        raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
-    return h / cfg.substeps

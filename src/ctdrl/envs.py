@@ -69,7 +69,6 @@ def illustration_env(
     freezes the state; reward is the signed distance to zero."""
     return ContinuousMdp(
         state_dim=1,
-        actions=(0, 1),
         drift=(0.0, drift),
         diffusion=(0.0, move_diffusion),
         reward=lambda X: X[:, 0],

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,10 +12,11 @@ import numpy as np
 from . import _kernels as kernels
 from . import dist
 from .ctmdp import (
+    TIME_TOL,
     ContinuousMdp,
     SimConfig,
     SimulationError,
-    _rollout_dt,
+    _is_integer,
     _rollout_returns,
     substream,
 )
@@ -24,7 +24,6 @@ from .ctmdp import (
 __all__ = [
     "GapEstimate",
     "RateFit",
-    "mc_return_dist",
     "mc_action_return_dist",
     "mc_superiority",
     "gap_estimate",
@@ -36,7 +35,6 @@ ESTIMATOR_M = 512
 BOOTSTRAP_RESAMPLES = 200
 
 # Substream tags so independent estimates never share a noise stream.
-_TAG_RETURN = 11
 _TAG_ACTION = 12
 _TAG_BOOT = 13
 
@@ -59,40 +57,37 @@ class RateFit:
     r_squared: float
 
 
-def _check_start(mdp, t):
-    if not -math.inf < t < mdp.horizon:  # NaN fails it too
-        raise ValueError(f"start time t={t} must be finite and before the horizon "
-                         f"{mdp.horizon}")
-
-
-def mc_return_dist(
-    mdp: ContinuousMdp, action: int, t, x, n_paths: int, dt: float, seed: int
-) -> dist.EmpiricalDist:
-    """n_paths independent return samples from (t, x) of the policy that
-    always plays the action index ``action``, stepping at dt."""
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
-    if not 0 < dt < math.inf:  # NaN fails it too
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    _check_start(mdp, t)
-    rng = substream(seed, _TAG_RETURN)
-    gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt)
-    return dist.EmpiricalDist(gains)
-
-
 def mc_action_return_dist(
     mdp: ContinuousMdp, action: int, t, x, a: int, h: float, n_paths: int,
     cfg: SimConfig,
 ) -> dist.EmpiricalDist:
     """n_paths independent h-persistent action-conditioned return samples:
-    a on [t, t + h), then the base action index ``action``."""
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
-    _check_start(mdp, t)
-    dt = _rollout_dt(mdp, t, cfg, h)
+    a on [t, t + h), then the base action index ``action``. With a equal to
+    ``action`` these are the base policy's own returns, stepped on the same
+    grid as every other a.
+
+    Raises ValueError naming the argument when ``action`` or ``a`` is not an
+    integer index of the mdp, n_paths is not an integer >= 2, t is not finite
+    and before the horizon, or h is not positive and finite with the window
+    [t, t + h) ending by the horizon.
+    """
+    for name, index in (("action", action), ("a", a)):
+        if not (_is_integer(index) and 0 <= index < mdp.n_actions):
+            raise ValueError(f"{name} must be an action index in "
+                             f"range({mdp.n_actions}), got {index!r}")
+    if not (_is_integer(n_paths) and n_paths >= 2):
+        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
+    # Each bound is written so that NaN fails it.
+    if not -math.inf < t < mdp.horizon:
+        raise ValueError(f"start time t={t} must be finite and before the horizon "
+                         f"{mdp.horizon}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
+    if t + h > mdp.horizon + TIME_TOL:
+        raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
     rng = substream(cfg.seed, _TAG_ACTION, a)
-    gains = _rollout_returns(mdp, action, t, x, n_paths, rng, dt, tail_dt=cfg.tail_dt,
-                             window_end=t + h, window_action=a)
+    gains = _rollout_returns(mdp, action, t, x, n_paths, rng, h / cfg.substeps, t + h, a,
+                             tail_dt=cfg.tail_dt)
     return dist.EmpiricalDist(gains)
 
 
@@ -176,9 +171,7 @@ def gap_estimate(zeta_a: dist.EmpiricalDist, zeta_b: dist.EmpiricalDist, p: int,
     Raises ValueError when ``bootstrap`` is not an integer >= 2, and
     SimulationError when a gap, mean or standard error is not finite.
     """
-    # A bool is an Integral; 2.0 and NaN are not.
-    if (isinstance(bootstrap, bool) or not isinstance(bootstrap, numbers.Integral)
-            or bootstrap < 2):
+    if not (_is_integer(bootstrap) and bootstrap >= 2):
         raise ValueError(f"bootstrap must be an integer >= 2, got {bootstrap!r}")
     diverged = "non-finite gap estimate"
     a, b = zeta_a.samples, zeta_b.samples

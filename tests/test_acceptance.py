@@ -44,7 +44,7 @@ from ctdrl.envs import (
     brownian_gap_env,
     brownian_gap_w1_oracle,
 )
-from ctdrl.estimate import action_gaps, fit_rate, mc_action_return_dist, mc_return_dist, mc_superiority
+from ctdrl.estimate import action_gaps, fit_rate, mc_action_return_dist, mc_superiority
 
 H_GRID = [2.0**-k for k in range(2, 8)]
 BASE_ACTION = 0
@@ -114,7 +114,7 @@ def _illustration_panels(h, n, seed, substeps=16):
     env = illustration_env(horizon=10.0, discount=1.0)
     cfg = SimConfig(substeps=substeps, tail_dt=0.05, seed=seed)
     zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, h, n, cfg)
-    eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], n, 0.05, seed + 1)
+    eta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], BASE_ACTION, h, n, cfg)
     psi = mc_superiority(zeta, eta, 512)
     se_mean = float(np.std(zeta.samples, ddof=1) / np.sqrt(n))
     return psi, se_mean

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import warnings
@@ -389,7 +390,50 @@ def test_superiority_demo_runs_and_reproduces(tmp_path):
             "psi_qhalf_shifted_mean", "psi_raw_q0000"} <= metrics
 
 
-# SHA-256 of the output files of nine tiny runs, with one train run per agent
+def result_rows(path):
+    """(h, metric, value, stderr) of every row of a results.csv."""
+    rows = csv.DictReader((path / "results.csv").read_text().splitlines()[1:])
+    return [(float(r["h"]), r["metric"], float(r["value"]), r["stderr"]) for r in rows]
+
+
+# The base action's superiority compares its return with itself: zeta and eta
+# are one rollout on one grid, so every panel value is exactly 0. From x = 1 at
+# discount 0.9 the frozen returns of the two sides differed when eta stepped at
+# the window's step to the horizon and zeta's tail at tail_dt.
+@pytest.mark.parametrize("sets", [["x=1", "discount=0.9"], ["base_action=1"]],
+                         ids=["base0_x1_discount0.9", "base1"])
+def test_superiority_demo_of_the_base_action_is_exactly_zero(tmp_path, sets):
+    args = ["superiority-demo", "--out", str(tmp_path), "--set", "horizon=1",
+            "--set", "omega_grid=4,64", "--set", "n_paths=200", "--set", "m=16"]
+    base = "1" if "base_action=1" in sets else "0"
+    for item in [*sets, f"action={base}"]:
+        args += ["--set", item]
+    assert run(args) == 0
+    rows = result_rows(tmp_path)
+    assert len(rows) == 2 * 4 * (2 + 16)
+    assert [(h, metric) for h, metric, value, _ in rows if value != 0] == []
+
+
+# Base action 1 with action 0 in the window (seed 41, fixed before the run):
+# psi / h has mean -drift * (horizon - h / 2) up to the window's quadrature
+# term drift * h / (2 substeps), and must read it within 4 reported SE where
+# that SE is largest.
+SUPERIORITY_BASE1 = ["superiority-demo", "--set", "horizon=1", "--set", "omega_grid=4,16,64",
+                     "--set", "n_paths=2000", "--set", "m=64", "--set", "base_action=1",
+                     "--set", "action=0", "--set", "write_quantiles=false",
+                     "--set", "seeds=41"]
+
+
+def test_superiority_demo_base1_mean_matches_drift_times_remaining_horizon(tmp_path):
+    assert run([*SUPERIORITY_BASE1, "--out", str(tmp_path)]) == 0
+    means = {h: (value, float(se)) for h, metric, value, se in result_rows(tmp_path)
+             if metric == "psi_q1_mean"}
+    for h in (1 / 16, 1 / 64):
+        value, se = means[h]
+        assert abs(value - -10.0 * (1.0 - h / 2)) <= 4 * se
+
+
+# SHA-256 of the output files of ten tiny runs, with one train run per agent
 # kind. A refactor must leave them alone; only a change that moves results by
 # design may re-record a digest, and CHANGES.md must then say which one moved
 # and why.
@@ -415,11 +459,19 @@ GOLDEN_RESULTS = {
         {"results.csv": "2028d5ce4a47e3c6055459e2ed881700b2a4f9f9a56b903b44649c4ee8df1cdb"},
     ),
     # Base action 1 with action 0 in the window; h = 0.25 reaches the horizon.
+    # Re-recorded when eta became the base action's own rollout, drawn from
+    # the substream (seed, 12, base_action) instead of (seed, 11).
     "superiority_demo_base1_window_to_horizon": (
         ["superiority-demo", "--set", "horizon=0.25", "--set", "omega_grid=4,16",
          "--set", "n_paths=300", "--set", "m=32", "--set", "tail_dt=none",
          "--set", "base_action=1", "--set", "action=0"],
-        {"results.csv": "d1e7cca7bc5ddfe274fa70a5be3e8cc4436c0253c14f97ca12a33c9e9496e05e"},
+        {"results.csv": "8b1f52053a79b5a9f4b63dacae80037aa04aaab946f4336944e2504341c23feb"},
+    ),
+    # Base action 1 with action 0 in the window, with a tail step (the
+    # default 0.05) that differs from the window's.
+    "superiority_demo_base1_tail_dt": (
+        SUPERIORITY_BASE1,
+        {"results.csv": "ea6bf350d1a920eef509f31420089a917b90de5b69e71b084a042715ce8e86ff"},
     ),
     "train": (
         ["train", *TINY_TRAIN],

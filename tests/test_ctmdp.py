@@ -16,17 +16,15 @@ from ctdrl.ctmdp import (
     _em_apply,
     _phase_steps,
     _rollout_returns,
-    em_step,
     substream,
 )
 from ctdrl.envs import illustration_env, brownian_gap_env
-from ctdrl.estimate import mc_action_return_dist, mc_return_dist
+from ctdrl.estimate import mc_action_return_dist
 
 
 def constant_env(c, horizon=1.0, discount=1.0):
     return ContinuousMdp(
         state_dim=1,
-        actions=(0,),
         drift=(c,),
         diffusion=(0.0,),
         reward=lambda X: np.zeros(X.shape[0]),
@@ -42,7 +40,6 @@ def constant_env(c, horizon=1.0, discount=1.0):
 def test_mdp_validation():
     kwargs = dict(
         state_dim=1,
-        actions=(0,),
         drift=(0.0,),
         diffusion=(0.0,),
         reward=lambda X: 0.0,
@@ -56,14 +53,14 @@ def test_mdp_validation():
         ContinuousMdp(horizon=1.0, discount=0.0, **kwargs)
     with pytest.raises(ValueError):
         ContinuousMdp(horizon=1.0, discount=1.2, **kwargs)
-    bad = dict(kwargs)
-    bad["actions"] = ()
-    with pytest.raises(ValueError):
-        ContinuousMdp(horizon=1.0, **bad)
+    # the drift table fixes the action count, and an mdp needs an action
+    with pytest.raises(ValueError, match=re.escape("drift must hold one finite number "
+                                                   "per action, got ()")):
+        ContinuousMdp(horizon=1.0, **{**kwargs, "drift": ()})
 
 
 def two_action_fields(**changes):
-    fields = dict(state_dim=1, actions=(0, 1), drift=(0.0, 1.0), diffusion=(0.0, 1.0),
+    fields = dict(state_dim=1, drift=(0.0, 1.0), diffusion=(0.0, 1.0),
                   reward=lambda X: X[:, 0], terminal_reward=lambda X: 0.0 * X[:, 0],
                   horizon=1.0)
     return {**fields, **changes}
@@ -78,6 +75,8 @@ def test_coefficient_tables_become_float_tuples():
 
 # A table needs one finite real number per action: the callable form, a
 # short or long table, NaN, an infinity, a bool, a string or None is refused.
+# The drift table fixes the action count, so a finite drift of one or three
+# entries is refused through the two-entry diffusion that no longer matches.
 @pytest.mark.parametrize("field", ["drift", "diffusion"])
 @pytest.mark.parametrize("table", [
     lambda t, X, a: 0.0, (1.0,), (0.0, 1.0, 2.0), (0.0, math.nan), (math.inf, 0.0),
@@ -86,7 +85,12 @@ def test_coefficient_tables_become_float_tuples():
     ids=["callable", "short", "long", "nan", "inf", "-inf", "bool", "str", "none",
          "scalar", "string", "huge_int", "huge_int_entry"])
 def test_coefficient_table_must_hold_one_finite_number_per_action(field, table):
-    named = f"^{field} must hold one finite number per action \\(2\\)"
+    if field == "diffusion":
+        named = "^diffusion must hold one finite number per action \\(2\\)"
+    elif table in ((1.0,), (0.0, 1.0, 2.0)):
+        named = f"^diffusion must hold one finite number per action \\({len(table)}\\)"
+    else:
+        named = "^drift must hold one finite number per action, got"
     with pytest.raises(ValueError, match=named):
         ContinuousMdp(**two_action_fields(**{field: table}))
 
@@ -110,20 +114,21 @@ def test_simconfig_rejects_non_finite_and_out_of_range_fields(field, value):
         SimConfig(**{field: value})
 
 
-# ----------------------------------------------------------------- em_step
+# ----------------------------------------------------------------- EM step
 
 
 def test_em_step_frozen_dynamics():
-    env = brownian_gap_env()
-    x = np.array([0.7])
-    out = em_step(env, x, 0.1, 0, 0.01, np.array([1.3]))
-    np.testing.assert_array_equal(out, x)
+    # zero drift and zero diffusion: the step returns its states and draws nothing
+    states = np.array([[0.7]])
+    draw = CountedDraw(np.array([[1.3]]))
+    assert _em_apply(brownian_gap_env(), 0.1, states, (0,), 0.01, draw) is states
+    assert draw.calls == 0
 
 
 def test_em_step_constant_drift():
-    env = constant_env(2.0)
-    out = em_step(env, np.array([1.0]), 0.0, 0, 0.1, np.array([0.0]))
-    np.testing.assert_allclose(out, [1.2])
+    out = _em_apply(constant_env(2.0), 0.0, np.array([[1.0]]), (0,), 0.1,
+                    CountedDraw(np.array([[0.0]])))
+    np.testing.assert_allclose(out, [[1.2]])
 
 
 def test_em_step_brownian_variance():
@@ -135,7 +140,8 @@ def test_em_step_brownian_variance():
     dt = t / steps
     states = np.zeros((n, 1))
     for _ in range(steps):
-        states = em_step(env, states, 0.0, 1, dt, rng.standard_normal((n, 1)))
+        states = _em_apply(env, 0.0, states, (1,), dt,
+                           lambda: rng.standard_normal((n, 1)))
     var = states[:, 0].var()
     se = t * np.sqrt(2.0 / n)
     assert abs(var - t) <= 3 * se
@@ -154,51 +160,33 @@ def no_warning_raises(exc, match):
 
 def test_em_step_rejects_nonfinite():
     # an infinite drift is refused when the MDP is built; a finite one can
-    # still overflow the state, which the step reports with no numpy warning
+    # still overflow the state in one EM step, which the rollout reports with
+    # no numpy warning; a step of zero length is refused
     with pytest.raises(ValueError, match="^drift must hold"):
         constant_env(np.inf)
     with no_warning_raises(SimulationError, "non-finite state"):
-        em_step(constant_env(1e308), np.array([1e308]), 0.0, 0, 1.0, np.array([0.0]))
-    with pytest.raises(ValueError):
-        em_step(brownian_gap_env(), np.array([0.0]), 0.0, 0, 0.0, np.array([0.0]))
+        mc_action_return_dist(constant_env(1e308), 0, 0.0, [1e308], 0, 1.0, 2,
+                              SimConfig(substeps=1))
+    with pytest.raises(ValueError, match="^persistence horizon h"):
+        mc_action_return_dist(brownian_gap_env(), 0, 0.0, [0.0], 0, 0.0, 2, SimConfig())
 
 
 # A drift that overflows the state, on the one-row bundle of a rollout that
-# never diffuses and on the full-width bundle after a diffusive window.
+# never diffuses and on the full-width bundle after a diffusive window;
+# "plain" is a window that plays the base action up to the horizon.
 @pytest.mark.parametrize("sampler", ["plain", "frozen_window", "diffusive_window"])
 def test_overflowing_rollout_raises_without_warning(sampler):
     x = [1e308]
     with no_warning_raises(SimulationError, "non-finite state"):
         if sampler == "plain":
-            mc_return_dist(constant_env(1e308), 0, 0.0, x, 4, 0.25, 0)
+            mc_action_return_dist(constant_env(1e308), 0, 0.0, x, 0, 1.0, 4,
+                                  SimConfig(substeps=4))
         elif sampler == "frozen_window":
             mc_action_return_dist(constant_env(1e308), 0, 0.0, x, 0, 0.25, 4,
                                   SimConfig(substeps=2))
         else:
             env = ContinuousMdp(**two_action_fields(drift=(1e308, 1e308)))
             mc_action_return_dist(env, 0, 0.0, x, 1, 0.25, 4, SimConfig(substeps=2))
-
-
-def test_em_step_rejects_an_action_not_in_the_mdp():
-    with pytest.raises(ValueError, match=re.escape("action 2 is not one of (0, 1)")):
-        em_step(brownian_gap_env(), np.array([0.0]), 0.0, 2, 0.1, np.array([0.0]))
-
-
-# (7,) noise would broadcast into a (4, 7) state, and (1,) noise would give
-# every path the same normal; action 0 has zero diffusion and reads no noise.
-@pytest.mark.parametrize("action", [0, 1])
-@pytest.mark.parametrize("noise_shape", [(7,), (1,), (4, 2)], ids=["7", "1", "4x2"])
-def test_em_step_rejects_noise_not_shaped_like_the_states(noise_shape, action):
-    with pytest.raises(ValueError, match=re.escape(f"noise of shape {noise_shape}")):
-        em_step(brownian_gap_env(), np.zeros((4, 1)), 0.0, action, 0.25,
-                np.full(noise_shape, 0.1))
-
-
-def test_em_step_rejects_nonfinite_noise_under_zero_diffusion():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="noise must be finite"):
-            em_step(brownian_gap_env(), np.zeros((4, 1)), 0.0, 0, 0.25,
-                    np.full((4, 1), bad))
 
 
 # --------------------------------------------------------------- _em_apply
@@ -217,14 +205,14 @@ def em_apply_oracle(mdp, t, states, action_indices, delta, noise):
 
 
 # "elementwise": every action reads noise, which its diffusion scales entry
-# by entry; "hold_frozen": "hold" has zero drift and zero diffusion.
+# by entry; "hold_frozen": action 0, "hold", has zero drift and zero
+# diffusion (1 and 2 are "buy" and "sell").
 _DIFFUSION = {"elementwise": (0.5, 0.75, 0.25), "hold_frozen": (0.0, 0.75, 0.25)}
 
 
 def three_action_env(kind):
     return ContinuousMdp(
         state_dim=3,
-        actions=("hold", "buy", "sell"),
         drift=(0.0, 1.0, -2.5),
         diffusion=_DIFFUSION[kind],
         reward=lambda X: np.cos(X).sum(axis=1),
@@ -267,27 +255,27 @@ def test_em_apply_matches_masked_oracle_bitwise(kind, case, n_paths):
     assert draw.calls == np.unique(noisy).size
 
 
-# ----------------------------------------------------------- mc_return_dist
+# ------------------------------------------- the base action's own return
+# A window that plays the base action gives that action's own return.
 
 
 def test_sample_return_unit_reward_integrates_time():
     env = ContinuousMdp(
         state_dim=1,
-        actions=(0,),
         drift=(0.0,),
         diffusion=(0.0,),
         reward=lambda X: np.ones(X.shape[0]),
         terminal_reward=lambda X: np.zeros(X.shape[0]),
         horizon=2.0,
     )
-    got = mc_return_dist(env, 0, 0.5, [0.0], 2, 0.01, 0)
+    got = mc_action_return_dist(env, 0, 0.5, [0.0], 0, 0.5, 2, SimConfig(substeps=50))
     np.testing.assert_allclose(got.samples, 1.5, rtol=0, atol=1e-9)
 
 
 def test_sample_return_linear_drift_terminal_reward():
     c, t0, horizon, gamma = 2.0, 0.25, 1.0, 0.9
     env = constant_env(c, horizon=horizon, discount=gamma)
-    got = mc_return_dist(env, 0, t0, [1.0], 2, 0.0125, 0)
+    got = mc_action_return_dist(env, 0, t0, [1.0], 0, 0.25, 2, SimConfig(substeps=20))
     expect = gamma ** (horizon - t0) * (1.0 + c * (horizon - t0))
     np.testing.assert_allclose(got.samples, expect, rtol=1e-9)
 
@@ -295,7 +283,7 @@ def test_sample_return_linear_drift_terminal_reward():
 def test_sample_return_frozen_gap_env_exact():
     env = brownian_gap_env(horizon=1.0, discount=1.0)
     x = 0.8
-    got = mc_return_dist(env, 0, 0.0, [x], 2, 1 / 64, 0)
+    got = mc_action_return_dist(env, 0, 0.0, [x], 0, 0.25, 2, SimConfig(substeps=16))
     np.testing.assert_allclose(got.samples, x * 1.0, rtol=1e-12)
 
 
@@ -303,7 +291,7 @@ def test_sample_return_discounted_frozen_state():
     gamma = 0.9
     env = brownian_gap_env(horizon=1.0, discount=gamma)
     x = 2.0
-    got = mc_return_dist(env, 0, 0.0, [x], 2, 1e-3, 0)
+    got = mc_action_return_dist(env, 0, 0.0, [x], 0, 0.25, 2, SimConfig(substeps=250))
     exact = x * (gamma - 1.0) / np.log(gamma)
     np.testing.assert_allclose(got.samples, exact, rtol=1e-3)
 
@@ -311,18 +299,20 @@ def test_sample_return_discounted_frozen_state():
 def test_sample_return_rejects_start_past_horizon():
     env = brownian_gap_env()
     with pytest.raises(ValueError):
-        mc_return_dist(env, 0, 1.0, [0.0], 2, 0.1, 0)
+        mc_action_return_dist(env, 0, 1.0, [0.0], 0, 0.1, 2, SimConfig())
 
 
 # ------------------------------------------------- action-conditioned return
 
 
 def test_action_return_full_horizon_matches_plain_return():
-    # a window that reaches the horizon plays its action up to the horizon
+    # a window that reaches the horizon plays its action up to the horizon,
+    # as action 1's own return does
     env = brownian_gap_env()
     via_action = _rollout_returns(env, 0, 0.0, [0.0], 4, substream(7), dt=1 / 32,
                                   window_end=1.0, window_action=1)
-    via_plain = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(7), dt=1 / 32)
+    via_plain = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(7), dt=1 / 32,
+                                 window_end=0.25, window_action=1)
     np.testing.assert_array_equal(via_action, via_plain)
 
 
@@ -330,7 +320,8 @@ def test_action_return_matching_deterministic_policy_identical_law():
     env = brownian_gap_env()
     a_cond = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(11), dt=1 / 32,
                               window_end=0.25, window_action=1)
-    plain = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(11), dt=1 / 32)
+    plain = _rollout_returns(env, 1, 0.0, [0.0], 4, substream(11), dt=1 / 32,
+                             window_end=1.0, window_action=1)
     np.testing.assert_array_equal(a_cond, plain)
 
 
@@ -371,17 +362,15 @@ def test_seed_determinism_bitwise():
     np.testing.assert_array_equal(a, b)
 
 
-def window_rule(action, t0, window_end=None, window_action=None):
+def window_rule(action, t0, window_end, window_action):
     """The action index a step from s plays: the persistent modification's
     window test t0 - tol <= s < window_end - tol, evaluated per step."""
-    if window_end is None:
-        return lambda s: action
     tol = TIME_TOL * max(1.0, abs(t0) + (window_end - t0))
     return lambda s: window_action if t0 - tol <= s < window_end - tol else action
 
 
-def always_draw_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
-                       window_end=None, window_action=None):
+def always_draw_oracle(mdp, action, t0, x0, n_paths, rng, dt, window_end, window_action,
+                       tail_dt=None):
     """The always-draw step loop: every step draws its normals, picks its
     action by window_rule and applies them through the masked oracle,
     diffusion zero or not."""
@@ -391,9 +380,7 @@ def always_draw_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
     rule = window_rule(action, t0, window_end, window_action)
-    phases = [(t0, mdp.horizon, dt)]
-    if window_end is not None:
-        phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
+    phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
     for start, end, step in phases:
         for j, delta in enumerate(_phase_steps(start, end, step)):
             s = start + j * step
@@ -411,13 +398,14 @@ def always_draw_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
 # Rollouts whose noise-free steps all follow their last noisy step: the
 # gap-rates sweep on brownian_gap_env and superiority-demo's shape on
 # illustration_env (a noisy window, then a frozen tail at tail_dt), also with
-# a window that reaches the horizon.
+# a window that reaches the horizon; "demo_plain" is superiority-demo's eta,
+# whose window plays the base action.
 _ORACLE_CASES = {
     "gap_base0_action0": (brownian_gap_env(), 0, 0, 0.25, 1 / 64, None),
     "gap_base0_action1": (brownian_gap_env(), 0, 1, 0.25, 1 / 64, None),
     "gap_base1_action1": (brownian_gap_env(discount=0.9), 1, 1, 0.125, 1 / 64, None),
     "demo_window": (illustration_env(horizon=2.0), 0, 1, 0.125, 0.125 / 16, 0.05),
-    "demo_plain": (illustration_env(horizon=2.0), 0, None, None, 0.125 / 16, 0.05),
+    "demo_plain": (illustration_env(horizon=2.0), 0, 0, 0.125, 0.125 / 16, 0.05),
     "demo_window_to_horizon": (illustration_env(horizon=0.125), 0, 1, 0.125,
                                0.125 / 16, 0.05),
 }
@@ -426,11 +414,10 @@ _ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_rollout_matches_always_draw_oracle_bitwise(case):
     env, base, action, h, dt, tail_dt = _ORACLE_CASES[case]
-    window = {} if action is None else dict(window_end=h, window_action=action)
-    got = _rollout_returns(env, base, 0.0, [0.0], 300, substream(3, 5), dt,
-                           tail_dt=tail_dt, **window)
-    want = always_draw_oracle(env, base, 0.0, [0.0], 300, substream(3, 5), dt,
-                              tail_dt=tail_dt, **window)
+    got = _rollout_returns(env, base, 0.0, [0.0], 300, substream(3, 5), dt, h, action,
+                           tail_dt=tail_dt)
+    want = always_draw_oracle(env, base, 0.0, [0.0], 300, substream(3, 5), dt, h, action,
+                              tail_dt=tail_dt)
     assert got.tobytes() == want.tobytes()
 
 
@@ -443,8 +430,8 @@ def em_step_oracle(mdp, states, idx, delta, draw):
     return drifted + math.sqrt(delta) * (mdp.diffusion[idx] * draw())
 
 
-def rollout_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
-                   window_end=None, window_action=None):
+def rollout_oracle(mdp, action, t0, x0, n_paths, rng, dt, window_end, window_action,
+                   tail_dt=None):
     """The per-step loop: every step reads the reward from its states and
     multiplies it by its discount and its step, picks its action by
     window_rule, makes a fresh state array (a frozen step adds 0 dt) and
@@ -455,9 +442,7 @@ def rollout_oracle(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
     rule = window_rule(action, t0, window_end, window_action)
-    phases = [(t0, mdp.horizon, dt)]
-    if window_end is not None:
-        phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
+    phases = [(t0, window_end, dt), (window_end, mdp.horizon, tail_dt or dt)]
     for start, end, step in phases:
         for j, delta in enumerate(_phase_steps(start, end, step)):
             s = start + j * step
@@ -480,14 +465,13 @@ _ROLLOUT_ENVS = {
 
 
 def _rollout_window(name, n_actions):
-    """(t0, window keywords) of a rollout: none, a window [0.125, 0.375) of
-    the last action, or a window [0.5, 1) that reaches the horizon."""
-    window = {"constant": (0.0, None), "persistent": (0.125, 0.375),
-              "to_horizon": (0.5, 1.0)}
-    t0, window_end = window[name]
-    if window_end is None:
-        return t0, {}
-    return t0, dict(window_end=window_end, window_action=n_actions - 1)
+    """(t0, window keywords) of a rollout from base action 0: a window
+    [0, 0.375) of the base action itself, a window [0.125, 0.375) of the
+    last action, or a window [0.5, 1) of it that reaches the horizon."""
+    window = {"constant": (0.0, 0.375, 0), "persistent": (0.125, 0.375, n_actions - 1),
+              "to_horizon": (0.5, 1.0, n_actions - 1)}
+    t0, window_end, window_action = window[name]
+    return t0, dict(window_end=window_end, window_action=window_action)
 
 
 # The windowed rollouts also run with an explicit tail_dt that does not
@@ -511,8 +495,8 @@ def test_rollout_matches_step_loop_oracle_bitwise(gamma, env_name, policy, tail_
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def full_width_rollout(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
-                       window_end=None, window_action=None):
+def full_width_rollout(mdp, action, t0, x0, n_paths, rng, dt, window_end, window_action,
+                       tail_dt=None):
     """The rollout with its bundle broadcast to n_paths rows from the start:
     the same phases, reward reuse, adds and _em_apply calls, on every path."""
     n = mdp.state_dim
@@ -525,10 +509,8 @@ def full_width_rollout(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
     def draw():
         return rng.standard_normal((n_paths, n))
 
-    phases = [(t0, mdp.horizon, dt, action)]
-    if window_end is not None:
-        phases = [(t0, window_end, dt, window_action),
-                  (window_end, mdp.horizon, tail_dt or dt, action)]
+    phases = [(t0, window_end, dt, window_action),
+              (window_end, mdp.horizon, tail_dt or dt, action)]
     rew_states = gain_delta = None
     for start, end, step, phase_action in phases:
         acts = np.full(n_paths, phase_action, dtype=np.intp)
@@ -553,16 +535,17 @@ def full_width_rollout(mdp, action, t0, x0, n_paths, rng, dt, tail_dt=None,
 
 
 # (env, base action, window action, window end): the bundle stays one row
-# while no step diffuses and widens at the first step that does.
+# while no step diffuses and widens at the first step that does. A window
+# of the base action gives that action's own return.
 _WIDTH_CASES = {
-    "frozen_only": (brownian_gap_env(), 0, None, None),
+    "frozen_only": (brownian_gap_env(), 0, 0, 0.25),
     "drift_then_frozen": (illustration_env(horizon=1.0, drift=2.0, move_diffusion=0.0),
                           0, 1, 0.25),
     "drift_only": (illustration_env(horizon=1.0, drift=-3.0, move_diffusion=0.0),
-                   1, None, None),
+                   1, 1, 0.25),
     "diffusing_window_then_frozen": (brownian_gap_env(), 0, 1, 0.25),
     "frozen_window_then_diffusing": (brownian_gap_env(), 1, 0, 0.25),
-    "diffusing_base": (illustration_env(horizon=1.0, drift=2.0), 1, None, None),
+    "diffusing_base": (illustration_env(horizon=1.0, drift=2.0), 1, 1, 0.25),
     "three_action_drift_then_diffusing": (three_action_env("hold_frozen"), 0, 1, 0.5),
 }
 
@@ -575,13 +558,12 @@ def test_rollout_matches_full_width_rollout_bitwise(case, gamma, terminal):
     env = dataclasses.replace(env, discount=gamma)
     if terminal == "nonzero":
         env = dataclasses.replace(env, terminal_reward=lambda X: np.sin(X).sum(axis=1) + 2)
-    window = {} if window_end is None else dict(window_end=window_end,
-                                                window_action=window_action)
     x0 = np.linspace(-0.3, 0.4, env.state_dim)
     rng, oracle_rng = substream(8, len(case), gamma < 1), substream(8, len(case), gamma < 1)
-    got = _rollout_returns(env, base, 0.0, x0, 40, rng, 1 / 32, tail_dt=0.05, **window)
-    want = full_width_rollout(env, base, 0.0, x0, 40, oracle_rng, 1 / 32, tail_dt=0.05,
-                              **window)
+    got = _rollout_returns(env, base, 0.0, x0, 40, rng, 1 / 32, window_end, window_action,
+                           tail_dt=0.05)
+    want = full_width_rollout(env, base, 0.0, x0, 40, oracle_rng, 1 / 32, window_end,
+                              window_action, tail_dt=0.05)
     assert got.shape == (40,) and got.flags.writeable
     assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -628,8 +610,9 @@ def test_rollout_from_negative_zero_matches_step_loop_oracle_in_value():
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+# The window plays the first phase's action, from base action 0.
 @pytest.mark.parametrize("window_end, phases", [
-    (None, [(0, 32)]), (0.25, [(1, 8), (0, 24)]), (1.0, [(1, 32)])])
+    (0.25, [(0, 8), (0, 24)]), (0.25, [(1, 8), (0, 24)]), (1.0, [(1, 32)])])
 def test_rollout_plays_one_zero_stride_index_vector_per_phase(monkeypatch, window_end,
                                                               phases):
     seen = []
@@ -640,7 +623,7 @@ def test_rollout_plays_one_zero_stride_index_vector_per_phase(monkeypatch, windo
 
     monkeypatch.setattr(ctmdp, "_em_apply", recorded)
     _rollout_returns(brownian_gap_env(), 0, 0.0, [0.0], 5, substream(6, 4), 1 / 32,
-                     window_end=window_end, window_action=1)
+                     window_end=window_end, window_action=phases[0][0])
     runs = []
     for acts in seen:
         assert acts.shape == (5,) and acts.strides == (0,) and not acts.flags.writeable
@@ -654,17 +637,8 @@ def test_rollout_plays_one_zero_stride_index_vector_per_phase(monkeypatch, windo
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
 def test_frozen_rollout_from_non_finite_start_raises(x0):
     with pytest.raises(SimulationError, match="non-finite state"):
-        _rollout_returns(brownian_gap_env(), 0, 0.0, [x0], 4, substream(6, 3), 1 / 8)
-
-
-@pytest.mark.parametrize("shape", [(1,), (5, 1)])
-def test_frozen_em_step_returns_a_new_array(shape):
-    x = np.full(shape, -0.0)
-    out = em_step(brownian_gap_env(), x, 0.1, 0, 0.01, np.ones(shape))
-    assert not np.shares_memory(out, x)
-    assert np.array_equal(out, x) and np.signbit(out).all()
-    out[...] = 1.0
-    assert np.signbit(x).all()
+        _rollout_returns(brownian_gap_env(), 0, 0.0, [x0], 4, substream(6, 3), 1 / 8,
+                         window_end=0.25, window_action=0)
 
 
 @pytest.mark.parametrize("kind", ["elementwise", "hold_frozen"])
@@ -688,7 +662,8 @@ def test_frozen_rollout_leaves_generator_untouched():
     env = brownian_gap_env()
     rng = substream(3, 6)
     before = rng.bit_generator.state
-    gains = _rollout_returns(env, 0, 0.0, [0.5], 50, rng, 1 / 64)
+    gains = _rollout_returns(env, 0, 0.0, [0.5], 50, rng, 1 / 64, window_end=0.25,
+                             window_action=0)
     assert rng.bit_generator.state == before
     np.testing.assert_array_equal(gains, 0.5)
 

@@ -23,7 +23,6 @@ from ctdrl.estimate import (
     fit_rate,
     gap_estimate,
     mc_action_return_dist,
-    mc_return_dist,
     mc_superiority,
 )
 from ctdrl.envs import illustration_env, brownian_gap_env, brownian_gap_w1_oracle
@@ -31,22 +30,11 @@ from ctdrl.envs import illustration_env, brownian_gap_env, brownian_gap_w1_oracl
 BASE_ACTION = 0
 
 
-def test_mc_return_dist_deterministic_env_collapses():
+def test_base_action_return_deterministic_env_collapses():
     env = brownian_gap_env()
-    emp = mc_return_dist(env, BASE_ACTION, 0.0, [0.6], 50, 1 / 32, 1)
+    emp = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.6], BASE_ACTION, 0.25, 50,
+                                SimConfig(substeps=8, seed=1))
     np.testing.assert_allclose(emp.samples, 0.6, rtol=1e-12)
-
-
-def test_mc_return_dist_validates_sample_count():
-    env = brownian_gap_env()
-    with pytest.raises(ValueError):
-        mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, 1 / 32, 0)
-
-
-def test_mc_return_dist_rejects_start_at_horizon():
-    env = brownian_gap_env()
-    with pytest.raises(ValueError, match="before the horizon"):
-        mc_return_dist(env, BASE_ACTION, 1.0, [0.0], 10, 1 / 32, 0)
 
 
 # NaN compares false against the horizon and -inf would step forever: both
@@ -56,19 +44,28 @@ def test_mc_return_dist_rejects_start_at_horizon():
 def test_start_time_must_be_finite_and_before_the_horizon(sampler, t):
     env = brownian_gap_env()
     named = f"^start time t={t} must be finite and before the horizon 1.0$"
+    a = BASE_ACTION if sampler == "plain" else 1
     with pytest.raises(ValueError, match=named):
-        if sampler == "plain":
-            mc_return_dist(env, BASE_ACTION, t, [0.0], 4, 1 / 32, 0)
-        else:
-            mc_action_return_dist(env, BASE_ACTION, t, [0.0], 1, 0.25, 4, SimConfig())
+        mc_action_return_dist(env, BASE_ACTION, t, [0.0], a, 0.25, 4, SimConfig())
 
 
-# inf would be one EM step over the whole horizon; NaN compares false
-# against every step bound.
-@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1])
-def test_mc_return_dist_rejects_non_finite_or_non_positive_dt(dt):
-    with pytest.raises(ValueError, match=f"^dt must be positive and finite, got {dt}$"):
-        mc_return_dist(brownian_gap_env(), BASE_ACTION, 0.0, [0.0], 4, dt, 0)
+# Each argument that selects an action or counts paths is checked by name:
+# -1 used to play the last action as the base and fail inside SeedSequence
+# as the window action, 2 raised a bare IndexError, and a non-integer path
+# count failed inside numpy.
+@pytest.mark.parametrize("name, value", [
+    ("action", -1), ("action", 2), ("action", True), ("action", 1.0),
+    ("a", -1), ("a", 2), ("a", True), ("a", 1.0),
+    ("n_paths", 1), ("n_paths", 2.5), ("n_paths", math.nan), ("n_paths", True),
+])
+def test_mc_action_return_dist_names_a_bad_argument(name, value):
+    args = {"action": BASE_ACTION, "a": 1, "n_paths": 4, name: value}
+    rule = ("an integer >= 2" if name == "n_paths"
+            else "an action index in range(2)")
+    with pytest.raises(ValueError, match=f"^{name} must be {re.escape(rule)}, "
+                                         f"got {re.escape(repr(value))}$"):
+        mc_action_return_dist(brownian_gap_env(), args["action"], 0.0, [0.0], args["a"],
+                              0.25, args["n_paths"], SimConfig())
 
 
 def test_mc_action_return_mean_matches_martingale_value():
@@ -121,7 +118,6 @@ def test_mc_superiority_variance_below_independent_cdr():
 def test_action_gaps_identical_dynamics_vanish():
     env = ContinuousMdp(
         state_dim=1,
-        actions=(0, 1),
         drift=(0.0, 0.0),
         diffusion=(1.0, 1.0),
         reward=lambda X: X[:, 0],
@@ -182,7 +178,6 @@ def test_action_gaps_is_gap_estimate_of_its_rollouts():
 def test_action_gaps_needs_two_actions(actions):
     env = ContinuousMdp(
         state_dim=1,
-        actions=actions,
         drift=(0.0,) * len(actions),
         diffusion=(1.0,) * len(actions),
         reward=lambda X: X[:, 0],
@@ -201,7 +196,6 @@ def test_action_gaps_needs_two_actions(actions):
 def test_action_gaps_quantile_overflow_is_a_simulation_error(m):
     env = ContinuousMdp(
         state_dim=1,
-        actions=(0, 1),
         drift=(0.0, 0.0),
         diffusion=(0.0, 1.0),
         reward=lambda X: np.zeros(X.shape[0]),
@@ -247,7 +241,6 @@ def test_distributional_gap_dominates_value_gap():
 def test_collapse_is_monotone_on_bounded_reward_fixture():
     env = ContinuousMdp(
         state_dim=1,
-        actions=(0, 1),
         drift=(0.0, 0.0),
         diffusion=(0.0, 1.0),
         reward=lambda X: np.tanh(X[:, 0]),
@@ -260,7 +253,8 @@ def test_collapse_is_monotone_on_bounded_reward_fixture():
     for i, h in enumerate(h_grid):
         cfg = SimConfig(substeps=16, seed=100 + i)
         zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], 1, h, n, cfg)
-        eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], n, 1 / 32, 200 + i)
+        eta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], BASE_ACTION, h, n,
+                                    SimConfig(substeps=16, seed=200 + i))
         psi = mc_superiority(zeta, eta, 256)
         ws.append(wasserstein(1, psi, mc_superiority(eta, eta, 256)))
         ses.append(np.std(zeta.samples, ddof=1) / np.sqrt(n))
@@ -275,7 +269,8 @@ def test_rescaled_family_gap_scales_exactly():
     env = brownian_gap_env()
     h, m = 0.25, 256
     cfg = SimConfig(substeps=16, seed=21)
-    eta = mc_return_dist(env, BASE_ACTION, 0.0, [0.0], 4000, 1 / 64, 22)
+    eta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], BASE_ACTION, h, 4000,
+                                SimConfig(substeps=16, seed=22))
     psis = []
     for a in (0, 1):
         zeta = mc_action_return_dist(env, BASE_ACTION, 0.0, [0.0], a, h, 4000, cfg)

@@ -26,7 +26,6 @@ TEST_ORACLES = {
     "brownian_gap_w1_oracle": "closed-form W1 of criterion 2",
     "independent_cdr": "product-coupling baseline of criterion 6",
     "wasserstein_bruteforce": "exhaustive transport oracle of criterion 8",
-    "em_step": "the single-step Euler-Maruyama contract",
     "load_checkpoint": "reader of the checkpoint format `lab train` writes",
 }
 
