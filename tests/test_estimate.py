@@ -37,6 +37,13 @@ def test_base_action_return_deterministic_env_collapses():
     np.testing.assert_allclose(emp.samples, 0.6, rtol=1e-12)
 
 
+def test_mc_return_dist_rejects_start_at_horizon():
+    env = brownian_gap_env()
+    with pytest.raises(ValueError, match="before the horizon"):
+        mc_action_return_dist(env, BASE_ACTION, 1.0, [0.0], BASE_ACTION, 0.25, 10,
+                              SimConfig())
+
+
 # NaN compares false against the horizon and -inf would step forever: both
 # used to fail inside the rollout's step count instead of naming t.
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1.0])
