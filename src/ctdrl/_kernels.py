@@ -6,10 +6,17 @@ row is sorted once and summarised by prefix sums of its atoms and their
 squares; up to three binary searches per prediction atom split the targets
 into the four regions where the loss is linear or quadratic and the
 asymmetric weight is tau or 1 - tau, and each region's contribution follows
-in closed form. The searches for the band edges p - kappa and p + kappa run
-only on rows whose targets leave the band on that side; on the others every
-target lies inside that edge, so its bound is 0 or m' without a search. The
-cost is O(B (m + m') log m').
+in closed form. The cost is O(B (m + m') log m'). Three shortcuts, each
+chosen from the input, give the same bits as all three searches and the
+full region algebra on every row:
+
+- a row whose targets are all equal (a terminal transition's) splits at p
+  by one comparison with that value, without a search;
+- the searches for the band edges p - kappa and p + kappa run only on rows
+  whose targets leave the band on that side; on the others every target
+  lies inside that edge, so its bound is 0 or m';
+- when no row leaves the band, the linear regions are empty and the loss
+  and gradient follow from the split at p alone.
 """
 
 import numpy as np
@@ -54,42 +61,60 @@ def quantile_huber_batch(pred, target, kappa):
 
         # Region bounds per prediction atom: t < p - kappa (linear, u < 0),
         # p - kappa <= t < p (quadratic, u < 0), p <= t <= p + kappa
-        # (quadratic, u >= 0), t > p + kappa (linear, u > 0). Rows are sorted
-        # and rounding is monotone, so a row whose first target is at or above
-        # its last p - kappa has lo = 0 throughout, and one whose last target
-        # is at or below its first p + kappa has hi = mp; only the other rows
-        # are searched. The negated tests send rows holding a NaN to the search.
-        lo = np.zeros((b, m), dtype=np.intp)
-        mid = np.empty((b, m), dtype=np.intp)
-        hi = np.full((b, m), mp, dtype=np.intp)
-        p_lo, p_hi = p - kappa, p + kappa
-        for k in range(b):
+        # (quadratic, u >= 0), t > p + kappa (linear, u > 0). A sorted row whose
+        # first and last targets are equal is constant, and its bound at p is 0
+        # or mp by one comparison (a NaN p goes last, as in the search); only
+        # the other rows are searched. Rows are sorted and rounding is
+        # monotone, so a row whose first target is at or above its last
+        # p - kappa has lo = 0 throughout, and one whose last target is at or
+        # below its first p + kappa has hi = mp. The negated tests send rows
+        # holding a NaN to the search.
+        mid = np.where(p <= t[:, :1], 0, mp)
+        for k in np.flatnonzero(~(t[:, 0] == t[:, -1])):
             mid[k] = t[k].searchsorted(p[k], side="left")
-        for k in np.flatnonzero(~(t[:, 0] >= p_lo[:, -1])):
-            lo[k] = t[k].searchsorted(p_lo[k], side="left")
-        for k in np.flatnonzero(~(t[:, -1] <= p_hi[:, 0])):
-            hi[k] = t[k].searchsorted(p_hi[k], side="right")
-
+        below = np.flatnonzero(~(t[:, 0] >= p[:, -1] - kappa))
+        above = np.flatnonzero(~(t[:, -1] <= p[:, 0] + kappa))
         row = np.arange(b)[:, None] * (mp + 1)
-        s1_lo, s1_mid, s1_hi = s1.take(row + lo), s1.take(row + mid), s1.take(row + hi)
-        s2_lo, s2_mid, s2_hi = s2.take(row + lo), s2.take(row + mid), s2.take(row + hi)
-        lo, mid, hi = lo.astype(np.float64), mid.astype(np.float64), hi.astype(np.float64)
-        n_neg, n_pos, n_above = mid - lo, hi - mid, mp - hi
-        # Within each quadratic region: sum of t, of u = t - p and of u^2 / 2.
-        sum_neg, sum_pos = s1_mid - s1_lo, s1_hi - s1_mid
-        du_neg, du_pos = sum_neg - p * n_neg, sum_pos - p * n_pos
-        quad_neg = 0.5 * ((s2_mid - s2_lo) - p * (du_neg + sum_neg))
-        quad_pos = 0.5 * ((s2_hi - s2_mid) - p * (du_pos + sum_pos))
-        # Within each linear region: sum of kappa (|t - p| - kappa / 2).
-        lin_below = kappa * ((p - 0.5 * kappa) * lo - s1_lo)
-        lin_above = kappa * ((s1[:, -1:] - s1_hi) - (p + 0.5 * kappa) * n_above)
-
+        s1_mid, s2_mid = s1.take(row + mid), s2.take(row + mid)
+        mid = mid.astype(np.float64)
         below_w = 1.0 - taus
         norm = 1.0 / (b * m * mp * kappa)
+        if below.size or above.size:
+            lo = np.zeros((b, m), dtype=np.intp)
+            hi = np.full((b, m), mp, dtype=np.intp)
+            p_lo, p_hi = p - kappa, p + kappa
+            for k in below:
+                lo[k] = t[k].searchsorted(p_lo[k], side="left")
+            for k in above:
+                hi[k] = t[k].searchsorted(p_hi[k], side="right")
+            s1_lo, s1_hi = s1.take(row + lo), s1.take(row + hi)
+            s2_lo, s2_hi = s2.take(row + lo), s2.take(row + hi)
+            lo, hi = lo.astype(np.float64), hi.astype(np.float64)
+            n_neg, n_pos, n_above = mid - lo, hi - mid, mp - hi
+            # Within each quadratic region: sum of t, of u = t - p and of u^2 / 2.
+            sum_neg, sum_pos = s1_mid - s1_lo, s1_hi - s1_mid
+            du_neg, du_pos = sum_neg - p * n_neg, sum_pos - p * n_pos
+            quad_neg = 0.5 * ((s2_mid - s2_lo) - p * (du_neg + sum_neg))
+            quad_pos = 0.5 * ((s2_hi - s2_mid) - p * (du_pos + sum_pos))
+            # Within each linear region: sum of kappa (|t - p| - kappa / 2).
+            lin_below = kappa * ((p - 0.5 * kappa) * lo - s1_lo)
+            lin_above = kappa * ((s1[:, -1:] - s1_hi) - (p + 0.5 * kappa) * n_above)
+            dloss = below_w * (du_neg - kappa * lo) + taus * (du_pos + kappa * n_above)
+        else:
+            # Every row inside the band: lo = 0 and hi = mp, so the sums at lo
+            # are zero and those at hi are the row totals. The linear regions
+            # are empty; their terms keep the signed zeros (and the NaN on
+            # overflow) that the general algebra gives them.
+            sum_pos = s1[:, -1:] - s1_mid
+            du_neg, du_pos = s1_mid - p * mid, sum_pos - p * (mp - mid)
+            quad_neg = 0.5 * (s2_mid - p * (du_neg + s1_mid))
+            quad_pos = 0.5 * ((s2[:, -1:] - s2_mid) - p * (du_pos + sum_pos))
+            lin_below = (p - 0.5 * kappa) * 0.0
+            lin_above = (s1[:, -1:] - s1[:, -1:]) - (p + 0.5 * kappa) * 0.0
+            dloss = below_w * du_neg + taus * (du_pos + 0.0)
         loss = norm * float(
             np.sum(below_w * (lin_below + quad_neg) + taus * (quad_pos + lin_above))
         )
-        dloss = below_w * (du_neg - kappa * lo) + taus * (du_pos + kappa * n_above)
         grad = np.empty((b, m))
         grad.put(flat, -norm * dloss)
         return loss, grad

@@ -293,7 +293,8 @@ class DsupAgent(_AgentBase):
         return "dau+dsup" if self.advantage_head else "dsup"
 
     def _phi_split(self, phi_out):
-        """(proxy heads per action, advantage per action or None)."""
+        """(proxy heads per action, advantage per action or None), both
+        views into ``phi_out``."""
         k = self.n_actions * self.m
         heads = phi_out[:, :k].reshape(phi_out.shape[0], self.n_actions, self.m)
         return heads, (phi_out[:, k:] if self.advantage_head else None)
@@ -430,13 +431,13 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
 
     loss, grad_pred = kernels.quantile_huber_batch(pred, tgt, agent.kappa)
 
-    theta_grads, _ = agent.theta.backward(theta_cache, grad_pred)
-    grad_heads = np.zeros_like(heads)
-    grad_heads[rows, a_idx] += scale * grad_pred
-    grad_heads[rows, a_star] -= scale * grad_pred
+    theta_grads = agent.theta.backward(theta_cache, grad_pred)
     grad_phi_out = np.zeros_like(phi_out)
-    grad_phi_out[:, : agent.n_actions * agent.m] = grad_heads.reshape(b, -1)
-    phi_grads, _ = agent.phi.backward(phi_cache, grad_phi_out)
+    grad_heads, _ = agent._phi_split(grad_phi_out)
+    grad_pred *= scale
+    grad_heads[rows, a_idx] += grad_pred
+    grad_heads[rows, a_star] -= grad_pred
+    phi_grads = agent.phi.backward(phi_cache, grad_phi_out)
     return float(loss), {"theta": theta_grads, "phi": phi_grads}, a_star
 
 
@@ -459,7 +460,7 @@ def qrdqn_loss_grads(agent: QrdqnAgent, batch, a_star=None):
     loss, grad_pred = kernels.quantile_huber_batch(pred, tgt, agent.kappa)
     grad_heads = np.zeros_like(heads)
     grad_heads[rows, a_idx] = grad_pred
-    grads, _ = agent.zeta.backward(cache, grad_heads.reshape(b, -1))
+    grads = agent.zeta.backward(cache, grad_heads.reshape(b, -1))
     return float(loss), {"zeta": grads}, a_star
 
 
@@ -506,9 +507,9 @@ def dau_loss_grads(agent, batch, a_star=None):
     if shared:
         grad_phi_out = np.zeros_like(phi_out)
         grad_phi_out[:, agent.n_actions * agent.m :] = grad_adv
-        return loss, {"phi": agent.phi.backward(phi_cache, grad_phi_out)[0]}, a_star
-    v_grads, _ = agent.vnet.backward(v_cache, dq[:, None])
-    a_grads, _ = agent.anet.backward(a_cache, grad_adv)
+        return loss, {"phi": agent.phi.backward(phi_cache, grad_phi_out)}, a_star
+    v_grads = agent.vnet.backward(v_cache, dq[:, None])
+    a_grads = agent.anet.backward(a_cache, grad_adv)
     return loss, {"v": v_grads, "a": a_grads}, a_star
 
 

@@ -128,7 +128,7 @@ class Mlp:
         return out, (acts, single)
 
     def backward(self, cache, grad_out):
-        """Reverse accumulation: gradients per parameter plus d/d(input).
+        """Reverse accumulation: the gradient of each parameter.
 
         The parameter gradients are views into one vector allocated per call,
         so gradients from an earlier call stay valid.
@@ -140,13 +140,11 @@ class Mlp:
         flat = np.empty_like(self.flat)
         grad_w, grad_b = self._split(flat)
         for i in range(len(self.weights) - 1, -1, -1):
-            if i < len(self.weights) - 1:
-                g = g * (acts[i + 1] > 0.0)
             np.matmul(acts[i].T, g, out=grad_w[i])
             np.sum(g, axis=0, out=grad_b[i])
-            g = g @ self.weights[i].T
-        grad_in = g[0] if single else g
-        return ParamGrads([p for wb in zip(grad_w, grad_b) for p in wb], flat), grad_in
+            if i:
+                g = (g @ self.weights[i].T) * (acts[i] > 0.0)
+        return ParamGrads([p for wb in zip(grad_w, grad_b) for p in wb], flat)
 
 
 class AdamState:

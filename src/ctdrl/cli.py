@@ -375,7 +375,9 @@ def _superiority_rows(cfg, seed, h, zeta, eta):
     panels["psi_qhalf_shifted"] = advantage_shift(
         panels["psi_qhalf"], advantage, h, 0.5
     )
-    se_mean = float(
+    # At the base action eta is zeta itself, so psi is exactly 0 and has no
+    # sampling error; otherwise the two sides are independent.
+    se_mean = 0.0 if eta is zeta else float(
         np.sqrt(
             np.var(zeta.samples, ddof=1) / zeta.n
             + np.var(eta.samples, ddof=1) / eta.n
@@ -408,7 +410,9 @@ def cmd_superiority_demo(cfg, out_dir: Path) -> int:
             zeta = estimate.mc_action_return_dist(
                 mdp, base, cfg["t"], [cfg["x"]], cfg["action"], h, n, sim
             )
-            eta = estimate.mc_action_return_dist(
+            # The base action's own rollout is the same draw from the same
+            # substream, so it is not drawn twice.
+            eta = zeta if cfg["action"] == base else estimate.mc_action_return_dist(
                 mdp, base, cfg["t"], [cfg["x"]], base, h, n, sim
             )
             # Finite returns can still overflow the quantiles (mc_superiority

@@ -397,9 +397,11 @@ def result_rows(path):
 
 
 # The base action's superiority compares its return with itself: zeta and eta
-# are one rollout on one grid, so every panel value is exactly 0. From x = 1 at
-# discount 0.9 the frozen returns of the two sides differed when eta stepped at
-# the window's step to the horizon and zeta's tail at tail_dt.
+# are one rollout on one grid, so every panel value is exactly 0, and so is
+# every standard error, which are blank only for the quantile rows. From x = 1
+# at discount 0.9 the frozen returns of the two sides differed when eta stepped
+# at the window's step to the horizon and zeta's tail at tail_dt; the mean
+# rows' standard errors were those of two independent sides.
 @pytest.mark.parametrize("sets", [["x=1", "discount=0.9"], ["base_action=1"]],
                          ids=["base0_x1_discount0.9", "base1"])
 def test_superiority_demo_of_the_base_action_is_exactly_zero(tmp_path, sets):
@@ -412,6 +414,9 @@ def test_superiority_demo_of_the_base_action_is_exactly_zero(tmp_path, sets):
     rows = result_rows(tmp_path)
     assert len(rows) == 2 * 4 * (2 + 16)
     assert [(h, metric) for h, metric, value, _ in rows if value != 0] == []
+    for h, metric, _, se in rows:
+        moment = metric.endswith(("_mean", "_std"))
+        assert (float(se) == 0) if moment else se == "", (h, metric, se)
 
 
 # Base action 1 with action 0 in the window (seed 41, fixed before the run):
@@ -433,8 +438,9 @@ def test_superiority_demo_base1_mean_matches_drift_times_remaining_horizon(tmp_p
         assert abs(value - -10.0 * (1.0 - h / 2)) <= 4 * se
 
 
-# SHA-256 of the output files of ten tiny runs, with one train run per agent
-# kind. A refactor must leave them alone; only a change that moves results by
+# SHA-256 of the output files of twelve short runs, with one train run per
+# agent kind and two that train at omega = 200, one of them at the benchmark's
+# network shape (m = 100, hidden 100,100). A refactor must leave them alone; only a change that moves results by
 # design may re-record a digest, and CHANGES.md must then say which one moved
 # and why.
 GOLDEN_RESULTS = {
@@ -480,6 +486,28 @@ GOLDEN_RESULTS = {
                 "5915025453082d583feca9f0ffda5309c8148a640c88face61cc9df4c4d51af3",
             "trainlog_seed0_omega5.csv":
                 "ae6a1eaa3fda55e588bc4a9df284b7d59bb30f622808345ce393625531603576",
+        },
+    ),
+    "train_200hz": (
+        ["train", *TINY_TRAIN, "--set", "omega_grid=200"],
+        {
+            "results.csv":
+                "7a2e3344873e2933c41c73378c237af561601949ab5f9443502f2b552c660118",
+            "trainlog_seed0_omega200.csv":
+                "68c67c13d1c93a1a840d129304d54a150eb9963a76731b11c60bfcbe8f0dde98",
+        },
+    ),
+    "train_bench_shape": (
+        ["train", "--set", "omega_grid=5,200", "--set", "updates=40",
+         "--set", "eval_every=20", "--set", "eval_episodes=5",
+         "--set", "final_eval_episodes=5"],
+        {
+            "results.csv":
+                "19ce97219991f0868fc066f2b2321b870324ca92a7131507bcb920454ebad1c7",
+            "trainlog_seed0_omega5.csv":
+                "d0900e1b3f868dc4c874e9ac94b4e4c57d0e2867c51bcb5a368f3dfa8af44e58",
+            "trainlog_seed0_omega200.csv":
+                "75b18a67233342fb1f7aa1a8eb823f92872016ee980d7b4a92598ef3f382b1f4",
         },
     ),
     "train_dau": (

@@ -132,11 +132,11 @@ def _batches(draw):
     pred = draw(st.lists(_grid, min_size=b * m, max_size=b * m))
     target = draw(st.lists(_grid, min_size=b * mp, max_size=b * mp))
     kappa = draw(st.sampled_from([0.5, 1.0]))
-    return (
-        np.reshape(pred, (b, m)) + offset,
-        np.reshape(target, (b, mp)) + offset,
-        kappa,
-    )
+    # Constant target rows, as a terminal transition gives.
+    constant = draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    target = np.reshape(target, (b, mp))
+    target[constant] = target[constant, :1]
+    return np.reshape(pred, (b, m)) + offset, target + offset, kappa
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -151,8 +151,10 @@ def test_sorted_kernel_matches_dense_property(batch):
 
 def _mixed_band_batch(kappa):
     """Rows inside the band, rows that leave it below, above or on both
-    sides, and rows whose extreme target sits exactly on a band edge."""
-    pred = np.tile([0.125, -0.25, 0.25, 0.0], (6, 1)) + 1.0
+    sides, rows whose extreme target sits exactly on a band edge, and
+    constant rows: one of -0.0 inside the band, one that leaves it above,
+    and one inside it next to that."""
+    pred = np.tile([0.125, -0.25, 0.25, 0.0], (9, 1)) + 1.0
     target = np.array([
         [0.0, 0.125, 0.1875, -0.125, 0.125],    # inside
         [-3.0, 0.125, 0.1875, -0.125, 0.0],     # leaves below
@@ -160,7 +162,12 @@ def _mixed_band_batch(kappa):
         [-3.0, 0.125, 3.5, -0.125, 0.0],        # leaves on both sides
         [0.25 - kappa, 0.125, 0.1875, 0.0, 0.0],  # first target on max(p) - kappa
         [0.0, -0.25 + kappa, 0.1875, 0.0, 0.125],  # last target on min(p) + kappa
+        [-1.0] * 5,                              # constant -0.0, set below
+        [3.5] * 5,                               # constant, leaves above
+        [0.125] * 5,                             # constant, inside
     ]) + 1.0
+    pred[6] -= 1.0
+    target[6] = -0.0
     return pred, target
 
 
@@ -168,13 +175,14 @@ def _mixed_band_batch(kappa):
 def test_kernel_matches_oracle_on_rows_inside_and_outside_the_band(kappa):
     pred, target = _mixed_band_batch(kappa)
     below, above = band_sides(pred, target, kappa)
-    assert below.tolist() == [False, True, False, True, False, False]
-    assert above.tolist() == [False, False, True, True, False, False]
+    assert below.tolist() == [False, True, False, True, False, False, False, False, False]
+    assert above.tolist() == [False, False, True, True, False, False, False, True, False]
     assert_matches_oracle_bitwise(pred, target, kappa)
     assert_matches_dense(pred, target, kappa)
-    # Each row alone, and the rows in reverse order.
+    # Each row alone, each pair of neighbours, and the rows in reverse order.
     for k in range(pred.shape[0]):
         assert_matches_oracle_bitwise(pred[k:k + 1], target[k:k + 1], kappa)
+        assert_matches_oracle_bitwise(pred[k:k + 2], target[k:k + 2], kappa)
     assert_matches_oracle_bitwise(pred[::-1], target[::-1], kappa)
 
 
@@ -188,17 +196,52 @@ def test_kernel_matches_oracle_when_every_row_searches_or_none_does(kappa, leave
     assert_matches_oracle_bitwise(pred, target, kappa)
 
 
+def test_kernel_matches_oracle_on_mostly_constant_rows_inside_the_band():
+    """The training shape with 26 of 32 target rows constant, as terminal
+    transitions make them, two more constant but for one atom 0.01 above
+    the rest with a prediction between, and every row inside the band at
+    kappa = 1."""
+    rng = np.random.default_rng(3)
+    pred = 0.1 * rng.normal(size=(32, 100))
+    target = 0.1 * rng.normal(size=(32, 100)) + 0.05
+    rows = rng.permutation(32)
+    target[rows[:28]] = target[rows[:28], :1]
+    near = rows[26:28]
+    target[near, 7] += 0.01
+    pred[near, 0] = target[near, 0] + 0.005
+    below, above = band_sides(pred, target, 1.0)
+    assert not below.any() and not above.any()
+    assert_matches_oracle_bitwise(pred, target, 1.0)
+    assert_matches_dense(pred, target, 1.0)
+
+
+@pytest.mark.parametrize("pred, target, kappa", [
+    (1.5e308, 0.125, 1.5e308),     # p + kappa / 2 overflows
+    (-1.5e308, 0.0, 1.79e308),     # p - kappa / 2 overflows
+])
+def test_kernel_matches_oracle_inside_the_band_at_an_overflowing_kappa(pred, target, kappa):
+    """The empty linear regions still give the NaN of their overflow."""
+    pred, target = np.array([[pred]]), np.array([[target]])
+    with np.errstate(over="ignore"):
+        below, above = band_sides(pred, target, kappa)
+    assert not below.any() and not above.any()
+    assert_matches_oracle_bitwise(pred, target, kappa)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("position", [0, 2, -1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["pred", "target"])
 def test_kernel_matches_oracle_with_non_finite_values(where, bad, position):
     """A non-finite value replaces the atom at the first, middle or last
-    sorted position of one row, next to rows inside and outside the band."""
+    sorted position of a row inside the band, one outside it and one whose
+    targets are constant, and fills a whole row, next to rows inside and
+    outside the band."""
     pred, target = _mixed_band_batch(0.5)
     arr = pred if where == "pred" else target
-    for k in (0, 3):
+    for k in (0, 3, 6):
         arr[k, np.argsort(arr[k])[position]] = bad
+    arr[8] = bad
     assert_matches_oracle_bitwise(pred, target, 0.5)
 
 
