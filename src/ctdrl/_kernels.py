@@ -6,12 +6,14 @@ row is sorted once and summarised by prefix sums of its atoms and their
 squares; up to three binary searches per prediction atom split the targets
 into the four regions where the loss is linear or quadratic and the
 asymmetric weight is tau or 1 - tau, and each region's contribution follows
-in closed form. The cost is O(B (m + m') log m'). Three shortcuts, each
-chosen from the input, give the same bits as all three searches and the
-full region algebra on every row:
+in closed form. The cost is O(B (m + m') log m'). Four shortcuts, each
+chosen from the input, give the same bits as sorting every row, all three
+searches and the full region algebra on every row:
 
-- a row whose targets are all equal (a terminal transition's) splits at p
-  by one comparison with that value, without a search;
+- a row whose targets all have the same bits and are finite (a terminal
+  transition's) is not sorted: its centred atoms and prefix sums are zeros;
+- a row whose targets are all equal splits at p by one comparison with
+  that value, without a search;
 - the searches for the band edges p - kappa and p + kappa run only on rows
   whose targets leave the band on that side; on the others every target
   lies inside that edge, so its bound is 0 or m';
@@ -43,21 +45,33 @@ def quantile_huber_batch(pred, target, kappa):
     b, m = pred.shape
     mp = target.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
-        t = np.sort(target, axis=1)
         # Centre each row on one of its own atoms: the subtraction is exact for
-        # nearby values, so large common offsets do not reach the t^2 sums.
-        anchor = t[:, mp // 2 : mp // 2 + 1].copy()
-        t -= anchor
+        # nearby values, so large common offsets do not reach the t^2 sums. A
+        # row whose atoms all have the same bits and are finite centres to
+        # +0.0 throughout, as its prefix sums do, so only the other rows are
+        # sorted and summed; a row that mixes -0.0 and +0.0, or holds an inf
+        # or a NaN, is one of them.
+        anchor = target[:, :1].copy()
+        t = np.zeros((b, mp))
+        s1 = np.zeros((b, mp + 1))
+        s2 = np.zeros((b, mp + 1))
+        bits = target.view(np.int64)
+        varied = np.flatnonzero(~((bits == bits[:, :1]).all(axis=1)
+                                  & np.isfinite(anchor[:, 0])))
+        if varied.size:
+            rows = slice(None) if varied.size == b else varied
+            sorted_rows = np.sort(target[rows], axis=1)
+            anchor[rows] = sorted_rows[:, mp // 2 : mp // 2 + 1]
+            sorted_rows -= anchor[rows]
+            t[rows] = sorted_rows
+            s1[rows, 1:] = np.cumsum(sorted_rows, axis=1)
+            s2[rows, 1:] = np.cumsum(sorted_rows * sorted_rows, axis=1)
         # Work on each prediction row in ascending order, which keeps the
         # binary searches below cheap; the gradient is scattered back.
         order = np.argsort(pred, axis=1)
         flat = order + np.arange(b)[:, None] * m
         p = pred.take(flat) - anchor
         taus = (order + 0.5) / m
-        s1 = np.zeros((b, mp + 1))
-        s2 = np.zeros((b, mp + 1))
-        np.cumsum(t, axis=1, out=s1[:, 1:])
-        np.cumsum(t * t, axis=1, out=s2[:, 1:])
 
         # Region bounds per prediction atom: t < p - kappa (linear, u < 0),
         # p - kappa <= t < p (quadratic, u < 0), p <= t <= p + kappa

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .approx import AdamState, Mlp, adam_step
-from .ctmdp import TIME_TOL, SimulationError, substream
+from .ctmdp import TIME_TOL, SimulationError, _is_integer, substream
 from .dist import DistortionMeasure, EmpiricalDist, risk_measure, to_quantile_rep
 
 __all__ = [
@@ -105,15 +105,23 @@ class ReplayBuffer:
         self._pos = 0
 
     def add(self, tr: Transition):
-        if self.ring is None:
-            self.ring = Batch(*(
+        ring = self.ring
+        if ring is None:
+            ring = self.ring = Batch(*(
                 np.empty((self.capacity, *np.shape(value)), dtype=dtype)
                 for value, dtype in zip(tr, _COLUMNS.values())
             ))
-        for name, value in zip(_COLUMNS, tr):
-            getattr(self.ring, name)[self._pos] = value
-        self._pos = (self._pos + 1) % self.capacity
-        self._len = min(self._len + 1, self.capacity)
+        pos = self._pos
+        ring.t[pos] = tr.t
+        ring.x[pos] = tr.x
+        ring.a[pos] = tr.a
+        ring.r[pos] = tr.r
+        ring.x_next[pos] = tr.x_next
+        ring.done[pos] = tr.done
+        pos += 1
+        self._pos = 0 if pos == self.capacity else pos
+        if self._len < self.capacity:
+            self._len += 1
 
     def sample(self, k: int, rng: np.random.Generator) -> Batch:
         if not self._len:
@@ -371,12 +379,14 @@ def explore_action(agent, t, X, eps, coins, random_actions) -> np.ndarray:
     ``coins[k] < eps[k]`` and otherwise the greedy action at (t[k], X[k]).
     All the greedy rows share one forward; a scalar ``t`` with one state
     ``X`` is every row's state, and its greedy action takes a one-row
-    forward."""
+    forward; when every row is greedy, ``t`` and ``X`` go to it as they are."""
     actions = np.array(random_actions, dtype=np.int64)
     greedy = ~(coins < eps)
     if greedy.any():
         if np.ndim(t) == 0:
             actions[greedy] = agent.act_greedy(t, X)
+        elif greedy.all():
+            actions[:] = agent.act_greedy_batch(t, X)
         else:
             actions[greedy] = agent.act_greedy_batch(t[greedy], X[greedy])
     return actions
@@ -523,8 +533,41 @@ def store_subsampled(buffer: ReplayBuffer, tr: Transition, h: float, rng) -> boo
     return keep
 
 
+# TrainConfig's integer fields and their least values.
+_TRAIN_COUNTS = (("batch_size", 1), ("buffer_capacity", 1), ("target_period", 0),
+                 ("eval_every", 0))
+
+
+def _train_config_errors(cfg) -> list:
+    """One message per TrainConfig field, read from the mapping ``cfg``, that
+    train() cannot run with: a count that is not an integer at or above its
+    least value (``u % -1`` or ``u % 0.5`` would sync the target every
+    update, and an empty batch fails the first update), a batch larger than
+    the replay ring (no update is ever taken), and evaluation of no episodes
+    (it fails inside dist on no samples)."""
+    errors, valid = [], {}
+    for name, least in _TRAIN_COUNTS:
+        value = cfg[name]
+        valid[name] = _is_integer(value) and value >= least
+        if not valid[name]:
+            errors.append(f"{name} must be an integer >= {least}, got {value!r}")
+    if (valid["batch_size"] and valid["buffer_capacity"]
+            and cfg["batch_size"] > cfg["buffer_capacity"]):
+        errors.append(f"batch_size must not exceed buffer_capacity, got "
+                      f"{cfg['batch_size']} > {cfg['buffer_capacity']}")
+    episodes = cfg["eval_episodes"]
+    if valid["eval_every"] and cfg["eval_every"] > 0 and not (
+            _is_integer(episodes) and episodes >= 1):
+        errors.append(f"eval_episodes must be an integer >= 1 when eval_every > 0, "
+                      f"got {episodes!r}")
+    return errors
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Replay, target-sync and evaluation settings of train(); a setting it
+    cannot train with raises ValueError naming every bad field."""
+
     batch_size: int = 32
     buffer_capacity: int = 20_000
     target_period: int = 1000
@@ -532,6 +575,11 @@ class TrainConfig:
     eval_episodes: int = 100
     eval_cvar_alpha: float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        errors = _train_config_errors(vars(self))
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -598,7 +646,8 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
     holds walks its hold path in chunks that double in size, one batched
     epsilon-greedy over each, and ends at its first stop or at the horizon.
     Which actions stop, and their next states and rewards, are the env's
-    ``path_outcomes``.
+    ``path_outcomes``, which acts row by row; so every stop at reset with
+    the same action and reward stores one shared transition.
     """
     h = agent.h
     n = noise.size
@@ -615,11 +664,20 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
                 reset_next, reset_rewards, reset_stop = env.path_outcomes(
                     np.broadcast_to(x0, (n + 1, x0.size)), reset_actions)
                 holds_at_reset = np.flatnonzero(~reset_stop)
+                # Stops at reset with the same action and reward bits store
+                # one shared transition, built from the first such row.
+                reset_rewards = np.asarray(reset_rewards, dtype=np.float64)
+                reset_keys = list(zip(reset_actions.tolist(),
+                                      reset_rewards.view(np.int64).tolist()))
+                reset_transitions = {}
             k = np.searchsorted(holds_at_reset, i)
             j = int(holds_at_reset[k]) if k < holds_at_reset.size else n
-            for a, r, x_next in zip(reset_actions[i:j].tolist(),
-                                    reset_rewards[i:j].tolist(), reset_next[i:j]):
-                tr = Transition(0.0, x0, a, r, x_next, True)
+            for row in range(i, j):
+                key = reset_keys[row]
+                tr = reset_transitions.get(key)
+                if tr is None:
+                    tr = reset_transitions[key] = Transition(
+                        0.0, x0, key[0], float(reset_rewards[row]), reset_next[row], True)
                 store_subsampled(buffer, tr, h, rng)
             if j == n:
                 return None
@@ -629,7 +687,9 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
         while True:
             e = min(n, i + size)
             # Times by repeated addition of h, as a per-step clock counts them.
-            times = np.cumsum(np.concatenate(([t], np.full(e - i - 1, h))))
+            times = np.full(e - i, h)
+            times[0] = t
+            np.cumsum(times, out=times)
             X, ends = env.hold_path(times, x, noise[i:e], h)
             actions = explore_action(
                 agent, times[known:], X[known:-1], eps[i + known:e],

@@ -318,12 +318,8 @@ def check_train(cfg):
     if 1.0 / omega > cfg["horizon"] + TIME_TOL:
         errors.append(f"omega_grid: 1/omega must not exceed the horizon "
                       f"{cfg['horizon']}, got omega={omega}")
-    if cfg["batch_size"] > cfg["buffer_capacity"]:
-        errors.append(f"batch_size must not exceed buffer_capacity, got "
-                      f"{cfg['batch_size']} > {cfg['buffer_capacity']}")
-    if cfg["eval_every"] > 0 and cfg["eval_episodes"] < 1:
-        errors.append("eval_episodes must be >= 1 when eval_every > 0")
-    return errors
+    # the rule TrainConfig enforces, so a bad cell is refused before any runs
+    return errors + agents._train_config_errors(cfg)
 
 
 def _build_gap_env(cfg):

@@ -141,7 +141,7 @@ class OptionTradingEnv:
         order as step_batch holding one step at a time, so the prices are
         the same to the last bit. Rows past the horizon are not meaningful.
         """
-        delta = np.clip(self.horizon - times, 0.0, h)
+        delta = np.minimum(np.maximum(self.horizon - times, 0.0), h)
         path = np.cumprod(np.concatenate((x, self._gbm_factor(delta, noise))))
         # a GBM price is never 0; one that underflows there stays 0, or turns
         # NaN at an infinite factor, so the last price shows it

@@ -713,6 +713,39 @@ class BanditEnv:
         return 1.0 - np.atleast_2d(X)[:, 0]
 
 
+@pytest.mark.parametrize("fields, named", [
+    # the replay gate len(buffer) >= batch_size never opens: zero updates
+    pytest.param(dict(batch_size=33, buffer_capacity=32),
+                 ["batch_size", "buffer_capacity"], id="batch_over_capacity"),
+    # u % -1 == 0 would sync the target every update
+    pytest.param(dict(target_period=-1), ["target_period"], id="negative_target_period"),
+    pytest.param(dict(target_period=0.5), ["target_period"], id="fractional_target_period"),
+    pytest.param(dict(batch_size=True, eval_every=2.0), ["batch_size", "eval_every"],
+                 id="bool_batch_and_float_eval_every"),
+    # the first update would fail with "batch must be nonempty"
+    pytest.param(dict(batch_size=0), ["batch_size"], id="empty_batch"),
+    pytest.param(dict(buffer_capacity=0), ["buffer_capacity"], id="empty_buffer"),
+    # the first evaluation would fail inside dist on no samples
+    pytest.param(dict(eval_every=10, eval_episodes=0), ["eval_episodes"],
+                 id="evaluation_of_no_episodes"),
+    pytest.param(dict(eval_every=10, eval_episodes=2.5), ["eval_episodes"],
+                 id="fractional_episode_count"),
+    pytest.param(dict(eval_every=-2), ["eval_every"], id="negative_eval_every"),
+    pytest.param(dict(batch_size=0, target_period=-1, eval_every=5, eval_episodes=0),
+                 ["batch_size", "target_period", "eval_episodes"], id="three_at_once"),
+])
+def test_train_config_rejects_what_train_cannot_run(fields, named):
+    with pytest.raises(ValueError) as exc:
+        TrainConfig(**fields)
+    assert [name for name in named if name not in str(exc.value)] == []
+
+
+def test_train_config_takes_the_edges_train_can_run():
+    TrainConfig(batch_size=32, buffer_capacity=32, target_period=0)
+    TrainConfig(batch_size=1, buffer_capacity=1, eval_every=0, eval_episodes=0)
+    TrainConfig(eval_every=1, eval_episodes=1)
+
+
 def test_train_zero_updates_empty_log():
     env = BanditEnv()
     agent = make_agent(h=1.0, horizon=1.0, terminal_reward=env.terminal_reward)
@@ -822,11 +855,22 @@ class TapeRng:
         return np.full(shape, self.value)
 
 
+def greedy_utilities(agent, t, x):
+    """The per-action utilities whose argmax is the agent's one-row greedy
+    action at (t, x), for every agent kind."""
+    obs = agent.observe(t, x)
+    if isinstance(agent, QrdqnAgent):
+        return _risk_utilities(agent._heads(agent.zeta, obs), agent._risk_w)[0]
+    if isinstance(agent, DauAgent):
+        return agent.anet.forward(obs)[0]
+    heads, adv = agent._phi_split(agent.phi.forward(obs))
+    return agent._utilities(heads, adv, agent.advantage_head)[0]
+
+
 def greedy_with_margin(agent, t, x):
-    """One-row greedy action of a DSUP agent and its utility margin over the
+    """One-row greedy action of an agent and its utility margin over the
     runner-up action."""
-    heads, adv = agent._phi_split(agent.phi.forward(agent.observe(t, x)))
-    util = agent._utilities(heads, adv, agent.advantage_head)[0]
+    util = greedy_utilities(agent, t, x)
     top = np.sort(util)
     return int(np.argmax(util)), float(top[-1] - top[-2])
 
@@ -908,35 +952,63 @@ def same_transition(a, b):
             and np.array_equal(a.x, b.x) and np.array_equal(a.x_next, b.x_next))
 
 
-def oracle_case(h, horizon, seed, tilt=0.1):
+def oracle_case(kind, h, horizon, seed, tilt=0.1):
     env = OptionTradingEnv(GbmParams(0.0, 0.3), horizon=horizon)
-    agent = DsupAgent(
-        state_dim=1, n_actions=2, h=h, q=0.5, m=8, hidden=(8, 8), lr=1e-3,
-        discount=0.999, horizon=horizon, terminal_reward=env.terminal_reward,
+    base = dict(
+        state_dim=1, n_actions=2, h=h, hidden=(8, 8), lr=1e-3, discount=0.999,
+        horizon=horizon, terminal_reward=env.terminal_reward,
         schedule=ExplorationSchedule(1.0, 0.02, int(8 / h)), seed=seed,
     )
-    # Tilt the hold head so that the untrained greedy policy holds at the
-    # reset state by ``tilt``: greedy steps then both hold and stop along a
-    # path, and a small tilt lets training flip the action at reset.
-    heads, _ = agent._phi_split(agent.phi.forward(agent.observe(0.0, env.reset())))
-    util = _risk_utilities(heads, agent._risk_w)[0]
-    agent.phi.biases[-1][: agent.m] += util[1] - util[0] + tilt
+    # Tilt the hold output (action 0's head, or its advantage for DAU) so
+    # that the untrained greedy policy holds at the reset state by ``tilt``
+    # (stops, for a negative one): greedy steps then both hold and stop along
+    # a path, and a small tilt lets training flip the action at reset.
+    if kind == "dau":
+        agent = DauAgent(**base)
+        hold = agent.anet.biases[-1][:1]
+    elif kind == "qrdqn":
+        agent = QrdqnAgent(m=8, **base)
+        hold = agent.zeta.biases[-1][: agent.m]
+    else:
+        agent = DsupAgent(q=0.5, m=8, advantage_head=(kind == "dau+dsup"), **base)
+        hold = agent.phi.biases[-1][: agent.m]
+    util = greedy_utilities(agent, 0.0, env.reset())
+    hold += util[1] - util[0] + tilt
+    agent.sync_target()  # QR-DQN's target copy starts tilted too
     cfg = TrainConfig(batch_size=8, buffer_capacity=5000, target_period=7,
                       eval_every=0, seed=seed + 1)
     return env, agent, cfg
 
 
-@pytest.mark.parametrize("h,horizon,updates,tilt,covers", [
-    (0.2, 0.93, 60, 0.1, ("horizon cut", "window crossing")),
-    (0.005, 0.2237, 25, 0.1, ("horizon cut", "window crossing")),
-    (0.2, 0.93, 60, 0.003, ("reset flip",)),
-    (0.005, 0.2237, 25, 0.003, ("reset flip",)),
+# (h, horizon, updates, what the case covers), and per kind the tilt at
+# which each case covers it.
+_ORACLE_CASES = [
+    (0.2, 0.93, 60, ("horizon cut", "window crossing")),
+    (0.005, 0.2237, 25, ("horizon cut", "window crossing")),
+    (0.2, 0.93, 60, ("reset flip",)),
+    (0.005, 0.2237, 25, ("reset flip",)),
+]
+_ORACLE_TILTS = {
+    "dsup": (0.1, 0.1, 0.003, 0.003),
+    "qrdqn": (0.1, 0.1, 0.003, -0.001),
+    "dau": (0.1, 0.1, -0.003, -0.003),
+    "dau+dsup": (0.1, 1.0, 0.03, 0.01),
+}
+
+
+# The DSUP cases keep the ids they had before the other kinds joined.
+@pytest.mark.parametrize("kind,h,horizon,updates,tilt,covers", [
+    pytest.param(kind, h, horizon, updates, tilt, covers,
+                 id=("" if kind == "dsup" else f"{kind}-")
+                 + f"{h}-{horizon}-{updates}-{tilt}-covers{i}")
+    for kind, tilts in _ORACLE_TILTS.items()
+    for i, ((h, horizon, updates, covers), tilt) in enumerate(zip(_ORACLE_CASES, tilts))
 ])
-def test_windowed_train_matches_per_step_oracle(monkeypatch, h, horizon, updates, tilt,
-                                                covers):
-    env, agent, cfg = oracle_case(h, horizon, 5, tilt)
+def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, updates,
+                                                tilt, covers):
+    env, agent, cfg = oracle_case(kind, h, horizon, 5, tilt)
     calls, taken, _ = recorded_train(monkeypatch, agent, env, updates, cfg)
-    env, oracle_agent, cfg = oracle_case(h, horizon, 5, tilt)
+    env, oracle_agent, cfg = oracle_case(kind, h, horizon, 5, tilt)
     expected, margins, reset_greedy, oracle_buffer, oracle_taken = per_step_train(
         oracle_agent, env, updates, cfg)
 
@@ -980,7 +1052,7 @@ def test_train_stores_every_interaction_once(monkeypatch):
     store_subsampled call per interaction, and every replay insert made by
     an accepting call."""
     h, updates = 0.005, 12
-    env, agent, cfg = oracle_case(h, 100.0, 9)
+    env, agent, cfg = oracle_case("dsup", h, 100.0, 9)
     calls, taken, inserts = recorded_train(monkeypatch, agent, env, updates, cfg)
     n = int(math.floor(1 / h + 1e-9))
     assert len(calls) == updates * n

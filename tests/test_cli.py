@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ctdrl import ctmdp
+from ctdrl.agents import TrainConfig
 from ctdrl.cli import main, resolve_config, check_train, GAP_RATES_FIELDS, TRAIN_FIELDS
 
 
@@ -241,6 +242,18 @@ def test_train_rejects_batch_larger_than_buffer(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "batch_size" in err and "buffer_capacity" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_train_check_reads_the_train_config_rule():
+    cfg, errors = resolve_config(TRAIN_FIELDS, None, [
+        "batch_size=5", "buffer_capacity=4", "eval_every=3", "eval_episodes=0"])
+    assert not errors
+    with pytest.raises(ValueError) as exc:
+        TrainConfig(**{k: cfg[k] for k in ("batch_size", "buffer_capacity",
+                                           "target_period", "eval_every",
+                                           "eval_episodes")})
+    assert check_train(cfg) == str(exc.value).split("; ")
+    assert len(check_train(cfg)) == 2
 
 
 def test_train_lists_every_bad_network_and_schedule_key(tmp_path, capsys):

@@ -122,6 +122,13 @@ def test_sorted_kernel_matches_dense_at_training_shape():
 # 1e3 checks that the prefix sums of squares do not cancel.
 _grid = st.integers(-30, 30).map(lambda k: 0.1 * k)
 
+# Target row kinds: varied; constant, as a terminal transition gives, at a
+# grid value or at +0.0, +inf, -inf or NaN; and a row of zeros that mixes
+# -0.0 and +0.0, which is constant by value but not by bits.
+_ROWS = ("varied",) * 3 + ("constant",) * 2 + ("zeros", "inf", "-inf", "nan",
+                                               "mixed_zeros")
+_FILL = {"zeros": 0.0, "inf": np.inf, "-inf": -np.inf, "nan": np.nan}
+
 
 @st.composite
 def _batches(draw):
@@ -132,11 +139,18 @@ def _batches(draw):
     pred = draw(st.lists(_grid, min_size=b * m, max_size=b * m))
     target = draw(st.lists(_grid, min_size=b * mp, max_size=b * mp))
     kappa = draw(st.sampled_from([0.5, 1.0]))
-    # Constant target rows, as a terminal transition gives.
-    constant = draw(st.lists(st.booleans(), min_size=b, max_size=b))
-    target = np.reshape(target, (b, mp))
-    target[constant] = target[constant, :1]
-    return np.reshape(pred, (b, m)) + offset, target + offset, kappa
+    target = np.reshape(target, (b, mp)) + offset
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(_ROWS), min_size=b,
+                                           max_size=b))):
+        if kind == "constant":
+            target[k] = target[k, 0]
+        elif kind == "mixed_zeros":
+            negative = draw(st.lists(st.booleans(), min_size=mp, max_size=mp))
+            target[k] = np.where(negative, -0.0, 0.0)
+            target[k, 0], target[k, -1] = -0.0, 0.0  # one of each when mp > 1
+        elif kind in _FILL:
+            target[k] = _FILL[kind]
+    return np.reshape(pred, (b, m)) + offset, target, kappa
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -144,9 +158,22 @@ def _batches(draw):
 @example((np.array([[0.3, -0.2, 0.8]]), np.array([[0.8, 0.3, 0.3, -0.2, -0.7]]), 0.5))
 @example((np.array([[0.0, 0.0]]), np.array([[1.0, -1.0, 0.0]]), 1.0))
 @example((np.array([[1000.3, 999.9]]), np.array([[1000.8, 999.4, 1000.3]]), 0.5))
+@example((np.array([[0.1, -0.2], [0.3, 0.0]]), np.array([[-0.0, 0.0, -0.0], [0.0] * 3]), 0.5))
+@example((np.array([[0.1, -0.2], [0.3, 0.0]]), np.array([[np.inf] * 3, [0.4] * 3]), 0.5))
+# Its NaN gradients' sign bits tell a constant -inf row sorted (NaN sums) from
+# one centred to zeros.
+@example((np.array([[-1.3, -1.6, 1.6, 0.0, -2.6], [-0.8, 1.0, np.nan, np.nan, -1.6]]),
+          np.array([[-0.3, 0.6], [-np.inf, -np.inf]]), 0.001))
 def test_sorted_kernel_matches_dense_property(batch):
-    assert_matches_dense(*batch)
-    assert_matches_oracle_bitwise(*batch)
+    """Bit for bit the three-search oracle on the whole batch, the dense
+    formula on its finite rows, and a non-finite loss from a non-finite row."""
+    pred, target, kappa = batch
+    assert_matches_oracle_bitwise(pred, target, kappa)
+    finite = np.isfinite(target).all(axis=1)
+    if finite.any():
+        assert_matches_dense(pred[finite], target[finite], kappa)
+    if not finite.all():
+        assert not np.isfinite(kernels.quantile_huber_batch(pred, target, kappa)[0])
 
 
 def _mixed_band_batch(kappa):
