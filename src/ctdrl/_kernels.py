@@ -135,10 +135,26 @@ def quantile_huber_batch(pred, target, kappa):
 
 
 def wasserstein_sorted(a, b, p):
-    """p-transport distance between two equal-size sorted atom vectors."""
+    """p-transport distance between sorted atom vectors of one size, read
+    along the last axis. Two vectors give a float; a (k, m) block of rows,
+    against another block or one (m,) vector broadcast to every row, gives
+    the k row distances, each with the bits of the 1-d call on that row.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("inputs must be 1-d and the same size")
-    diff = np.abs(a - b)
-    return float(np.mean(diff)) if p == 1 else float(np.mean(diff ** int(p)) ** (1.0 / p))
+    if (not 1 <= a.ndim <= 2 or not 1 <= b.ndim <= 2 or a.shape[-1] != b.shape[-1]
+            or a.ndim == b.ndim == 2 and a.shape[0] != b.shape[0]):
+        raise ValueError("inputs must be 1-d or 2-d rows of the same size")
+    # A C-ordered difference sums each row in the order the 1-d mean does.
+    diff = np.subtract(a, b, order="C")
+    np.abs(diff, out=diff)
+    if p == 1:
+        means = np.mean(diff, axis=-1)
+        return float(means) if means.ndim == 0 else means
+    means = np.mean(diff ** int(p), axis=-1)
+    # A float64 scalar's power is libm's pow, whose bits an array's power
+    # (sqrt at p = 2) does not always match, so each row takes the scalar's.
+    root = 1.0 / p
+    if means.ndim == 0:
+        return float(means ** root)
+    return np.array([x ** root for x in means])

@@ -16,9 +16,9 @@ untouched. A step whose drift and diffusion are both zero leaves the states
 as they are, with no + 0 dt, so a signed zero stays signed, and the rollout
 reuses the reward it read from those states. Until a step's action has
 nonzero diffusion, every path holds the same state, so the rollout steps a
-one-row bundle and accumulates one return; the first diffusive step's
-(paths, n) normals widen it to every path, and a rollout that never diffuses
-broadcasts its one return to every path at the end.
+one-row bundle and accumulates one return, a float; the first diffusive
+step's (paths, n) normals widen it to every path, and a rollout that never
+diffuses broadcasts its one return to every path at the end.
 
 A rollout plays one action on every path, fixed for each of its phases: the
 window [t0, window_end) plays the window action and the tail up to the
@@ -183,11 +183,12 @@ def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: in
         raise ValueError(f"state has dim {x0.size}, mdp expects {n}")
     if not np.isfinite(x0).all():
         raise SimulationError(f"non-finite state at t={t0:.8g}")
-    # The bundle is one row, and gains and step_gain one entry, until a step
-    # diffuses: before that every path is x0 moved by the same drifts, and
-    # the reward reads row by row, so one row stands for all of them.
+    # The bundle is one row, step_gain one entry and the return the float
+    # gain, until a step diffuses: before that every path is x0 moved by the
+    # same drifts, and the reward reads row by row, so one row stands for all
+    # of them. The float takes the same IEEE additions as a one-entry array.
     states = x0.reshape(1, n).copy()
-    gains = np.zeros(1)
+    gain, gains = 0.0, None
     step_gain = np.empty(1)
     gamma = mdp.discount
     log_gamma = math.log(gamma) if gamma < 1.0 else 0.0
@@ -224,16 +225,21 @@ def _rollout_returns(mdp: ContinuousMdp, action: int, t0: float, x0, n_paths: in
                 else:
                     np.multiply(math.exp(log_gamma * (s - t0)), rew, out=step_gain)
                     np.multiply(step_gain, delta, out=step_gain)
-                gains += step_gain
+                if gains is None:
+                    gain += float(step_gain[0])
+                else:
+                    gains += step_gain
                 stepped = _em_apply(mdp, s, states, acts, delta, draw)
                 if stepped is not states:
                     if not np.isfinite(stepped).all():
                         raise SimulationError(f"non-finite state at t={s + delta:.8g}")
-                    if stepped.shape[0] != gains.size:  # the first diffusive step
-                        gains = np.repeat(gains, n_paths)
+                    if gains is None and stepped.shape[0] != 1:  # the first diffusion
+                        gains = np.full(n_paths, gain)
                         step_gain = np.empty(n_paths)
                     states = stepped
 
+        if gains is None:
+            gains = np.full(1, gain)
         disc_t = 1.0 if gamma == 1.0 else math.exp(log_gamma * (horizon - t0))
         term = np.asarray(mdp.terminal_reward(states), dtype=np.float64)
         gains += disc_t * np.broadcast_to(term, gains.shape)

@@ -206,7 +206,9 @@ def _hazen(n: int, m: int):
     ``read(sorted_values)`` interpolates the order statistics directly.
     ``read(sorted_values, picks)`` reads them from the implicit sorted sample
     ``sorted_values[picks]``, where ``picks`` is a sorted vector of n indices
-    into ``sorted_values`` (a resample's draws in sorted order).
+    into ``sorted_values`` (a resample's draws in sorted order). Picks of
+    shape (..., n) hold one such vector per row and give (..., m) quantiles,
+    each row with the bits of its own 1-d read.
     """
     tau = (np.arange(m) + 0.5) / m
     # numpy's virtual index n*tau + (alpha + tau*(1 - alpha - beta)) - 1 with
@@ -226,8 +228,8 @@ def _hazen(n: int, m: int):
     ranks = np.concatenate((lo, hi))
 
     def read(sorted_values, picks=None):
-        pos = ranks if picks is None else picks[ranks]
-        a, b = sorted_values[pos[:m]], sorted_values[pos[m:]]
+        pos = ranks if picks is None else picks[..., ranks]
+        a, b = sorted_values[pos[..., :m]], sorted_values[pos[..., m:]]
         # numpy's _lerp: a + d*gamma, or b - d*(1 - gamma) where gamma >= 1/2
         d = b - a
         out = a + d * gamma

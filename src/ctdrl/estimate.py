@@ -33,6 +33,9 @@ __all__ = [
 
 ESTIMATOR_M = 512
 BOOTSTRAP_RESAMPLES = 200
+# Bootstrap resamples per block of array calls: 8 and 16 measured fastest
+# at n = 10000, m = 512; 64 was about 2% and 200 about 10% slower.
+_BLOCK = 16
 
 # Substream tags so independent estimates never share a noise stream.
 _TAG_ACTION = 12
@@ -125,27 +128,50 @@ def _bootstrap_w_se(samples_a, samples_b, p, m, n_resamples, rng):
     whose samples all have the same bits resamples to itself, so its sorted
     quantiles are read once; its draws are still made, in the same order, to
     keep the stream.
+
+    Resamples run in blocks of _BLOCK. Each resample makes its draws, side a
+    then side b, and keeps each varying side's ranks as one row of that side's
+    block; the block's rows are then sorted, read, sorted again and measured
+    by one array call each. Every row has the bits of its own 1-d computation.
     """
     reps = np.empty(n_resamples)
-    na, nb = samples_a.size, samples_b.size
-    read_a, read_b = _bootstrap_side(samples_a, m), _bootstrap_side(samples_b, m)
-    for i in range(n_resamples):
-        qa = read_a(rng.integers(0, na, na))
-        qb = read_b(rng.integers(0, nb, nb))
-        reps[i] = kernels.wasserstein_sorted(qa, qb, p)
+    draw_a, read_a = _bootstrap_side(samples_a, m)
+    draw_b, read_b = _bootstrap_side(samples_b, m)
+    for start in range(0, n_resamples, _BLOCK):
+        rows = min(_BLOCK, n_resamples - start)
+        for i in range(rows):
+            draw_a(rng, i)
+            draw_b(rng, i)
+        block_w = kernels.wasserstein_sorted(read_a(rows), read_b(rows), p)
+        reps[start:start + rows] = block_w
     return float(np.std(reps, ddof=1))
 
 
 def _bootstrap_side(samples, m):
-    """read(draws): the sorted m hazen quantiles of the resample
-    samples[draws] of one side."""
-    hazen = dist._hazen(samples.size, m)
+    """draw(rng, i) makes one resample's draws from one side and keeps them
+    as row i of the block; read(rows) gives the sorted m hazen quantiles of
+    the block's first ``rows`` resamples, one row each, or one (m,) vector
+    for every row when each resample is the samples themselves."""
+    n = samples.size
+    hazen = dist._hazen(n, m)
     bits = samples.view(np.int64)
     if (bits == bits[0]).all():  # sorted as it is, and every resample is itself
         const = np.sort(hazen(samples))
-        return lambda draws: const
+        return (lambda rng, i: rng.integers(0, n, n)), (lambda rows: const)
     sorted_s, rank = _sorted_ranks(samples)
-    return lambda draws: np.sort(hazen(sorted_s, np.sort(rank[draws])))
+    block = np.empty((_BLOCK, n), rank.dtype)
+
+    def draw(rng, i):
+        # the draws lie in [0, n), so clipping moves none; the default
+        # mode="raise" would buffer the output
+        np.take(rank, rng.integers(0, n, n), out=block[i], mode="clip")
+
+    def read(rows):
+        picks = block[:rows]
+        picks.sort(axis=1)
+        return np.sort(hazen(sorted_s, picks), axis=1)
+
+    return draw, read
 
 
 def _sorted_ranks(samples):
@@ -168,11 +194,15 @@ def gap_estimate(zeta_a: dist.EmpiricalDist, zeta_b: dist.EmpiricalDist, p: int,
     """The W_p gap between the m-quantile reps of two return-sample sets, the
     gap between their means, and their standard errors.
 
-    Raises ValueError when ``bootstrap`` is not an integer >= 2, and
+    Raises ValueError when ``bootstrap`` is not an integer >= 2 or a side
+    holds fewer than 2 samples, whose standard error is undefined, and
     SimulationError when a gap, mean or standard error is not finite.
     """
     if not (_is_integer(bootstrap) and bootstrap >= 2):
         raise ValueError(f"bootstrap must be an integer >= 2, got {bootstrap!r}")
+    for name, side in (("zeta_a", zeta_a), ("zeta_b", zeta_b)):
+        if side.n < 2:
+            raise ValueError(f"{name} needs at least 2 samples, got {side.n}")
     diverged = "non-finite gap estimate"
     a, b = zeta_a.samples, zeta_b.samples
     with _overflow_raises(diverged):

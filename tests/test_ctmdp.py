@@ -610,6 +610,48 @@ def test_rollout_from_negative_zero_matches_step_loop_oracle_in_value():
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def _drift_then_noise_env():
+    """Action 0 only drifts; action 1 diffuses. The reward reads the state."""
+    return ContinuousMdp(state_dim=2, drift=(1.5, -0.5), diffusion=(0.0, 0.75),
+                         reward=lambda X: np.sin(X).sum(axis=1),
+                         terminal_reward=lambda X: X[:, 1] + 0.25, horizon=1.0)
+
+
+# Rollouts whose bundle keeps one row, and its return one float, for many
+# steps: (env, base action, x0, window_end, window_action, tail_dt).
+_ONE_ROW_CASES = {
+    # the frozen base action's own discounted return, one row throughout,
+    # with a tail that ends on a short step
+    "discounted_frozen_base": (brownian_gap_env(discount=0.9), 0, [0.3], 0.25, 0, 0.05),
+    # 24 one-row drift steps, then a diffusing phase widens the bundle
+    "drift_then_diffusing": (_drift_then_noise_env(), 1, [0.1, -0.2], 0.75, 0, None),
+    # a -0.0 start, frozen for 16 discounted steps, then diffusing
+    "negative_zero_start": (brownian_gap_env(discount=0.9), 1, [-0.0], 0.5, 0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_ROW_CASES))
+def test_one_row_rollout_matches_step_loop_oracle_bitwise(monkeypatch, case):
+    env, base, x0, window_end, window_action, tail_dt = _ONE_ROW_CASES[case]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape[0])  # states
+        return _em_apply(*args)
+
+    monkeypatch.setattr(ctmdp, "_em_apply", counted)
+    window = dict(window_end=window_end, window_action=window_action, tail_dt=tail_dt)
+    rng, oracle_rng = substream(6, 7, len(case)), substream(6, 7, len(case))
+    got = _rollout_returns(env, base, 0.0, x0, 48, rng, 1 / 32, **window)
+    want = rollout_oracle(env, base, 0.0, x0, 48, oracle_rng, 1 / 32, **window)
+    assert got.shape == (48,) and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # one _em_apply call per EM step, the first ones on a one-row bundle
+    steps = (len(_phase_steps(0.0, window_end, 1 / 32))
+             + len(_phase_steps(window_end, env.horizon, tail_dt or 1 / 32)))
+    assert len(calls) == steps and calls[0] == 1
+
+
 # The window plays the first phase's action, from base action 0.
 @pytest.mark.parametrize("window_end, phases", [
     (0.25, [(0, 8), (0, 24)]), (0.25, [(1, 8), (0, 24)]), (1.0, [(1, 32)])])

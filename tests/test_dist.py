@@ -375,3 +375,22 @@ def test_hazen_matches_numpy_quantile(n):
             _assert_hazen_equal(read(samples[order], picks),
                                 np.quantile(samples[idx], levels, method="hazen"),
                                 one_sign)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 513])
+def test_hazen_reads_a_block_of_picks_row_by_row(n):
+    rng = np.random.default_rng(n + 7)
+    for kind in ("continuous", "grid", "minus_zero"):
+        samples, _ = _hazen_samples(kind, n, rng)
+        order = np.argsort(samples, kind="stable")
+        rank = np.empty(n, np.uint16)
+        rank[order] = np.arange(n)
+        block = np.sort(rank[rng.integers(0, n, (10, n))], axis=1)
+        for m in HAZEN_M:
+            read = _hazen(n, m)
+            # a C-ordered block, and every other row of it
+            for picks in (block, block[::2]):
+                got = read(samples[order], picks)
+                want = np.array([read(samples[order], row) for row in picks])
+                assert got.shape == (len(picks), m)
+                assert got.tobytes() == want.tobytes()

@@ -163,6 +163,18 @@ def test_gap_estimate_rejects_bootstrap_below_two_or_not_an_integer(bootstrap):
     assert rng.bit_generator.state == before
 
 
+# A side of one sample has no sample standard deviation: numpy would warn of
+# it and the estimate would report a divergence, though the input is invalid.
+@pytest.mark.parametrize("sizes, side", [((1, 5), "zeta_a"), ((5, 1), "zeta_b")])
+def test_gap_estimate_rejects_a_side_below_two_samples(sizes, side):
+    zeta_a, zeta_b = (EmpiricalDist(np.arange(n, dtype=np.float64)) for n in sizes)
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{side} needs at least 2 samples, got 1$"):
+        gap_estimate(zeta_a, zeta_b, 1, 4, 20, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_gap_estimate_takes_a_numpy_integer_bootstrap():
     zeta_a, zeta_b = EmpiricalDist([0.0, 1.0, 2.0]), EmpiricalDist([0.5, 1.0, 3.0])
     got = gap_estimate(zeta_a, zeta_b, 1, 4, np.int64(2), np.random.default_rng(9))
@@ -401,6 +413,35 @@ def test_bootstrap_w_se_matches_oracle_at_rank_dtype_boundaries(na, nb, constant
     want = bootstrap_w_se_oracle(samples_a, samples_b, 1, 64, 3, oracle_rng)
     assert got == want
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+_B = estimate._BLOCK
+_BLOCK_SIDES = {"neither": (False, False), "a": (True, False), "b": (False, True),
+                "both": (True, True)}
+
+
+# Resample counts that end a block early, fill it, spill one past it and
+# span several blocks; each run matches the sequential oracle, and its
+# values do not depend on the block size.
+@pytest.mark.parametrize("n_resamples", [2, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("constant", sorted(_BLOCK_SIDES))
+@pytest.mark.parametrize("na, nb", [(70, 70), (70, 45)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_bootstrap_w_se_blocks_match_sequential_oracle(monkeypatch, p, na, nb, constant,
+                                                       n_resamples):
+    data_rng = np.random.default_rng([na, nb, n_resamples])
+    const_a, const_b = _BLOCK_SIDES[constant]
+    samples_a = np.full(na, 0.25) if const_a else data_rng.normal(size=na)
+    samples_b = np.full(nb, -1.5) if const_b else data_rng.normal(0.3, 2.0, size=nb)
+    rng, oracle_rng = np.random.default_rng(44), np.random.default_rng(44)
+    got = _bootstrap_w_se(samples_a, samples_b, p, 32, n_resamples, rng)
+    want = bootstrap_w_se_oracle(samples_a, samples_b, p, 32, n_resamples, oracle_rng)
+    assert got == want
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    for block in (1, n_resamples):
+        monkeypatch.setattr(estimate, "_BLOCK", block)
+        assert _bootstrap_w_se(samples_a, samples_b, p, 32, n_resamples,
+                               np.random.default_rng(44)) == want
 
 
 def test_fit_rate_exact_power_laws():

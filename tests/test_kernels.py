@@ -291,6 +291,48 @@ def test_wasserstein_sorted_hand_values():
     assert kernels.wasserstein_sorted(a, b, 2) == pytest.approx(np.sqrt(5.0 / 3.0))
 
 
+def _rows_1d(x, y, p):
+    """One 1-d call per row of the broadcast pair."""
+    x, y = np.broadcast_arrays(x, y)
+    return np.array([kernels.wasserstein_sorted(xr, yr, p) for xr, yr in zip(x, y)])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_wasserstein_sorted_rows_match_1d_calls_bitwise(p):
+    rng = np.random.default_rng(23)
+    # 512 atoms a row: long enough that summing in another order moves bits
+    a = np.sort(rng.normal(size=(40, 512)), axis=1)
+    b = np.sort(rng.normal(0.3, 2.0, size=(40, 512)), axis=1)
+    one = np.sort(rng.normal(size=512))
+    transposed = np.sort(rng.normal(size=(512, 40)), axis=0).T  # F-ordered rows
+    assert transposed.flags.f_contiguous and not transposed.flags.c_contiguous
+    for x, y in [(a, b), (transposed, b), (a, transposed), (a, one), (one, b),
+                 (transposed, one)]:
+        got = kernels.wasserstein_sorted(x, y, p)
+        assert got.shape == (40,) and got.dtype == np.float64
+        assert got.tobytes() == _rows_1d(x, y, p).tobytes()
+    assert type(kernels.wasserstein_sorted(one, b[0], p)) is float
+
+
+def test_wasserstein_sorted_rows_take_the_scalar_root():
+    # Row means whose scalar ** 0.5 and sqrt differ in the last bit: each row
+    # must take the 1-d call's scalar root.
+    rng = np.random.default_rng(29)
+    a = np.sort(rng.normal(size=(20000, 4)), axis=1)
+    b = np.zeros(4)
+    means = np.mean(a * a, axis=1)
+    assert any(mean ** 0.5 != root for mean, root in zip(means, np.sqrt(means)))
+    got = kernels.wasserstein_sorted(a, b, 2)
+    assert got.tobytes() == _rows_1d(a, b, 2).tobytes()
+
+
+def test_wasserstein_sorted_rejects_mismatched_rows():
+    for x, y in [(np.zeros((2, 3)), np.zeros((3, 3))), (np.zeros((2, 3)), np.zeros(4)),
+                 (np.zeros((1, 2, 3)), np.zeros(3)), (np.float64(1.0), np.zeros(1))]:
+        with pytest.raises(ValueError, match="same size"):
+            kernels.wasserstein_sorted(x, y, 1)
+
+
 def test_wrapper_rejects_bad_kappa():
     for kappa in (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="kappa"):
