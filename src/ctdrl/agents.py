@@ -25,7 +25,6 @@ from .dist import DistortionMeasure, EmpiricalDist, risk_measure, to_quantile_re
 
 __all__ = [
     "Transition",
-    "Batch",
     "ReplayBuffer",
     "ExplorationSchedule",
     "TrainingDiverged",
@@ -55,45 +54,24 @@ class Transition(NamedTuple):
     done: bool
 
 
-# Column dtypes of a Batch, in Transition field order.
-_COLUMNS = {
-    "t": np.float64,
-    "x": np.float64,
-    "a": np.int64,
-    "r": np.float64,
-    "x_next": np.float64,
-    "done": np.bool_,
-}
+# Replay record field dtypes, in Transition field order.
+_FIELD_DTYPES = (np.float64, np.float64, np.int64, np.float64, np.float64, np.bool_)
 
 
-@dataclass(frozen=True, eq=False)
-class Batch:
-    """Transitions stacked column-wise, one row per transition."""
-
-    t: np.ndarray
-    x: np.ndarray
-    a: np.ndarray
-    r: np.ndarray
-    x_next: np.ndarray
-    done: np.ndarray
-
-    @classmethod
-    def stack(cls, transitions):
-        return cls(**{
-            name: np.array([getattr(tr, name) for tr in transitions], dtype=dtype)
-            for name, dtype in _COLUMNS.items()
-        })
-
-    def __len__(self):
-        return self.t.shape[0]
+def _record_dtype(tr: Transition) -> np.dtype:
+    """The replay record of transitions shaped like ``tr``: one field per
+    Transition field, the states keeping ``tr``'s state shape."""
+    return np.dtype([(name, dtype, np.shape(value)) for name, dtype, value
+                     in zip(Transition._fields, _FIELD_DTYPES, tr)], align=True)
 
 
 class ReplayBuffer:
     """Fixed-capacity ring with uniform with-replacement sampling.
 
-    ``ring`` holds one preallocated array per Batch column, allocated on the
-    first add with that transition's state shape. Transition k goes to slot
-    k % capacity, and the first ``len(buffer)`` slots are filled.
+    ``ring`` is one preallocated record array with Transition's fields,
+    allocated on the first add with that transition's state shape.
+    Transition k goes to slot k % capacity, and the first ``len(buffer)``
+    slots are filled. A sampled batch is a record array of the same kind.
     """
 
     def __init__(self, capacity: int):
@@ -105,29 +83,19 @@ class ReplayBuffer:
         self._pos = 0
 
     def add(self, tr: Transition):
-        ring = self.ring
-        if ring is None:
-            ring = self.ring = Batch(*(
-                np.empty((self.capacity, *np.shape(value)), dtype=dtype)
-                for value, dtype in zip(tr, _COLUMNS.values())
-            ))
+        if self.ring is None:
+            self.ring = np.empty(self.capacity, dtype=_record_dtype(tr))
         pos = self._pos
-        ring.t[pos] = tr.t
-        ring.x[pos] = tr.x
-        ring.a[pos] = tr.a
-        ring.r[pos] = tr.r
-        ring.x_next[pos] = tr.x_next
-        ring.done[pos] = tr.done
+        self.ring[pos] = tr
         pos += 1
         self._pos = 0 if pos == self.capacity else pos
         if self._len < self.capacity:
             self._len += 1
 
-    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
         if not self._len:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._len, size=k)
-        return Batch(**{name: getattr(self.ring, name)[idx] for name in _COLUMNS})
+        return self.ring[rng.integers(0, self._len, size=k)]
 
     def __len__(self):
         return self._len
@@ -264,12 +232,22 @@ class _AgentBase:
         for prefix, attr, _ in self._nets:
             if prefix in grads:
                 adam_step(self.adam[prefix], [getattr(self, attr).flat],
-                          [grads[prefix].flat])
+                          [grads[prefix]])
         return loss
 
     def train_step(self, batch) -> float:
         """One update per loss function of the kind; returns the summed loss."""
         return sum(self._update(loss_grads, batch) for loss_grads in self._losses)
+
+
+def _dsup_scales(h, q, advantage_head):
+    """(h**q, 1 - h**(1 - q)): the superiority rescaling and, with an
+    advantage head, its utility shift (else None). Raises ValueError naming
+    q when either power overflows a float."""
+    try:
+        return h**q, (1.0 - h ** (1.0 - q) if advantage_head else None)
+    except OverflowError:
+        raise ValueError(f"q={q!r} overflows h**q or h**(1 - q) at h={h!r}") from None
 
 
 class DsupAgent(_AgentBase):
@@ -290,15 +268,12 @@ class DsupAgent(_AgentBase):
         super().__init__(state_dim, n_actions, h, **base)
         self.q = q
         self.advantage_head = advantage_head
+        self._scale, self._shift = _dsup_scales(h, q, advantage_head)
         self._init_quantiles(m, risk, kappa)
         self.theta = self._mlp(m)
         self.phi = self._mlp(n_actions * m + (n_actions if advantage_head else 0))
         self._init_learner(
             (dsup_loss_grads, dau_loss_grads) if advantage_head else (dsup_loss_grads,))
-
-    @property
-    def kind(self) -> str:
-        return "dau+dsup" if self.advantage_head else "dsup"
 
     def _phi_split(self, phi_out):
         """(proxy heads per action, advantage per action or None), both
@@ -312,7 +287,7 @@ class DsupAgent(_AgentBase):
         if shifted:
             if adv is None:
                 raise ValueError("agent has no advantage head")
-            util = util + (1.0 - self.h ** (1.0 - self.q)) * adv
+            util = util + self._shift * adv
         return util
 
     def _greedy(self, obs, shifted: bool):
@@ -333,7 +308,6 @@ class QrdqnAgent(_AgentBase):
     the same h-scaled rewards and gamma**h discounting as the superiority
     agents so frequency sweeps compare like with like."""
 
-    kind = "qrdqn"
     _nets = (("zeta", "zeta", "zeta_target"),)
 
     def __init__(self, state_dim: int, n_actions: int, h: float, m: int = 100,
@@ -361,7 +335,6 @@ class DauAgent(_AgentBase):
     """Advantage-updating baseline: a scalar value network and a per-action
     advantage network pinned to zero at the greedy action."""
 
-    kind = "dau"
     _nets = (("v", "vnet", "v_target"), ("a", "anet", None))
 
     def __init__(self, state_dim: int, n_actions: int, h: float, **base):
@@ -393,17 +366,16 @@ def explore_action(agent, t, X, eps, coins, random_actions) -> np.ndarray:
 
 
 def _batch_arrays(agent, batch):
-    """(obs, obs_next, a, r, done, g) for a Batch or a list of Transitions:
-    network inputs at (t, x) and (t + h, x'), actions, rewards, done flags as
-    0.0/1.0 and terminal rewards g(x')."""
+    """(obs, obs_next, a, r, done, g) for a record batch from
+    ``ReplayBuffer.sample``: network inputs at (t, x) and (t + h, x'),
+    actions, rewards, done flags as 0.0/1.0 and terminal rewards g(x')."""
     if not len(batch):
         raise ValueError("batch must be nonempty")
-    if not isinstance(batch, Batch):
-        batch = Batch.stack(batch)
-    obs = agent.observe(batch.t, batch.x)
-    obs_next = agent.observe(batch.t + agent.h, batch.x_next)
-    g = agent._terminal(batch.x_next)
-    return obs, obs_next, batch.a, batch.r, batch.done.astype(np.float64), g
+    t, x_next = batch["t"], batch["x_next"]
+    obs = agent.observe(t, batch["x"])
+    obs_next = agent.observe(t + agent.h, x_next)
+    g = agent._terminal(x_next)
+    return obs, obs_next, batch["a"], batch["r"], batch["done"].astype(np.float64), g
 
 
 def _quantile_targets(agent, obs_next, r, done, g):
@@ -434,7 +406,7 @@ def dsup_loss_grads(agent: DsupAgent, batch, a_star=None):
         a_star = np.argmax(util, axis=1)
 
     rows = np.arange(b)
-    scale = agent.h**agent.q
+    scale = agent._scale
     pred = theta_out + scale * (heads[rows, a_idx] - heads[rows, a_star])
 
     tgt = _quantile_targets(agent, obs_next, r, done, g)

@@ -15,15 +15,6 @@ CHECKPOINT_VERSION = "ctdrl-checkpoint-1"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class ParamGrads(list):
-    """Per-tensor gradients in ``Mlp.params`` order, each a view into the one
-    vector ``flat`` laid out like ``Mlp.flat``."""
-
-    def __init__(self, views, flat):
-        super().__init__(views)
-        self.flat = flat
-
-
 class Mlp:
     """Affine layers with rectifier hidden activations and identity output.
 
@@ -43,7 +34,8 @@ class Mlp:
         self._shapes = [w.shape for w in weights]
         self.flat = np.empty(sum((i + 1) * o for i, o in self._shapes))
         self.weights, self.biases = self._split(self.flat)
-        self.set_params([p for wb in zip(weights, biases) for p in wb])
+        for dst, src in zip(self.weights + self.biases, weights + biases):
+            dst[...] = src
 
     def _split(self, vec):
         """Weight and bias views into a vector laid out like ``flat``."""
@@ -71,28 +63,6 @@ class Mlp:
         biases = [np.zeros(o) for o in sizes[1:]]
         return cls(weights, biases)
 
-    @property
-    def in_dim(self) -> int:
-        return self._shapes[0][0]
-
-    def parameter_count(self) -> int:
-        return self.flat.size
-
-    @property
-    def params(self) -> list:
-        return [p for wb in zip(self.weights, self.biases) for p in wb]
-
-    def set_params(self, params):
-        """Copy [W0, b0, W1, b1, ...] into the parameter views."""
-        views = self.params
-        if len(params) != len(views):
-            raise ValueError(f"expected {len(views)} tensors, got {len(params)}")
-        for dst, src in zip(views, params):
-            if np.shape(src) != dst.shape:
-                raise ValueError(f"shape {np.shape(src)} does not match {dst.shape}")
-        for dst, src in zip(views, params):
-            dst[...] = src
-
     def copy(self):
         new = Mlp.__new__(Mlp)
         new._shapes = self._shapes
@@ -100,22 +70,17 @@ class Mlp:
         new.weights, new.biases = new._split(new.flat)
         return new
 
-    def _promote(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"input dim {x.shape[1]}, network expects {self.in_dim}")
-        return x, single
-
     def forward(self, x) -> np.ndarray:
         out, _ = self.forward_cached(x)
         return out
 
     def forward_cached(self, x):
-        """Forward pass keeping per-layer activations for backward()."""
-        x, single = self._promote(x)
+        """Forward pass over a (rows, in) batch, keeping the per-layer
+        activations for backward(); returns (out, acts)."""
+        x = np.asarray(x, dtype=np.float64)
+        fan_in = self._shapes[0][0]
+        if x.ndim != 2 or x.shape[1] != fan_in:
+            raise ValueError(f"input shape {x.shape}, network expects (rows, {fan_in})")
         acts = [x]
         cur = x
         last = len(self.weights) - 1
@@ -124,27 +89,21 @@ class Mlp:
             if i < last:
                 cur = np.maximum(cur, 0.0)
             acts.append(cur)
-        out = cur[0] if single else cur
-        return out, (acts, single)
+        return cur, acts
 
-    def backward(self, cache, grad_out):
-        """Reverse accumulation: the gradient of each parameter.
-
-        The parameter gradients are views into one vector allocated per call,
-        so gradients from an earlier call stay valid.
-        """
-        acts, single = cache
+    def backward(self, acts, grad_out) -> np.ndarray:
+        """Reverse accumulation: the parameter gradient as one vector laid
+        out like ``flat``, allocated per call, so a gradient from an earlier
+        call stays valid."""
         g = np.asarray(grad_out, dtype=np.float64)
-        if single:
-            g = g[None, :]
-        flat = np.empty_like(self.flat)
-        grad_w, grad_b = self._split(flat)
+        grad = np.empty_like(self.flat)
+        grad_w, grad_b = self._split(grad)
         for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(acts[i].T, g, out=grad_w[i])
             np.sum(g, axis=0, out=grad_b[i])
             if i:
                 g = (g @ self.weights[i].T) * (acts[i] > 0.0)
-        return ParamGrads([p for wb in zip(grad_w, grad_b) for p in wb], flat)
+        return grad
 
 
 class AdamState:

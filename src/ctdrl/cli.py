@@ -312,12 +312,27 @@ def check_superiority_demo(cfg):
     return _window_errors(cfg, [1.0 / w for w in cfg["omega_grid"]])
 
 
+def _decay_interactions(cfg, h) -> float:
+    """eps_fraction of a cell's interactions at decision period h."""
+    return cfg["eps_fraction"] * cfg["updates"] * agents.interactions_per_update(h)
+
+
 def check_train(cfg):
     errors = []
     omega = min(cfg["omega_grid"])
     if 1.0 / omega > cfg["horizon"] + TIME_TOL:
         errors.append(f"omega_grid: 1/omega must not exceed the horizon "
                       f"{cfg['horizon']}, got omega={omega}")
+    if cfg["agent"] in ("dsup", "dau+dsup"):
+        for w in cfg["omega_grid"]:
+            try:
+                agents._dsup_scales(1.0 / w, cfg["q"], cfg["agent"] == "dau+dsup")
+            except ValueError as exc:
+                errors.append(f"{exc} (omega={w})")
+    # the busiest cell decays over the most interactions
+    if not math.isfinite(_decay_interactions(cfg, 1.0 / max(cfg["omega_grid"]))):
+        errors.append(f"eps_fraction * updates * floor(omega) must be "
+                      f"finite, got eps_fraction={cfg['eps_fraction']!r}")
     # the rule TrainConfig enforces, so a bad cell is refused before any runs
     return errors + agents._train_config_errors(cfg)
 
@@ -465,8 +480,7 @@ def cmd_train(cfg, out_dir: Path) -> int:
                 start_price=cfg["start_price"], discount=cfg["discount"],
             )
             eval_env = dataclasses.replace(train_env, gbm=eval_params)
-            ipu = agents.interactions_per_update(h)
-            decay = max(1, int(cfg["eps_fraction"] * cfg["updates"] * ipu))
+            decay = max(1, int(_decay_interactions(cfg, h)))
             agent = build_agent(
                 cfg["agent"], cfg, h, train_env.terminal_reward, decay,
                 seed=_cell_seed(seed, 91),

@@ -13,6 +13,7 @@ from ctdrl.agents import (
     DauAgent,
     DsupAgent,
     ExplorationSchedule,
+    ReplayBuffer,
     TrainConfig,
     Transition,
     dau_loss_grads,
@@ -241,17 +242,22 @@ def test_criterion_09_gradient_checks():
     rng = np.random.default_rng(99)
 
     def random_batch():
-        return [
-            Transition(
+        buf = ReplayBuffer(2)
+        for _ in range(2):
+            buf.add(Transition(
                 float(rng.uniform(0, 0.75)),
                 rng.normal(size=1),
                 int(rng.integers(2)),
                 float(rng.normal()),
                 rng.normal(size=1),
                 bool(rng.integers(2)),
-            )
-            for _ in range(2)
-        ]
+            ))
+        return buf.ring
+
+    def per_tensor(net, vec):
+        """Views [W0, b0, W1, b1, ...] into a vector laid out like net.flat."""
+        weights, biases = net._split(vec)
+        return [p for wb in zip(weights, biases) for p in wb]
 
     for case in range(50):
         batch = random_batch()
@@ -263,7 +269,8 @@ def test_criterion_09_gradient_checks():
             )
             loss, grads, a_star = dsup_loss_grads(agent, batch)
             nets = [agent.theta, agent.phi]
-            analytic = grads["theta"] + grads["phi"]
+            analytic = (per_tensor(agent.theta, grads["theta"])
+                        + per_tensor(agent.phi, grads["phi"]))
 
             def loss_fn():
                 return dsup_loss_grads(agent, batch, a_star)[0]
@@ -275,7 +282,7 @@ def test_criterion_09_gradient_checks():
             )
             loss, grads, a_star = dau_loss_grads(agent, batch)
             nets = [agent.vnet, agent.anet]
-            analytic = grads["v"] + grads["a"]
+            analytic = per_tensor(agent.vnet, grads["v"]) + per_tensor(agent.anet, grads["a"])
 
             def loss_fn():
                 return dau_loss_grads(agent, batch, a_star)[0]
@@ -284,7 +291,7 @@ def test_criterion_09_gradient_checks():
         checked_fd = []
         flat_idx = 0
         for net in nets:
-            for p in net.params:
+            for p in per_tensor(net, net.flat):
                 flat = p.ravel()
                 coords = np.arange(flat.size)
                 if flat.size > 8:

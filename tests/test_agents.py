@@ -11,7 +11,6 @@ import pytest
 
 import ctdrl.agents as agents_module
 from ctdrl.agents import (
-    Batch,
     DauAgent,
     DsupAgent,
     ExplorationSchedule,
@@ -74,6 +73,20 @@ def single_transition(t=0.0, x=0.0, a=0, r=0.0, x_next=0.0, done=False):
     return Transition(t, np.array([x]), a, r, np.array([x_next]), done)
 
 
+def as_batch(transitions):
+    """The record batch of ``transitions`` in order, as a replay ring holds them."""
+    buf = ReplayBuffer(len(transitions))
+    for tr in transitions:
+        buf.add(tr)
+    return buf.ring
+
+
+def per_tensor(net, vec):
+    """Views [W0, b0, W1, b1, ...] into a vector laid out like ``net.flat``."""
+    weights, biases = net._split(vec)
+    return [p for wb in zip(weights, biases) for p in wb]
+
+
 def greedy(agent, t, x, shifted=False):
     return int(agent._greedy(agent.observe(t, x), shifted)[0][0])
 
@@ -87,7 +100,7 @@ def dsup_prediction(agent, t, x, a):
 
 
 def td_target(agent, tr):
-    _, obs_next, _, r, done, g = _batch_arrays(agent, [tr])
+    _, obs_next, _, r, done, g = _batch_arrays(agent, as_batch([tr]))
     return _quantile_targets(agent, obs_next, r, done, g)[0]
 
 
@@ -228,24 +241,24 @@ def test_dsup_update_zero_loss_leaves_params_unchanged():
     agent = make_agent(m=3, h=0.5, discount=1.0)
     pin_heads(agent, theta_bias=[1.0, 1.0, 1.0])
     tr = single_transition(a=0, r=0.0, done=False)
-    before = [p.copy() for p in agent.theta.params + agent.phi.params]
-    loss = agent.train_step([tr])
+    before = [agent.theta.flat.copy(), agent.phi.flat.copy()]
+    loss = agent.train_step(as_batch([tr]))
     assert loss == 0.0
-    for p, b in zip(agent.theta.params + agent.phi.params, before):
-        np.testing.assert_array_equal(p, b)
+    np.testing.assert_array_equal(agent.theta.flat, before[0])
+    np.testing.assert_array_equal(agent.phi.flat, before[1])
 
 
 def test_dsup_gradients_match_finite_differences():
     rng = np.random.default_rng(9)
     agent = make_agent(m=5, h=0.25, q=0.5, seed=4)
-    batch = [
+    batch = as_batch([
         single_transition(t=0.0, x=0.2, a=0, r=0.4, x_next=0.3, done=False),
         single_transition(t=0.25, x=-0.5, a=1, r=-0.2, x_next=0.1, done=True),
-    ]
+    ])
     loss, grads, a_star = dsup_loss_grads(agent, batch)
     step = 1e-5
     for net_name, net in (("theta", agent.theta), ("phi", agent.phi)):
-        for gi, p in zip(grads[net_name], net.params):
+        for gi, p in zip(per_tensor(net, grads[net_name]), per_tensor(net, net.flat)):
             flat_g = gi.ravel()
             flat_p = p.ravel()
             check = rng.choice(flat_p.size, size=min(10, flat_p.size), replace=False)
@@ -264,15 +277,16 @@ def test_qrdqn_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     agent = QrdqnAgent(state_dim=1, n_actions=2, h=0.25, m=5, hidden=(6,),
                        discount=0.99, horizon=1.0, seed=4)
-    batch = [
+    batch = as_batch([
         single_transition(t=0.0, x=0.2, a=0, r=0.4, x_next=0.3, done=False),
         single_transition(t=0.25, x=-0.5, a=1, r=-0.2, x_next=0.1, done=True),
         single_transition(t=0.5, x=0.6, a=1, r=0.9, x_next=0.7, done=False),
-    ]
+    ])
     loss, grads, a_star = qrdqn_loss_grads(agent, batch)
     assert list(grads) == ["zeta"] and a_star is None
     step = 1e-5
-    for gi, p in zip(grads["zeta"], agent.zeta.params):
+    zeta = agent.zeta
+    for gi, p in zip(per_tensor(zeta, grads["zeta"]), per_tensor(zeta, zeta.flat)):
         flat_g, flat_p = gi.ravel(), p.ravel()
         check = rng.choice(flat_p.size, size=min(10, flat_p.size), replace=False)
         for idx in check:
@@ -289,7 +303,8 @@ def test_qrdqn_gradients_match_finite_differences():
 def test_dsup_overfits_single_transition():
     agent = make_agent(m=4, h=0.5, lr=3e-3, seed=5)
     tr = single_transition(a=1, r=1.0, x_next=0.4, done=True)
-    losses = [agent.train_step([tr]) for _ in range(400)]
+    batch = as_batch([tr])
+    losses = [agent.train_step(batch) for _ in range(400)]
     tail = losses[50:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert losses[-1] < 0.05 * losses[0]
@@ -311,7 +326,7 @@ def test_dau_fixpoint_has_zero_loss():
     agent.vnet.biases[-1][:] = v_star
     agent.sync_target()
     tr = single_transition(a=0, r=r, done=False)
-    loss, _, _ = dau_loss_grads(agent, [tr])
+    loss, _, _ = dau_loss_grads(agent, as_batch([tr]))
     assert loss == pytest.approx(0.0, abs=1e-24)
 
 
@@ -321,7 +336,7 @@ def test_dau_advantage_is_pinned_at_greedy():
     obs = agent.observe(0.2, [0.5])
     a_star = int(np.argmax(agent.anet.forward(obs), axis=1)[0])
     tr = single_transition(t=0.2, x=0.5, a=a_star, r=0.3, x_next=0.5, done=False)
-    loss, _, _ = dau_loss_grads(agent, [tr])
+    loss, _, _ = dau_loss_grads(agent, as_batch([tr]))
     v = agent.vnet.forward(obs)[0, 0]
     v_next = agent.v_target.forward(agent.observe(0.45, [0.5]))[0, 0]
     tq = 0.25 * 0.3 + v_next
@@ -331,16 +346,16 @@ def test_dau_advantage_is_pinned_at_greedy():
 def test_dau_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     step = 1e-5
-    batch = [
+    batch = as_batch([
         single_transition(t=0.0, x=0.3, a=1, r=0.5, x_next=0.2, done=False),
         single_transition(t=0.25, x=-0.2, a=0, r=0.1, x_next=0.0, done=True),
-    ]
+    ])
 
     agent = DauAgent(state_dim=1, n_actions=2, h=0.25, hidden=(6,), discount=0.99,
                      horizon=1.0, seed=2)
     loss, grads, a_star = dau_loss_grads(agent, batch)
     for name, net in (("v", agent.vnet), ("a", agent.anet)):
-        for gi, p in zip(grads[name], net.params):
+        for gi, p in zip(per_tensor(net, grads[name]), per_tensor(net, net.flat)):
             flat_g, flat_p = gi.ravel(), p.ravel()
             check = rng.choice(flat_p.size, size=min(8, flat_p.size), replace=False)
             for idx in check:
@@ -355,7 +370,8 @@ def test_dau_gradients_match_finite_differences():
 
     shared = make_agent(m=4, advantage_head=True, seed=3, discount=0.99)
     loss, grads, a_star = dau_loss_grads(shared, batch)
-    for gi, p in zip(grads["phi"], shared.phi.params):
+    phi = shared.phi
+    for gi, p in zip(per_tensor(phi, grads["phi"]), per_tensor(phi, phi.flat)):
         flat_g, flat_p = gi.ravel(), p.ravel()
         check = rng.choice(flat_p.size, size=min(8, flat_p.size), replace=False)
         for idx in check:
@@ -372,10 +388,10 @@ def test_dau_gradients_match_finite_differences():
 def test_dau_update_requires_advantage_capable_agent():
     plain = make_agent()
     with pytest.raises(ValueError):
-        dau_loss_grads(plain, [single_transition()])
+        dau_loss_grads(plain, as_batch([single_transition()]))
     qr = QrdqnAgent(state_dim=1, n_actions=2, h=0.25, m=4, hidden=(4,), seed=0)
     with pytest.raises(TypeError):
-        dau_loss_grads(qr, [single_transition()])
+        dau_loss_grads(qr, as_batch([single_transition()]))
 
 
 # --------------------------------------------------------------- shifted
@@ -417,7 +433,7 @@ def test_replay_buffer_ring_overwrite():
     for i in range(5):
         buf.add(single_transition(r=float(i)))
     assert len(buf) == 3
-    stored = sorted(buf.ring.r[: len(buf)])
+    stored = sorted(buf.ring["r"][: len(buf)])
     assert stored == [2.0, 3.0, 4.0]
     rng = np.random.default_rng(0)
     sample = buf.sample(10, rng)
@@ -480,12 +496,8 @@ def random_transitions(rng, n, state_dim=2, horizon=1.0):
 
 
 def assert_same_transitions(batch, transitions):
-    np.testing.assert_array_equal(batch.t, [tr.t for tr in transitions])
-    np.testing.assert_array_equal(batch.x, [tr.x for tr in transitions])
-    np.testing.assert_array_equal(batch.a, [tr.a for tr in transitions])
-    np.testing.assert_array_equal(batch.r, [tr.r for tr in transitions])
-    np.testing.assert_array_equal(batch.x_next, [tr.x_next for tr in transitions])
-    np.testing.assert_array_equal(batch.done, [tr.done for tr in transitions])
+    for name in Transition._fields:
+        np.testing.assert_array_equal(batch[name], [getattr(tr, name) for tr in transitions])
 
 
 def test_replay_buffer_samples_what_the_list_ring_samples():
@@ -500,9 +512,13 @@ def test_replay_buffer_samples_what_the_list_ring_samples():
             seed = 100 + n_added
             got = buf.sample(11, np.random.default_rng(seed))
             want = oracle.sample(11, np.random.default_rng(seed))
-            assert isinstance(got, Batch) and len(got) == 11
+            assert got.shape == (11,) and got.dtype == buf.ring.dtype
+            assert not np.shares_memory(got, buf.ring)
             assert_same_transitions(got, want)
-            assert got.a.dtype == np.int64 and got.done.dtype == np.bool_
+            assert got["a"].dtype == np.int64 and got["done"].dtype == np.bool_
+    assert buf.ring.dtype.names == Transition._fields
+    assert [buf.ring.dtype[name] for name in ("t", "r")] == [np.float64] * 2
+    assert buf.ring.dtype["x"].shape == buf.ring.dtype["x_next"].shape == (2,)
 
 
 def test_replay_buffer_copies_on_insert():
@@ -510,8 +526,8 @@ def test_replay_buffer_copies_on_insert():
     buf = ReplayBuffer(4)
     buf.add(Transition(0.0, x, 0, 0.0, x, False))
     x[:] = -1.0
-    np.testing.assert_array_equal(buf.ring.x[0], [1.0, 2.0])
-    np.testing.assert_array_equal(buf.ring.x_next[0], [1.0, 2.0])
+    np.testing.assert_array_equal(buf.ring["x"][0], [1.0, 2.0])
+    np.testing.assert_array_equal(buf.ring["x_next"][0], [1.0, 2.0])
 
 
 def test_batch_arrays_match_per_transition_oracle_bitwise():
@@ -533,11 +549,11 @@ def test_batch_arrays_match_per_transition_oracle_bitwise():
             sample = buf.sample(32, np.random.default_rng(seed))
             listed = oracle.sample(32, np.random.default_rng(seed))
             want = batch_arrays_oracle(agent, listed)
-            for got in (_batch_arrays(agent, sample), _batch_arrays(agent, listed)):
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape
-                    assert np.array_equal(g, w)
+            got = _batch_arrays(agent, sample)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w)
 
 
 def test_store_subsampled_rules():
@@ -564,6 +580,17 @@ def test_every_agent_kind_rejects_nonpositive_h(h):
             cls(state_dim=1, n_actions=2, h=h, hidden=(4,))
 
 
+def test_dsup_rejects_a_q_whose_power_overflows():
+    common = dict(state_dim=1, n_actions=2, h=0.2, m=3, hidden=(4,))
+    with pytest.raises(ValueError, match=r"q=-700\.0 overflows h\*\*q"):
+        DsupAgent(q=-700.0, **common)
+    with pytest.raises(ValueError, match=r"q=700\.0 overflows h\*\*q"):
+        DsupAgent(q=700.0, advantage_head=True, **common)
+    # without the advantage head only h**q is taken, and it underflows to 0
+    agent = DsupAgent(q=700.0, **common)
+    assert agent._scale == 0.0 and agent._shift is None
+
+
 def test_sync_target_copies_into_the_target_views():
     agents = [
         (make_agent(m=3, seed=15), "theta", "theta_target"),
@@ -579,9 +606,9 @@ def test_sync_target_copies_into_the_target_views():
         target = getattr(agent, target_name)
         np.testing.assert_array_equal(target.flat, online.flat)
         assert not np.shares_memory(target.flat, online.flat)
-        for p in target.params:
+        for p in target.weights + target.biases:
             assert np.shares_memory(p, target.flat)
-        for p in online.params:
+        for p in online.weights + online.biases:
             assert np.shares_memory(p, online.flat)
 
 
@@ -655,28 +682,25 @@ def test_rescale_consistency_of_prediction_family():
 
 
 def test_updates_are_bitwise_reproducible():
-    batch = [
+    batch = as_batch([
         single_transition(t=0.0, x=0.1, a=0, r=0.2, x_next=0.15, done=False),
         single_transition(t=0.25, x=0.4, a=1, r=-0.1, x_next=0.0, done=True),
-    ]
+    ])
     agents_pair = [make_agent(m=5, seed=11, advantage_head=True) for _ in range(2)]
     for agent in agents_pair:
         for _ in range(3):
             agent.train_step(batch)
-    for pa, pb in zip(agents_pair[0].phi.params, agents_pair[1].phi.params):
-        np.testing.assert_array_equal(pa, pb)
-    for pa, pb in zip(agents_pair[0].theta.params, agents_pair[1].theta.params):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(agents_pair[0].phi.flat, agents_pair[1].phi.flat)
+    np.testing.assert_array_equal(agents_pair[0].theta.flat, agents_pair[1].theta.flat)
 
 
 def test_no_gradient_reaches_target_network():
     agent = make_agent(m=5, seed=12)
-    batch = [single_transition(a=1, r=0.3, x_next=0.2, done=False)]
-    before = [p.copy() for p in agent.theta_target.params]
+    batch = as_batch([single_transition(a=1, r=0.3, x_next=0.2, done=False)])
+    before = agent.theta_target.flat.copy()
     for _ in range(5):
         agent.train_step(batch)
-    for p, b in zip(agent.theta_target.params, before):
-        np.testing.assert_array_equal(p, b)
+    np.testing.assert_array_equal(agent.theta_target.flat, before)
 
 
 # ------------------------------------------------------------------ train
@@ -784,8 +808,7 @@ def test_train_is_seed_reproducible():
     log_a, agent_a = run()
     log_b, agent_b = run()
     assert log_a == log_b
-    for pa, pb in zip(agent_a.theta.params, agent_b.theta.params):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(agent_a.theta.flat, agent_b.theta.flat)
 
 
 def test_train_aborts_on_divergence_with_partial_log():
@@ -1040,9 +1063,9 @@ def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, u
     buffer = calls[0][0]
     assert taken == oracle_taken
     assert len(buffer) == len(oracle_buffer)
-    for name in ("t", "x", "a", "r", "x_next", "done"):
-        assert np.array_equal(getattr(buffer.ring, name)[: len(buffer)],
-                              getattr(oracle_buffer.ring, name)[: len(buffer)])
+    for name in Transition._fields:
+        assert np.array_equal(buffer.ring[name][: len(buffer)],
+                              oracle_buffer.ring[name][: len(buffer)])
     for name, value in agent.named_params().items():
         assert np.array_equal(value, oracle_agent.named_params()[name]), name
 

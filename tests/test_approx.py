@@ -20,14 +20,20 @@ def quantile_huber(pred, target, kappa):
     return loss, grad[0]
 
 
+def per_tensor(net, vec):
+    """Views [W0, b0, W1, b1, ...] into a vector laid out like ``net.flat``."""
+    weights, biases = net._split(vec)
+    return [p for wb in zip(weights, biases) for p in wb]
+
+
 def test_zero_network_outputs_zero():
     net = Mlp.zeros([3, 5, 2])
-    np.testing.assert_array_equal(net.forward(np.array([1.0, -2.0, 0.5])), [0.0, 0.0])
+    np.testing.assert_array_equal(net.forward(np.array([[1.0, -2.0, 0.5]])), [[0.0, 0.0]])
 
 
 def test_identity_single_layer_passthrough():
     net = Mlp([np.eye(4)], [np.zeros(4)])
-    x = np.array([0.3, -1.0, 2.0, 7.5])
+    x = np.array([[0.3, -1.0, 2.0, 7.5]])
     np.testing.assert_array_equal(net.forward(x), x)
 
 
@@ -37,7 +43,7 @@ def test_hand_computed_forward_2_2_1():
         [np.array([0.1, -0.2]), np.array([0.25])],
     )
     # z1 = [2.1, 2.8] (both positive), out = 2.1*1.5 - 2.8 + 0.25 = 0.6
-    assert net.forward(np.array([1.0, 2.0]))[0] == pytest.approx(0.6)
+    assert net.forward(np.array([[1.0, 2.0]]))[0, 0] == pytest.approx(0.6)
 
 
 def test_relu_masks_negative_preactivations():
@@ -45,19 +51,20 @@ def test_relu_masks_negative_preactivations():
         [np.array([[1.0]]), np.array([[1.0]])],
         [np.array([-2.0]), np.array([0.0])],
     )
-    assert net.forward(np.array([1.0]))[0] == 0.0
-    assert net.forward(np.array([3.0]))[0] == pytest.approx(1.0)
+    np.testing.assert_array_equal(net.forward(np.array([[1.0], [3.0]])), [[0.0], [1.0]])
 
 
 def test_forward_rejects_dim_mismatch():
     net = Mlp.zeros([3, 2])
-    with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+    for x in (np.zeros((1, 4)), np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match="network expects"):
+            net.forward(x)
+    assert net.forward(np.zeros((0, 3))).shape == (0, 2)
 
 
 def test_parameter_count():
     net = Mlp.zeros([3, 8, 5])
-    assert net.parameter_count() == (3 + 1) * 8 + (8 + 1) * 5
+    assert net.flat.shape == ((3 + 1) * 8 + (8 + 1) * 5,)
 
 
 def test_forward_is_deterministic_bitwise():
@@ -69,8 +76,7 @@ def test_forward_is_deterministic_bitwise():
 def test_seeded_init_is_reproducible_and_bounded():
     a = Mlp.from_sizes([5, 7, 2], np.random.default_rng(42))
     b = Mlp.from_sizes([5, 7, 2], np.random.default_rng(42))
-    for wa, wb in zip(a.params, b.params):
-        np.testing.assert_array_equal(wa, wb)
+    np.testing.assert_array_equal(a.flat, b.flat)
     limit0 = np.sqrt(6.0 / (5 + 7))
     assert np.max(np.abs(a.weights[0])) <= limit0
     assert np.all(a.biases[0] == 0.0)
@@ -85,22 +91,20 @@ def test_backward_matches_finite_differences():
     def scalar_loss():
         return float(np.sum(net.forward(x) * probe))
 
-    out, cache = net.forward_cached(x)
-    grads = net.backward(cache, probe)
+    out, acts = net.forward_cached(x)
+    grad = net.backward(acts, probe)
+    assert grad.shape == net.flat.shape
     eps = 1e-6
-    params = net.params
-    for gi, p in zip(grads, params):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = p[idx]
-            p[idx] = old + eps
-            up = scalar_loss()
-            p[idx] = old - eps
-            down = scalar_loss()
-            p[idx] = old
-            fd = (up - down) / (2 * eps)
-            assert gi[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    p = net.flat
+    for idx in range(p.size):
+        old = p[idx]
+        p[idx] = old + eps
+        up = scalar_loss()
+        p[idx] = old - eps
+        down = scalar_loss()
+        p[idx] = old
+        fd = (up - down) / (2 * eps)
+        assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 # ------------------------------------------------------------ quantile huber
@@ -227,8 +231,8 @@ def test_adam_step_matches_expression_oracle_bitwise(flat):
     rng = np.random.default_rng(41)
     net = Mlp.from_sizes([3, 7, 4], rng)
     ref = net.copy()
-    params = [net.flat] if flat else net.params
-    ref_params = [ref.flat] if flat else ref.params
+    params = [net.flat] if flat else per_tensor(net, net.flat)
+    ref_params = [ref.flat] if flat else per_tensor(ref, ref.flat)
     state = AdamState(params, lr=3e-3)
     ref_state = AdamState(ref_params, lr=3e-3)
     scales = [1.0, 0.0, 1e-3, 1e160, 1.0, 0.0, 1e6]  # zero and overflowing g*g
@@ -249,14 +253,15 @@ def test_flat_adam_equals_per_tensor_adam_bitwise():
     flat_net = Mlp.from_sizes([2, 5, 3], rng)
     split_net = flat_net.copy()
     flat_state = AdamState([flat_net.flat], lr=1e-2)
-    split_state = AdamState(split_net.params, lr=1e-2)
+    split_params = per_tensor(split_net, split_net.flat)
+    split_state = AdamState(split_params, lr=1e-2)
     x = rng.standard_normal((6, 2))
     for _ in range(5):
         probe = rng.standard_normal((6, 3))
-        grads = flat_net.backward(flat_net.forward_cached(x)[1], probe)
-        adam_step(flat_state, [flat_net.flat], [grads.flat])
-        grads = split_net.backward(split_net.forward_cached(x)[1], probe)
-        adam_step(split_state, split_net.params, list(grads))
+        grad = flat_net.backward(flat_net.forward_cached(x)[1], probe)
+        adam_step(flat_state, [flat_net.flat], [grad])
+        grad = split_net.backward(split_net.forward_cached(x)[1], probe)
+        adam_step(split_state, split_params, per_tensor(split_net, grad))
     assert np.array_equal(flat_net.flat, split_net.flat)
 
 
@@ -264,11 +269,11 @@ def test_flat_adam_equals_per_tensor_adam_bitwise():
 
 
 def assert_views_of_flat(net):
-    views = net.params
+    views = per_tensor(net, net.flat)
     assert len(views) == 2 * len(net.weights)
-    for view in views:
+    for view, w_or_b in zip(views, [p for wb in zip(net.weights, net.biases) for p in wb]):
         assert np.shares_memory(view, net.flat)
-    assert sum(v.size for v in views) == net.flat.size
+        assert np.shares_memory(w_or_b, view)
     np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), net.flat)
 
 
@@ -282,29 +287,32 @@ def test_parameters_stay_views_of_flat():
     assert not np.shares_memory(clone.flat, net.flat)
     np.testing.assert_array_equal(clone.flat, net.flat)
 
-    new = [rng.standard_normal(p.shape) for p in net.params]
-    net.set_params(new)
+    weights = [rng.standard_normal(w.shape) for w in net.weights]
+    biases = [rng.standard_normal(b.shape) for b in net.biases]
+    net = Mlp(weights, biases)
     assert_views_of_flat(net)
-    for got, want in zip(net.params, new):
+    for got, want in zip(net.weights + net.biases, weights + biases):
         np.testing.assert_array_equal(got, want)
+        assert not np.shares_memory(got, want)
 
-    grads = net.backward(net.forward_cached(rng.standard_normal((4, 3)))[1],
-                         rng.standard_normal((4, 2)))
+    grad = net.backward(net.forward_cached(rng.standard_normal((4, 3)))[1],
+                        rng.standard_normal((4, 2)))
     state = AdamState([net.flat], lr=1e-2)
-    adam_step(state, [net.flat], [grads.flat])
+    adam_step(state, [net.flat], [grad])
     assert_views_of_flat(net)
-    assert not np.array_equal(net.params[0], new[0])
+    assert not np.array_equal(net.weights[0], weights[0])
 
 
-def test_set_params_rejects_wrong_shapes():
-    net = Mlp.zeros([2, 3, 1])
-    params = [p + 1.0 for p in net.params]
+def test_init_rejects_wrong_shapes():
+    weights, biases = [np.zeros((2, 3)), np.zeros((3, 1))], [np.zeros(3), np.zeros(1)]
     with pytest.raises(ValueError):
-        net.set_params(params[:-1])
-    params[2] = np.zeros((1, 3))
+        Mlp(weights, biases[:-1])
     with pytest.raises(ValueError):
-        net.set_params(params)
-    np.testing.assert_array_equal(net.flat, 0.0)
+        Mlp([], [])
+    with pytest.raises(ValueError):
+        Mlp(weights, [np.zeros(3), np.zeros(3)])
+    with pytest.raises(ValueError):
+        Mlp([np.zeros(3), np.zeros((3, 1))], biases)
 
 
 def test_backward_gradients_are_views_of_a_fresh_flat_vector():
@@ -312,14 +320,14 @@ def test_backward_gradients_are_views_of_a_fresh_flat_vector():
     net = Mlp.from_sizes([3, 5, 2], rng)
     x = rng.standard_normal((4, 3))
     first = net.backward(net.forward_cached(x)[1], np.ones((4, 2)))
-    kept = [g.copy() for g in first]
-    for g, p in zip(first, net.params):
+    kept = first.copy()
+    assert first.shape == net.flat.shape and first.dtype == np.float64
+    for g, p in zip(per_tensor(net, first), per_tensor(net, net.flat)):
         assert g.shape == p.shape
-        assert np.shares_memory(g, first.flat)
+        assert np.shares_memory(g, first)
     second = net.backward(net.forward_cached(2.0 * x)[1], -np.ones((4, 2)))
-    assert not np.shares_memory(first.flat, second.flat)
-    for g, k in zip(first, kept):
-        np.testing.assert_array_equal(g, k)
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
 
 
 # -------------------------------------------------------------- checkpoints

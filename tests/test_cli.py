@@ -165,6 +165,8 @@ BAD_VALUES = [
     ("train", "eps_end", "-0.01"),
     ("train", "eps_fraction", "nan"),
     ("train", "eps_fraction", "inf"),
+    ("train", "eps_fraction", "1e308"),  # inf interactions for epsilon to decay over
+    ("train", "q", "-700"),  # 0.2**-700 overflows
     ("train", "omega_grid", "inf"),
     ("train", "omega_grid", "nan"),
     ("train", "omega_grid", "0.005"),  # h = 200 outlasts the horizon 100
@@ -615,6 +617,75 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err.splitlines() == [
         "divergence in cell seed0_omega5: overflow encountered in matmul"]
+
+
+# DSUP rescales by h**q, and its advantage head shifts by 1 - h**(1 - q); a q
+# whose power overflows a float at some omega is a config error, not a crash.
+@pytest.mark.parametrize("agent, q, bad_omegas", [
+    ("dsup", "-700", [5.0, 200.0]),
+    ("dsup", "-200", [200.0]),
+    ("dau+dsup", "700", [5.0, 200.0]),
+    ("dau+dsup", "-700", [5.0, 200.0]),
+])
+def test_train_q_whose_power_overflows_exits_2(tmp_path, capsys, agent, q, bad_omegas):
+    out = tmp_path / "x"
+    code = run(["train", "--out", str(out), "--set", f"agent={agent}",
+                "--set", f"q={q}", "--set", "omega_grid=5,200"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: q={float(q)!r} overflows h**q or h**(1 - q) at h={1.0 / omega!r} "
+        f"(omega={omega})" for omega in bad_omegas]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("agent, q", [("dsup", "700"), ("dau+dsup", "100"),
+                                      ("qrdqn", "-700"), ("dau", "700")])
+def test_train_q_is_checked_only_where_its_power_is_taken(agent, q):
+    cfg, errors = resolve_config(TRAIN_FIELDS, None, [f"agent={agent}", f"q={q}",
+                                                      "omega_grid=5,200"])
+    assert not errors and check_train(cfg) == []
+
+
+# Epsilon decays over eps_fraction * updates * floor(omega) interactions; the
+# cell with the largest omega must keep that count finite.
+@pytest.mark.parametrize("eps_fraction, omega_grid, ok", [
+    ("1e308", "5", False),
+    ("1e303", "5", True),
+    ("1e303", "5,200", False),
+])
+def test_train_eps_fraction_decay_must_be_finite(eps_fraction, omega_grid, ok):
+    cfg, errors = resolve_config(TRAIN_FIELDS, None, [f"eps_fraction={eps_fraction}",
+                                                      f"omega_grid={omega_grid}"])
+    assert not errors
+    assert check_train(cfg) == ([] if ok else [
+        "eps_fraction * updates * floor(omega) must be finite, "
+        f"got eps_fraction={float(eps_fraction)!r}"])
+
+
+# Extreme values that pass every key's domain must end in a result (0), a
+# config error (2) or a divergence (3), never in an uncaught exception.
+@pytest.mark.parametrize("sets", [
+    ["agent=dsup", "q=1e308"],
+    ["agent=dsup", "q=-1e308"],
+    ["agent=dau+dsup", "q=1e308"],
+    ["agent=dau+dsup", "q=-1e308"],
+    ["eps_fraction=1e308"],
+    ["lr=1e308"],
+    ["kappa=5e-324"],
+    ["start_price=1e308"],
+    ["train_mu=1e308"],
+    ["train_mu=-1e308"],
+    ["eval_mu=1e308"],
+    ["eval_mu=-1e308"],
+    ["train_sigma=1.3e154"],
+], ids=" ".join)
+def test_train_extreme_values_exit_0_2_or_3(tmp_path, capsys, sets):
+    out = tmp_path / "x"
+    code = run(["train", "--out", str(out), *TINY_TRAIN,
+                *[arg for item in sets for arg in ("--set", item)]])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.exists() == (code != 2)
 
 
 # A drift this negative underflows the GBM price to 0: in the eval env only
