@@ -14,7 +14,6 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .ctmdp import TIME_TOL, SimulationError, _is_integer, substream
 from .dist import DistortionMeasure, EmpiricalDist, risk_measure, to_quantile_rep
 
 __all__ = [
-    "Transition",
     "ReplayBuffer",
     "ExplorationSchedule",
     "TrainingDiverged",
@@ -45,48 +43,53 @@ __all__ = [
 ]
 
 
-class Transition(NamedTuple):
-    t: float
-    x: np.ndarray
-    a: int
-    r: float
-    x_next: np.ndarray
-    done: bool
+@functools.cache
+def _record_dtype(width: int) -> np.dtype:
+    """The replay record of a transition between states of ``width``
+    coordinates."""
+    state = (np.float64, (width,))
+    return np.dtype([("t", np.float64), ("x", *state), ("a", np.int64), ("r", np.float64),
+                     ("x_next", *state), ("done", np.bool_)], align=True)
 
 
-# Replay record field dtypes, in Transition field order.
-_FIELD_DTYPES = (np.float64, np.float64, np.int64, np.float64, np.float64, np.bool_)
-
-
-def _record_dtype(tr: Transition) -> np.dtype:
-    """The replay record of transitions shaped like ``tr``: one field per
-    Transition field, the states keeping ``tr``'s state shape."""
-    return np.dtype([(name, dtype, np.shape(value)) for name, dtype, value
-                     in zip(Transition._fields, _FIELD_DTYPES, tr)], align=True)
+def _records(t, x, a, r, x_next, done) -> np.ndarray:
+    """One replay record per row of a window's arrays: the time, state,
+    action, reward, next state and done flag of each interaction. A scalar
+    field, or a single state, is every row's."""
+    x_next = np.asarray(x_next)
+    rows = np.empty(np.broadcast(t, a, r, done).size, _record_dtype(x_next.shape[-1]))
+    rows["t"] = t
+    rows["x"] = x
+    rows["a"] = a
+    rows["r"] = r
+    rows["x_next"] = x_next
+    rows["done"] = done
+    return rows
 
 
 class ReplayBuffer:
     """Fixed-capacity ring with uniform with-replacement sampling.
 
-    ``ring`` is one preallocated record array with Transition's fields,
-    allocated on the first add with that transition's state shape.
-    Transition k goes to slot k % capacity, and the first ``len(buffer)``
-    slots are filled. A sampled batch is a record array of the same kind.
+    ``ring`` is one preallocated record array of ``_records`` rows, with the
+    dtype of the first row added. Record k goes to slot k % capacity, and
+    the first ``len(buffer)`` slots are filled. A sampled batch is a record
+    array of the same kind.
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if not (_is_integer(capacity) and capacity >= 1):
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.capacity = capacity
         self.ring = None
         self._len = 0
         self._pos = 0
 
-    def add(self, tr: Transition):
+    def add(self, row):
+        """Copy one record row into the ring."""
         if self.ring is None:
-            self.ring = np.empty(self.capacity, dtype=_record_dtype(tr))
+            self.ring = np.empty(self.capacity, dtype=row.dtype)
         pos = self._pos
-        self.ring[pos] = tr
+        self.ring[pos] = row
         pos += 1
         self._pos = 0 if pos == self.capacity else pos
         if self._len < self.capacity:
@@ -495,13 +498,15 @@ def dau_loss_grads(agent, batch, a_star=None):
     return loss, {"v": v_grads, "a": a_grads}, a_star
 
 
-def store_subsampled(buffer: ReplayBuffer, tr: Transition, h: float, rng) -> bool:
-    """Bernoulli(h) acceptance; terminal transitions are always kept."""
+def store_subsampled(buffer: ReplayBuffer, row, h: float, rng) -> bool:
+    """Bernoulli(h) acceptance of one ``_records`` row; returns whether it
+    was added. A terminal row is always kept and draws nothing from ``rng``;
+    a non-terminal row draws one double."""
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    keep = tr.done or rng.random() < min(1.0, h)
+    keep = bool(row["done"]) or rng.random() < min(1.0, h)
     if keep:
-        buffer.add(tr)
+        buffer.add(row)
     return keep
 
 
@@ -515,8 +520,9 @@ def _train_config_errors(cfg) -> list:
     train() cannot run with: a count that is not an integer at or above its
     least value (``u % -1`` or ``u % 0.5`` would sync the target every
     update, and an empty batch fails the first update), a batch larger than
-    the replay ring (no update is ever taken), and evaluation of no episodes
-    (it fails inside dist on no samples)."""
+    the replay ring (no update is ever taken), evaluation of no episodes
+    (it fails inside dist on no samples), and a CVaR level outside (0, 1]
+    (the first evaluation fails on it)."""
     errors, valid = [], {}
     for name, least in _TRAIN_COUNTS:
         value = cfg[name]
@@ -532,6 +538,9 @@ def _train_config_errors(cfg) -> list:
             _is_integer(episodes) and episodes >= 1):
         errors.append(f"eval_episodes must be an integer >= 1 when eval_every > 0, "
                       f"got {episodes!r}")
+    # Written so that NaN fails it.
+    if not 0 < cfg["eval_cvar_alpha"] <= 1:
+        errors.append(f"eval_cvar_alpha must be in (0, 1], got {cfg['eval_cvar_alpha']!r}")
     return errors
 
 
@@ -612,14 +621,14 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
     """Run one window of interactions with frozen networks; returns the
     (t, x) the next window goes on from, or None to start at reset.
 
-    Every interaction stores its transition through ``store_subsampled`` on
-    ``rng``, in order. A run of episodes that stop at the reset state costs
-    no forward beyond one greedy action there per window; an episode that
-    holds walks its hold path in chunks that double in size, one batched
-    epsilon-greedy over each, and ends at its first stop or at the horizon.
-    Which actions stop, and their next states and rewards, are the env's
-    ``path_outcomes``, which acts row by row; so every stop at reset with
-    the same action and reward stores one shared transition.
+    Every interaction becomes one ``_records`` row, stored through
+    ``store_subsampled`` on ``rng``, in order. A run of episodes that stop
+    at the reset state costs no forward beyond one greedy action there per
+    window, and its rows come from one record array per window; an episode
+    that holds walks its hold path in chunks that double in size, one
+    batched epsilon-greedy and one record array over each, and ends at its
+    first stop or at the horizon. Which actions stop, and their next states
+    and rewards, are the env's ``path_outcomes``, which acts row by row.
     """
     h = agent.h
     n = noise.size
@@ -636,21 +645,12 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
                 reset_next, reset_rewards, reset_stop = env.path_outcomes(
                     np.broadcast_to(x0, (n + 1, x0.size)), reset_actions)
                 holds_at_reset = np.flatnonzero(~reset_stop)
-                # Stops at reset with the same action and reward bits store
-                # one shared transition, built from the first such row.
-                reset_rewards = np.asarray(reset_rewards, dtype=np.float64)
-                reset_keys = list(zip(reset_actions.tolist(),
-                                      reset_rewards.view(np.int64).tolist()))
-                reset_transitions = {}
+                reset_rows = _records(0.0, x0, reset_actions, reset_rewards,
+                                      reset_next, reset_stop)
             k = np.searchsorted(holds_at_reset, i)
             j = int(holds_at_reset[k]) if k < holds_at_reset.size else n
-            for row in range(i, j):
-                key = reset_keys[row]
-                tr = reset_transitions.get(key)
-                if tr is None:
-                    tr = reset_transitions[key] = Transition(
-                        0.0, x0, key[0], float(reset_rewards[row]), reset_next[row], True)
-                store_subsampled(buffer, tr, h, rng)
+            for row in reset_rows[i:j]:
+                store_subsampled(buffer, row, h, rng)
             if j == n:
                 return None
             i, start, known = j, (0.0, x0), 1
@@ -672,11 +672,8 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
             X_next, rewards, stop = env.path_outcomes(X, actions)
             done = stop | ends
             last = int(np.argmax(done)) if done.any() else e - i - 1
-            for k, (tk, a, r, d) in enumerate(zip(times[:last + 1].tolist(),
-                                                  actions.tolist(), rewards.tolist(),
-                                                  done.tolist())):
-                tr = Transition(tk, X[k], a, r, X_next[k], d)
-                store_subsampled(buffer, tr, h, rng)
+            for row in _records(times, X[:-1], actions, rewards, X_next, done)[:last + 1]:
+                store_subsampled(buffer, row, h, rng)
             i += last + 1
             if done[last]:
                 start = None

@@ -9,10 +9,11 @@ artifacts. Exit codes: 0 success, 2 validation error, 3 numerical divergence.
 Every key is checked against its domain as the config is read: its parser
 in the field table rejects values outside it, and NaN and inf are rejected
 wherever a finite value is needed. Rules that join keys live in one
-check_<command> each: t + h must not exceed the horizon (gap-rates,
-superiority-demo); batch_size must not exceed buffer_capacity, and
-eval_episodes must be >= 1 when eval_every > 0 (train). They run once every
-key is valid. A rejected config exits 2, lists its errors and writes
+check_<command> each: t + h must not exceed the horizon, the window step
+h / substeps must not underflow to 0, and neither the window nor the tail
+may take a non-finite number of steps (gap-rates, superiority-demo);
+batch_size must not exceed buffer_capacity, and eval_episodes must be >= 1
+when eval_every > 0 (train). They run once every key is valid. A rejected config exits 2, lists its errors and writes
 nothing; a key the command does not have is an error too, so a config that
 still sets the removed dt_floor exits 2.
 
@@ -295,21 +296,27 @@ def _sim_config(cfg, seed) -> SimConfig:
     return SimConfig(substeps=cfg["substeps"], tail_dt=cfg["tail_dt"], seed=seed)
 
 
-def _window_errors(cfg, hs):
+def _window_errors(cfg, key, hs):
     """Errors in the rule that joins a gap env's keys: every window
-    [t, t + h) must end by the horizon."""
+    [t, t + h) must end by the horizon, and the EM grid of each h (``key``
+    names the key that sets them) must be one that a rollout can step."""
+    errors = []
     if cfg["t"] + max(hs) > cfg["horizon"] + TIME_TOL:
-        return [f"t + h must not exceed the horizon {cfg['horizon']}, "
-                f"got t={cfg['t']} and h={max(hs)}"]
-    return []
+        errors.append(f"t + h must not exceed the horizon {cfg['horizon']}, "
+                      f"got t={cfg['t']} and h={max(hs)}")
+    sim = _sim_config(cfg, 0)
+    for h in hs:
+        errors += [f"{key}: {e}"
+                   for e in estimate._grid_errors(cfg["t"], h, cfg["horizon"], sim)]
+    return errors
 
 
 def check_gap_rates(cfg):
-    return _window_errors(cfg, cfg["h_grid"])
+    return _window_errors(cfg, "h_grid", cfg["h_grid"])
 
 
 def check_superiority_demo(cfg):
-    return _window_errors(cfg, [1.0 / w for w in cfg["omega_grid"]])
+    return _window_errors(cfg, "omega_grid", [1.0 / w for w in cfg["omega_grid"]])
 
 
 def _decay_interactions(cfg, h) -> float:

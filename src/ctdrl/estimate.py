@@ -60,6 +60,25 @@ class RateFit:
     r_squared: float
 
 
+def _grid_errors(t, h, horizon, cfg: SimConfig) -> list:
+    """One message per EM step of the window [t, t + h) and of the tail to
+    the horizon that a rollout cannot take: a window step h / substeps that
+    underflows to 0, or a phase whose step count (end - start) / step is not
+    finite (a rollout counts its steps out into a list)."""
+    try:
+        dt = h / cfg.substeps
+    except OverflowError:  # an integer substeps past the float range
+        dt = 0.0
+    if dt == 0.0:
+        return [f"the window step h / substeps underflows to 0, got h={h!r} and "
+                f"substeps={cfg.substeps}"]
+    tail = (cfg.tail_dt, "tail_dt") if cfg.tail_dt is not None else (dt, "h / substeps")
+    phases = (("window", t, t + h, dt, "h / substeps"), ("tail", t + h, horizon, *tail))
+    return [f"the {phase} [{start!r}, {end!r}] takes a non-finite number of steps of "
+            f"{name}={step!r}" for phase, start, end, step, name in phases
+            if not math.isfinite((end - start) / step)]
+
+
 def mc_action_return_dist(
     mdp: ContinuousMdp, action: int, t, x, a: int, h: float, n_paths: int,
     cfg: SimConfig,
@@ -72,7 +91,9 @@ def mc_action_return_dist(
     Raises ValueError naming the argument when ``action`` or ``a`` is not an
     integer index of the mdp, n_paths is not an integer >= 2, t is not finite
     and before the horizon, or h is not positive and finite with the window
-    [t, t + h) ending by the horizon.
+    [t, t + h) ending by the horizon; and naming the step, before any draw,
+    when the window step h / substeps underflows to 0 or the window or the
+    tail takes a non-finite number of steps.
     """
     for name, index in (("action", action), ("a", a)):
         if not (_is_integer(index) and 0 <= index < mdp.n_actions):
@@ -88,6 +109,9 @@ def mc_action_return_dist(
         raise ValueError(f"persistence horizon h must be positive and finite, got {h}")
     if t + h > mdp.horizon + TIME_TOL:
         raise ValueError(f"t + h = {t + h} exceeds the horizon {mdp.horizon}")
+    errors = _grid_errors(t, h, mdp.horizon, cfg)
+    if errors:
+        raise ValueError("; ".join(errors))
     rng = substream(cfg.seed, _TAG_ACTION, a)
     gains = _rollout_returns(mdp, action, t, x, n_paths, rng, h / cfg.substeps, t + h, a,
                              tail_dt=cfg.tail_dt)

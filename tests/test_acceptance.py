@@ -15,12 +15,12 @@ from ctdrl.agents import (
     ExplorationSchedule,
     ReplayBuffer,
     TrainConfig,
-    Transition,
     dau_loss_grads,
     dsup_loss_grads,
     evaluate,
     evaluate_policy,
     train,
+    _records,
 )
 from ctdrl.cli import main as cli_main
 from ctdrl.ctmdp import SimConfig, substream
@@ -244,14 +244,14 @@ def test_criterion_09_gradient_checks():
     def random_batch():
         buf = ReplayBuffer(2)
         for _ in range(2):
-            buf.add(Transition(
+            buf.add(_records(
                 float(rng.uniform(0, 0.75)),
                 rng.normal(size=1),
                 int(rng.integers(2)),
                 float(rng.normal()),
                 rng.normal(size=1),
                 bool(rng.integers(2)),
-            ))
+            )[0])
         return buf.ring
 
     def per_tensor(net, vec):

@@ -18,7 +18,6 @@ from ctdrl.agents import (
     ReplayBuffer,
     TrainConfig,
     TrainingDiverged,
-    Transition,
     dau_loss_grads,
     dsup_loss_grads,
     evaluate_policy,
@@ -28,6 +27,7 @@ from ctdrl.agents import (
     train,
     _batch_arrays,
     _quantile_targets,
+    _records,
     _risk_utilities,
 )
 from ctdrl.ctmdp import SimulationError, substream
@@ -69,8 +69,13 @@ def pin_heads(agent, theta_bias=None, phi_heads=None, adv=None):
     return agent
 
 
+# The fields of a replay record, in order.
+FIELDS = ("t", "x", "a", "r", "x_next", "done")
+
+
 def single_transition(t=0.0, x=0.0, a=0, r=0.0, x_next=0.0, done=False):
-    return Transition(t, np.array([x]), a, r, np.array([x_next]), done)
+    """The replay record row of one transition between one-coordinate states."""
+    return _records(t, np.array([x]), a, r, np.array([x_next]), done)[0]
 
 
 def as_batch(transitions):
@@ -438,13 +443,25 @@ def test_replay_buffer_ring_overwrite():
     rng = np.random.default_rng(0)
     sample = buf.sample(10, rng)
     assert len(sample) == 10
-    with pytest.raises(ValueError):
-        ReplayBuffer(0)
+
+
+# A capacity that is not an integer used to construct, and the first add
+# then failed inside numpy.
+@pytest.mark.parametrize("capacity", [0, -3, 2.5, 2.0, math.nan, math.inf, True, "4"])
+def test_replay_buffer_rejects_a_capacity_that_is_not_a_positive_integer(capacity):
+    with pytest.raises(ValueError, match=r"^capacity must be an integer >= 1, got "):
+        ReplayBuffer(capacity)
+
+
+def test_replay_buffer_takes_a_numpy_integer_capacity():
+    buf = ReplayBuffer(np.int64(2))
+    buf.add(single_transition())
+    assert len(buf) == 1
 
 
 class ListRing:
-    """Ring of Transition objects in a list: the slot order ReplayBuffer
-    keeps, so the same rng draws pick the same transitions."""
+    """Ring of record rows in a list: the slot order ReplayBuffer keeps,
+    so the same rng draws pick the same transitions."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -471,33 +488,33 @@ def batch_arrays_oracle(agent, batch):
         tau = min(max(t / agent.horizon, 0.0), 1.0)
         return np.concatenate([np.full((X.shape[0], 1), tau), X], axis=1)
 
-    obs = np.concatenate([observe(tr.t, tr.x) for tr in batch])
-    obs_next = np.concatenate([observe(tr.t + agent.h, tr.x_next) for tr in batch])
-    a_idx = np.array([tr.a for tr in batch])
-    r = np.array([tr.r for tr in batch])
-    done = np.array([float(tr.done) for tr in batch])
-    g = np.concatenate([agent._terminal(tr.x_next) for tr in batch])
+    obs = np.concatenate([observe(tr["t"], tr["x"]) for tr in batch])
+    obs_next = np.concatenate([observe(tr["t"] + agent.h, tr["x_next"]) for tr in batch])
+    a_idx = np.array([tr["a"] for tr in batch])
+    r = np.array([tr["r"] for tr in batch])
+    done = np.array([float(tr["done"]) for tr in batch])
+    g = np.concatenate([agent._terminal(tr["x_next"]) for tr in batch])
     return obs, obs_next, a_idx, r, done, g
 
 
 def random_transitions(rng, n, state_dim=2, horizon=1.0):
     # times run past the horizon so the clamp of the time input is exercised
     return [
-        Transition(
+        _records(
             float(rng.uniform(0.0, 1.3 * horizon)),
             rng.normal(size=state_dim) + 1.0,
             int(rng.integers(3)),
             float(rng.normal()),
             rng.normal(size=state_dim) + 1.0,
             bool(rng.random() < 0.3),
-        )
+        )[0]
         for _ in range(n)
     ]
 
 
 def assert_same_transitions(batch, transitions):
-    for name in Transition._fields:
-        np.testing.assert_array_equal(batch[name], [getattr(tr, name) for tr in transitions])
+    for name in FIELDS:
+        np.testing.assert_array_equal(batch[name], [tr[name] for tr in transitions])
 
 
 def test_replay_buffer_samples_what_the_list_ring_samples():
@@ -516,7 +533,7 @@ def test_replay_buffer_samples_what_the_list_ring_samples():
             assert not np.shares_memory(got, buf.ring)
             assert_same_transitions(got, want)
             assert got["a"].dtype == np.int64 and got["done"].dtype == np.bool_
-    assert buf.ring.dtype.names == Transition._fields
+    assert buf.ring.dtype.names == FIELDS
     assert [buf.ring.dtype[name] for name in ("t", "r")] == [np.float64] * 2
     assert buf.ring.dtype["x"].shape == buf.ring.dtype["x_next"].shape == (2,)
 
@@ -524,8 +541,9 @@ def test_replay_buffer_samples_what_the_list_ring_samples():
 def test_replay_buffer_copies_on_insert():
     x = np.array([1.0, 2.0])
     buf = ReplayBuffer(4)
-    buf.add(Transition(0.0, x, 0, 0.0, x, False))
-    x[:] = -1.0
+    rows = _records(0.0, x, 0, 0.0, x, False)
+    buf.add(rows[0])
+    rows["x"] = rows["x_next"] = -1.0
     np.testing.assert_array_equal(buf.ring["x"][0], [1.0, 2.0])
     np.testing.assert_array_equal(buf.ring["x_next"][0], [1.0, 2.0])
 
@@ -571,6 +589,22 @@ def test_store_subsampled_rules():
     for _ in range(offers):
         kept += store_subsampled(buf, single_transition(done=False), 0.1, rng)
     assert abs(kept / offers - 0.1) < 0.01
+
+
+def test_store_subsampled_draws_one_double_per_non_terminal_row():
+    """The stream rule a batched coin array must reproduce: a terminal row
+    draws nothing and is kept, and a non-terminal row draws exactly one
+    double and is kept when it falls below min(1, h), whatever h is."""
+    rows = _records(np.arange(6) * 0.25, np.ones((6, 1)), [1, 0, 0, 1, 0, 1], np.zeros(6),
+                    np.full((6, 1), 2.0), [True, False, False, True, False, True])
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    buf = ReplayBuffer(64)
+    for h in (1e-9, 0.3, 1.0, 4.0):
+        for row in rows:
+            kept = store_subsampled(buf, row, h, rng)
+            assert kept == (row["done"] or twin.random() < min(1.0, h))
+            assert rng.bit_generator.state == twin.bit_generator.state
+    np.testing.assert_array_equal(buf.ring["done"][:3], [True, True, True])
 
 
 @pytest.mark.parametrize("h", [0.0, -0.25, np.nan, np.inf, -np.inf])
@@ -757,6 +791,11 @@ class BanditEnv:
     pytest.param(dict(eval_every=-2), ["eval_every"], id="negative_eval_every"),
     pytest.param(dict(batch_size=0, target_period=-1, eval_every=5, eval_episodes=0),
                  ["batch_size", "target_period", "eval_episodes"], id="three_at_once"),
+    # the first evaluation would fail on the CVaR level, dropping the log
+    pytest.param(dict(eval_every=2, eval_episodes=2, eval_cvar_alpha=0.0),
+                 ["eval_cvar_alpha"], id="cvar_level_zero"),
+    pytest.param(dict(eval_cvar_alpha=math.nan), ["eval_cvar_alpha"], id="cvar_level_nan"),
+    pytest.param(dict(eval_cvar_alpha=1.5), ["eval_cvar_alpha"], id="cvar_level_over_one"),
 ])
 def test_train_config_rejects_what_train_cannot_run(fields, named):
     with pytest.raises(ValueError) as exc:
@@ -767,7 +806,8 @@ def test_train_config_rejects_what_train_cannot_run(fields, named):
 def test_train_config_takes_the_edges_train_can_run():
     TrainConfig(batch_size=32, buffer_capacity=32, target_period=0)
     TrainConfig(batch_size=1, buffer_capacity=1, eval_every=0, eval_episodes=0)
-    TrainConfig(eval_every=1, eval_episodes=1)
+    TrainConfig(eval_every=1, eval_episodes=1, eval_cvar_alpha=1.0)
+    TrainConfig(eval_cvar_alpha=1e-300)
 
 
 def test_train_zero_updates_empty_log():
@@ -903,7 +943,7 @@ def per_step_train(agent, env, total_updates, cfg):
     as train: a one-row forward per greedy step and a one-row step_batch on
     the noise tape per interaction.
 
-    Returns (transitions, greedy margin per interaction with inf where it
+    Returns (record rows, greedy margin per interaction with inf where it
     explored, greedy action at the reset state per window, replay buffer,
     updates taken).
     """
@@ -928,7 +968,7 @@ def per_step_train(agent, env, total_updates, cfg):
             else:
                 a, margin = greedy_with_margin(agent, t, x)
             X, r, done = env.step_batch(t, x, [a], h, TapeRng(noise[k]))
-            tr = Transition(t, x, a, float(r[0]), X[0], bool(done[0]))
+            tr = _records(t, x, a, r[0], X[0], done[0])[0]
             store_subsampled(buffer, tr, h, subsample_rng)
             transitions.append(tr)
             margins.append(margin)
@@ -944,23 +984,23 @@ def per_step_train(agent, env, total_updates, cfg):
 
 def recorded_train(monkeypatch, agent, env, total_updates, cfg):
     """train with its store_subsampled calls and train steps recorded:
-    ([(buffer, transition, kept)], updates taken, buffer inserts)."""
+    ([(buffer, record row, kept)], updates taken, buffer inserts)."""
     calls, steps, inserts = [], [], []
     store, train_step, add = (agents_module.store_subsampled, type(agent).train_step,
                               ReplayBuffer.add)
 
-    def recording_store(buffer, tr, h, rng):
-        kept = store(buffer, tr, h, rng)
-        calls.append((buffer, tr, kept))
+    def recording_store(buffer, row, h, rng):
+        kept = store(buffer, row, h, rng)
+        calls.append((buffer, row, kept))
         return kept
 
     def counted_step(self, batch):
         steps.append(len(batch))
         return train_step(self, batch)
 
-    def counted_add(self, tr):
-        inserts.append(tr)
-        return add(self, tr)
+    def counted_add(self, row):
+        inserts.append(row)
+        return add(self, row)
 
     with monkeypatch.context() as patched:
         patched.setattr(agents_module, "store_subsampled", recording_store)
@@ -971,8 +1011,7 @@ def recorded_train(monkeypatch, agent, env, total_updates, cfg):
 
 
 def same_transition(a, b):
-    return (a.t == b.t and a.a == b.a and a.r == b.r and a.done == b.done
-            and np.array_equal(a.x, b.x) and np.array_equal(a.x_next, b.x_next))
+    return a.dtype == b.dtype and all(np.array_equal(a[name], b[name]) for name in FIELDS)
 
 
 def oracle_case(kind, h, horizon, seed, tilt=0.1):
@@ -1041,11 +1080,11 @@ def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, u
     # always, plus episodes cut at the horizon, episodes that go on across a
     # window boundary, or a greedy action at reset that training changes.
     coverage = {
-        "horizon cut": any(tr.done and tr.a == 0 for tr in expected),
-        "window crossing": any(expected[k].t > 0 for k in range(n, len(expected), n)),
+        "horizon cut": any(tr["done"] and tr["a"] == 0 for tr in expected),
+        "window crossing": any(expected[k]["t"] > 0 for k in range(n, len(expected), n)),
         "reset flip": len(set(reset_greedy)) > 1,
     }
-    assert any(np.isfinite(m) and tr.a == 0 and tr.t > 0
+    assert any(np.isfinite(m) and tr["a"] == 0 and tr["t"] > 0
                for tr, m in zip(expected, margins))
     assert all(coverage[name] for name in covers), coverage
 
@@ -1055,7 +1094,7 @@ def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, u
     agree = small[0] if small.size else len(expected)
     for k in range(agree):
         assert same_transition(calls[k][1], expected[k]), k
-    flips = sum(calls[k][1].a != expected[k].a for k in small
+    flips = sum(calls[k][1]["a"] != expected[k]["a"] for k in small
                 if k == agree or same_transition(calls[k - 1][1], expected[k - 1]))
     print(f"h={h}: {small.size} greedy margins <= 1e-12, {flips} action flips")
     if small.size:
@@ -1063,7 +1102,7 @@ def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, u
     buffer = calls[0][0]
     assert taken == oracle_taken
     assert len(buffer) == len(oracle_buffer)
-    for name in Transition._fields:
+    for name in FIELDS:
         assert np.array_equal(buffer.ring[name][: len(buffer)],
                               oracle_buffer.ring[name][: len(buffer)])
     for name, value in agent.named_params().items():
@@ -1114,14 +1153,15 @@ def test_windowed_train_follows_the_greedy_rule_at_every_step(monkeypatch, stop_
     cfg = TrainConfig(batch_size=8, target_period=0, eval_every=0, seed=3)
     calls, _, _ = recorded_train(monkeypatch, StepRuleAgent(h, stop_step), env, 6, cfg)
     episode = [0] * stop_step + [1]
-    actions = [tr.a for _, tr, _ in calls]
+    actions = [tr["a"] for _, tr, _ in calls]
     assert actions == (episode * len(actions))[: len(actions)]
     for (_, tr, _), (_, nxt, _) in zip(calls, calls[1:]):
-        if tr.a == 0:
-            assert not tr.done and nxt.t == tr.t + h
-            assert np.array_equal(nxt.x, tr.x_next) and not np.array_equal(tr.x, tr.x_next)
+        if tr["a"] == 0:
+            assert not tr["done"] and nxt["t"] == tr["t"] + h
+            assert (np.array_equal(nxt["x"], tr["x_next"])
+                    and not np.array_equal(tr["x"], tr["x_next"]))
         else:
-            assert tr.done and nxt.t == 0.0 and np.array_equal(tr.x_next, tr.x)
+            assert tr["done"] and nxt["t"] == 0.0 and np.array_equal(tr["x_next"], tr["x"])
 
 
 # train() in a fresh interpreter, so the process-wide heap setting and the

@@ -37,6 +37,10 @@ TINY_TRAIN = [
 ]
 
 
+# A 200 Hz train cell short enough to evaluate at every agent kind.
+TRAIN_200HZ_H2 = ["--set", "omega_grid=200", "--set", "horizon=2"]
+
+
 TINY_SUPERIORITY = [
     "superiority-demo",
     "--set", "omega_grid=4,16",
@@ -219,6 +223,28 @@ def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, val
     assert key in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # a rejected config writes nothing
 
+
+
+# An EM grid that a rollout cannot step exits 2 and writes nothing: a window
+# step h / substeps that underflows to 0 (once a ZeroDivisionError after the
+# config was written), or a window or tail with a non-finite step count (once
+# an OverflowError). No grid of a finite but huge count is run here: the
+# rollout lists its steps, and that list could fill the memory.
+@pytest.mark.parametrize("command, sets, keys", [
+    ("gap-rates", ["tail_dt=5e-324", "horizon=0.25"], ["h_grid", "tail_dt"]),
+    ("gap-rates", ["h_grid=5e-324,0.25,0.125"], ["h_grid", "substeps"]),
+    ("gap-rates", [f"substeps={10**400}"], ["h_grid", "substeps"]),
+    ("superiority-demo", ["tail_dt=5e-324"], ["omega_grid", "tail_dt"]),
+    ("superiority-demo", ["omega_grid=1e308", "tail_dt=none"], ["omega_grid", "substeps"]),
+    ("superiority-demo", [f"substeps={10**400}"], ["omega_grid", "substeps"]),
+])
+def test_em_grid_a_rollout_cannot_step_exits_2(tmp_path, capsys, command, sets, keys):
+    out = tmp_path / "x"
+    assert run([command, "--out", str(out), *[a for kv in sets for a in ("--set", kv)]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert [key for key in keys if key not in err] == []
+    assert not out.exists()
 
 # An exercise is credited at t + h, so each decision period h = 1/omega must
 # end by the horizon; h equal to the horizon is one decision per episode.
@@ -453,11 +479,14 @@ def test_superiority_demo_base1_mean_matches_drift_times_remaining_horizon(tmp_p
         assert abs(value - -10.0 * (1.0 - h / 2)) <= 4 * se
 
 
-# SHA-256 of the output files of twelve short runs, with one train run per
-# agent kind and two that train at omega = 200, one of them at the benchmark's
-# network shape (m = 100, hidden 100,100). A refactor must leave them alone; only a change that moves results by
-# design may re-record a digest, and CHANGES.md must then say which one moved
-# and why.
+# SHA-256 of the output files of fifteen short runs, with one train run per
+# agent kind at omega = 5 and at omega = 200, and one more at omega = 200 at
+# the benchmark's network shape (m = 100, hidden 100,100). The 200 Hz runs
+# of the kinds other than dsup use horizon 2, so that an evaluation that
+# holds to the horizon stays short, and pin the checkpoint's bytes too. A
+# refactor must leave them alone; only a change that moves results by design
+# may re-record a digest, and CHANGES.md must then say which one moved and
+# why.
 GOLDEN_RESULTS = {
     "gap_rates": (
         ["gap-rates", *TINY_GAPS],
@@ -550,6 +579,39 @@ GOLDEN_RESULTS = {
                 "5915025453082d583feca9f0ffda5309c8148a640c88face61cc9df4c4d51af3",
             "trainlog_seed0_omega5.csv":
                 "c6a2b2f7fe4da92e3d42aea9720492906ef1dc28c2a106c2da35eb41dc9d8dcf",
+        },
+    ),
+    "train_200hz_qrdqn": (
+        ["train", *TINY_TRAIN, *TRAIN_200HZ_H2, "--set", "agent=qrdqn"],
+        {
+            "results.csv":
+                "050778516225e3064a89e6ebe2d08d45b5915c25ab23800d32b864e3c84903e4",
+            "trainlog_seed0_omega200.csv":
+                "3f909a17f8e85de37ceeb22dec627c3abef7b067a1fdbeaa5f5c133ef0b8f33d",
+            "checkpoint_seed0_omega200.npz":
+                "9a30b8051f18d97ba515e127325b7c6afcd4f5aec88f2f342f8109bc57b7d6f1",
+        },
+    ),
+    "train_200hz_dau": (
+        ["train", *TINY_TRAIN, *TRAIN_200HZ_H2, "--set", "agent=dau"],
+        {
+            "results.csv":
+                "c742723c8a106d222ee04354d86bef5b53923cc3d10860092d621196f5bea3be",
+            "trainlog_seed0_omega200.csv":
+                "80c4d5262511b58239cec27f41f6b31f64c8011213159a788cff8f9531e1c987",
+            "checkpoint_seed0_omega200.npz":
+                "7636ead18cba2f449918d4141472421392604d714b8a928e1b41c3a79bad853e",
+        },
+    ),
+    "train_200hz_dau_dsup": (
+        ["train", *TINY_TRAIN, *TRAIN_200HZ_H2, "--set", "agent=dau+dsup"],
+        {
+            "results.csv":
+                "7a2e3344873e2933c41c73378c237af561601949ab5f9443502f2b552c660118",
+            "trainlog_seed0_omega200.csv":
+                "37e7738717d3119d319cc71f36f569dc555a59b91eb3de85b9ab22266002a33f",
+            "checkpoint_seed0_omega200.npz":
+                "2a73695df376d29162372ee32c69025f317d349a75eed8974ef48a7946bcf804",
         },
     ),
 }

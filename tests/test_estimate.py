@@ -75,6 +75,34 @@ def test_mc_action_return_dist_names_a_bad_argument(name, value):
                               0.25, args["n_paths"], SimConfig())
 
 
+
+# A window step that underflows to 0 raised ZeroDivisionError, and a tail of
+# more steps than a float counts raised OverflowError, both inside the
+# rollout's step count. No draw is made: the rollout is never reached.
+@pytest.mark.parametrize("h, cfg, named", [
+    (5e-324, SimConfig(), "the window step h / substeps underflows to 0, got h=5e-324 "
+                          "and substeps=16"),
+    (0.25, SimConfig(substeps=10**400), "the window step h / substeps underflows to 0"),
+    (0.25, SimConfig(tail_dt=5e-324), "the tail [0.25, 1.0] takes a non-finite number "
+                                      "of steps of tail_dt=5e-324"),
+    (1e-300, SimConfig(substeps=10**20), "the tail [1e-300, 1.0] takes a non-finite "
+                                         "number of steps of h / substeps=1e-320"),
+])
+def test_mc_action_return_dist_names_a_step_it_cannot_take(monkeypatch, h, cfg, named):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("the rollout ran")
+
+    monkeypatch.setattr(estimate, "_rollout_returns", no_rollout)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        mc_action_return_dist(brownian_gap_env(), BASE_ACTION, 0.0, [0.0], 1, h, 4, cfg)
+
+
+def test_grid_errors_take_the_finest_grid_a_rollout_can_count():
+    # 2**-1000 / 2**30 is a subnormal window step, and 0.75 / 2**-1020 a
+    # finite tail step count
+    assert estimate._grid_errors(0.0, 2.0**-1000, 2.0**-1000, SimConfig(substeps=2**30)) == []
+    assert estimate._grid_errors(0.0, 0.25, 1.0, SimConfig(tail_dt=2.0**-1020)) == []
+
 def test_mc_action_return_mean_matches_martingale_value():
     env = brownian_gap_env()
     x = 0.5
