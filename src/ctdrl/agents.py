@@ -10,6 +10,7 @@ bitwise reproducible under fixed seeds.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import math
@@ -183,16 +184,21 @@ class _AgentBase:
         """Network input: normalized clamped time then the state coordinates.
 
         ``t`` is one time for every row or an array with one per row; both
-        clamp with the same IEEE operations. Acting passes one time per call,
-        where numpy's scalar ufuncs would cost more than the rest of this.
+        clamp with the same IEEE operations. Acting at the reset state passes
+        one time, where numpy's scalar ufuncs would cost more than the rest
+        of this; a hold chunk passes its array of times.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim < 2:
+            X = X.reshape(1, -1)
         tau = t / self.horizon
         obs = np.empty((X.shape[0], X.shape[1] + 1))
         if isinstance(tau, float):
             obs[:, 0] = min(max(tau, 0.0), 1.0)
         else:
-            obs[:, 0] = np.minimum(np.maximum(tau, 0.0), 1.0)
+            time_col = obs[:, 0]
+            np.maximum(tau, 0.0, out=time_col)
+            np.minimum(time_col, 1.0, out=time_col)
         obs[:, 1:] = X
         return obs
 
@@ -355,16 +361,21 @@ def explore_action(agent, t, X, eps, coins, random_actions) -> np.ndarray:
     ``coins[k] < eps[k]`` and otherwise the greedy action at (t[k], X[k]).
     All the greedy rows share one forward; a scalar ``t`` with one state
     ``X`` is every row's state, and its greedy action takes a one-row
-    forward; when every row is greedy, ``t`` and ``X`` go to it as they are."""
+    forward; when every row is greedy, ``t`` and ``X`` go to it as they are
+    and its actions are returned as they come."""
+    explore = coins < eps
+    explored = np.count_nonzero(explore)
+    if explored == explore.size:  # no greedy row, or no row at all
+        return np.array(random_actions, dtype=np.int64)
+    scalar = np.ndim(t) == 0
+    if not (explored or scalar):
+        return np.asarray(agent.act_greedy_batch(t, X), dtype=np.int64)
     actions = np.array(random_actions, dtype=np.int64)
-    greedy = ~(coins < eps)
-    if greedy.any():
-        if np.ndim(t) == 0:
-            actions[greedy] = agent.act_greedy(t, X)
-        elif greedy.all():
-            actions[:] = agent.act_greedy_batch(t, X)
-        else:
-            actions[greedy] = agent.act_greedy_batch(t[greedy], X[greedy])
+    greedy = ~explore
+    if scalar:
+        actions[greedy] = agent.act_greedy(t, X)
+    else:
+        actions[greedy] = agent.act_greedy_batch(t[greedy], X[greedy])
     return actions
 
 
@@ -498,13 +509,16 @@ def dau_loss_grads(agent, batch, a_star=None):
     return loss, {"v": v_grads, "a": a_grads}, a_star
 
 
-def store_subsampled(buffer: ReplayBuffer, row, h: float, rng) -> bool:
-    """Bernoulli(h) acceptance of one ``_records`` row; returns whether it
-    was added. A terminal row is always kept and draws nothing from ``rng``;
-    a non-terminal row draws one double."""
+def store_subsampled(buffer: ReplayBuffer, row, done: bool, h: float, rng) -> bool:
+    """Bernoulli(h) acceptance of one ``_records`` row whose done flag is
+    ``done``; returns whether it was added. A terminal row is always kept
+    and draws nothing from ``rng``; a non-terminal row draws one double in
+    [0, 1), kept below h (so always when h >= 1).
+    The caller hands over the flag, which a window reads as one list: a
+    field read on a record row costs more than the rest of this."""
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    keep = bool(row["done"]) or rng.random() < min(1.0, h)
+    keep = True if done else rng.random() < h
     if keep:
         buffer.add(row)
     return keep
@@ -616,23 +630,29 @@ def evaluate(agent, env, episodes: int, rng, cvar_alpha=0.25):
 _FIRST_CHUNK = 8
 
 
-def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions,
-                rng):
-    """Run one window of interactions with frozen networks; returns the
-    (t, x) the next window goes on from, or None to start at reset.
+def _act_window(agent, env, x0, start, noise, eps, coins, random_actions):
+    """Run one window of interactions with frozen networks; returns
+    (records, next start): one ``_records`` row per interaction, in order,
+    and the (t, x) the next window goes on from, or None to start at reset.
 
-    Every interaction becomes one ``_records`` row, stored through
-    ``store_subsampled`` on ``rng``, in order. A run of episodes that stop
-    at the reset state costs no forward beyond one greedy action there per
-    window, and its rows come from one record array per window; an episode
-    that holds walks its hold path in chunks that double in size, one
-    batched epsilon-greedy and one record array over each, and ends at its
-    first stop or at the horizon. Which actions stop, and their next states
-    and rewards, are the env's ``path_outcomes``, which acts row by row.
+    The window fills six columns, one entry per interaction, and turns them
+    into one record array at its end. From the window's first reset on,
+    every row starts as the outcome of its own action at the reset state,
+    so a run of episodes that stop there costs no forward beyond one greedy
+    action at reset per window. An episode that holds walks its hold path in
+    chunks that double in size, one batched epsilon-greedy over each, and
+    writes its rows up to its first stop or the horizon. The env's full
+    hold steps (``hold_steps``) are computed once per window, and each chunk
+    reads its rows of them. Which actions stop, and their next states and
+    rewards, are the env's ``path_outcomes``, which acts row by row.
     """
     h = agent.h
     n = noise.size
+    t_col, r_col = np.empty(n), np.empty(n)
+    x_col, x_next_col = np.empty((n, x0.size)), np.empty((n, x0.size))
+    a_col, done_col = np.empty(n, np.int64), np.empty(n, np.bool_)
     reset_actions = None  # each row's action if it falls at the reset state
+    steps = None  # env.hold_steps over the window, from its first hold on
     i = 0
     while i < n:
         known = 0  # leading rows of the chunk whose action is already known
@@ -640,20 +660,24 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
             if reset_actions is None:
                 reset_actions = explore_action(agent, 0.0, x0, eps, coins,
                                                random_actions)
-                # Only the rows that stop are read here: a hold at reset walks
-                # its own hold path below.
                 reset_next, reset_rewards, reset_stop = env.path_outcomes(
                     np.broadcast_to(x0, (n + 1, x0.size)), reset_actions)
-                holds_at_reset = np.flatnonzero(~reset_stop)
-                reset_rows = _records(0.0, x0, reset_actions, reset_rewards,
-                                      reset_next, reset_stop)
-            k = np.searchsorted(holds_at_reset, i)
-            j = int(holds_at_reset[k]) if k < holds_at_reset.size else n
-            for row in reset_rows[i:j]:
-                store_subsampled(buffer, row, h, rng)
-            if j == n:
-                return None
-            i, start, known = j, (0.0, x0), 1
+                holds_at_reset = np.flatnonzero(~reset_stop).tolist()
+                # A hold at reset walks its own hold path below and writes
+                # over its rows.
+                t_col[i:] = 0.0
+                x_col[i:] = x0
+                a_col[i:] = reset_actions[i:]
+                r_col[i:] = reset_rewards[i:]
+                x_next_col[i:] = reset_next[i:]
+                done_col[i:] = reset_stop[i:]
+            k = bisect.bisect_left(holds_at_reset, i)
+            i = holds_at_reset[k] if k < len(holds_at_reset) else n
+            if i == n:
+                break
+            start, known = (0.0, x0), 1
+        if steps is None:
+            steps = env.hold_steps(noise, h)
         t, x = start
         size = _FIRST_CHUNK
         while True:
@@ -662,7 +686,7 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
             times = np.full(e - i, h)
             times[0] = t
             np.cumsum(times, out=times)
-            X, ends = env.hold_path(times, x, noise[i:e], h)
+            X, ends = env.hold_path(times, x, noise[i:e], steps[i:e], h)
             actions = explore_action(
                 agent, times[known:], X[known:-1], eps[i + known:e],
                 coins[i + known:e], random_actions[i + known:e])
@@ -671,18 +695,25 @@ def _act_window(agent, env, buffer, x0, start, noise, eps, coins, random_actions
                 known = 0
             X_next, rewards, stop = env.path_outcomes(X, actions)
             done = stop | ends
-            last = int(np.argmax(done)) if done.any() else e - i - 1
-            for row in _records(times, X[:-1], actions, rewards, X_next, done)[:last + 1]:
-                store_subsampled(buffer, row, h, rng)
-            i += last + 1
-            if done[last]:
+            m = int(done.argmax()) + 1
+            if not done[m - 1]:
+                m = e - i
+            t_col[i:i + m] = times[:m]
+            x_col[i:i + m] = X[:m]
+            a_col[i:i + m] = actions[:m]
+            r_col[i:i + m] = rewards[:m]
+            x_next_col[i:i + m] = X_next[:m]
+            done_col[i:i + m] = done[:m]
+            i += m
+            if done[m - 1]:
                 start = None
                 break
             t, x = times[-1] + h, X[-1]
             if i == n:
-                return t, x
+                start = t, x
+                break
             size *= 2
-    return None
+    return _records(t_col, x_col, a_col, r_col, x_next_col, done_col), start
 
 
 def interactions_per_update(h: float) -> int:
@@ -732,14 +763,17 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
     floor(1/h) env interactions; returns the evaluation log rows.
 
     The env is an optimal-stopping problem: an episode that holds follows
-    ``env.hold_path``, ``env.path_outcomes`` says which actions stop it and
+    ``env.hold_path`` on the steps ``env.hold_steps`` gives for a window's
+    noise, ``env.path_outcomes`` says which actions stop it and
     what they lead to, and ``env.reset()`` is one fixed state. The
     networks are frozen within a window, so each window's interactions run
     as one batch (``_act_window``) on four random streams,
     ``substream(cfg.seed, 21, k)``: k = 0 env noise, 1 exploration,
     2 replay subsampling, 3 replay sampling. A window draws one normal per
     interaction whatever the action, then its epsilon-coins, then its
-    random actions, one call each.
+    random actions, one call each. It returns one record array, and one
+    loop hands its rows to ``store_subsampled``, one call per interaction,
+    in order, each with its done flag.
 
     The first call fixes glibc's heap thresholds for the whole process
     (``_keep_heap_resident``), so each update reuses resident heap pages.
@@ -772,8 +806,10 @@ def train(agent, env, total_updates: int, cfg: TrainConfig = TrainConfig()):
                 coins = explore_rng.random(ipu)
                 random_actions = explore_rng.integers(agent.n_actions, size=ipu)
                 eps = agent.schedule.epsilon(env_steps + window)
-                state = _act_window(agent, env, buffer, x0, state, noise, eps,
-                                    coins, random_actions, subsample_rng)
+                records, state = _act_window(agent, env, x0, state, noise, eps,
+                                             coins, random_actions)
+                for row, done in zip(records, records["done"].tolist()):
+                    store_subsampled(buffer, row, done, h, subsample_rng)
                 env_steps += ipu
                 if len(buffer) >= cfg.batch_size:
                     batch = buffer.sample(cfg.batch_size, replay_rng)

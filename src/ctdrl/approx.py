@@ -85,9 +85,10 @@ class Mlp:
         cur = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            cur = cur @ w + b
+            cur = cur @ w
+            cur += b
             if i < last:
-                cur = np.maximum(cur, 0.0)
+                np.maximum(cur, 0.0, out=cur)
             acts.append(cur)
         return cur, acts
 

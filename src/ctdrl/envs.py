@@ -131,18 +131,29 @@ class OptionTradingEnv:
             done[:] = True
         return out, np.zeros(X.shape[0]), done
 
-    def hold_path(self, times, x, noise, h):
+    def hold_steps(self, noise, h):
+        """The price ratio of one full hold step of length h on each of
+        ``noise``: what hold_path reads per row, for a caller to compute
+        once over many rows."""
+        return self._gbm_factor(h, noise)
+
+    def hold_path(self, times, x, noise, steps, h):
         """Prices of an episode that holds at each of ``times`` from price
         ``x``, the k-th hold stepping on ``noise[k]``, and whether each hold
-        ends the episode at the horizon.
+        ends the episode at the horizon. ``steps`` is
+        ``hold_steps(noise, h)``; a path that comes within h of the horizon
+        recomputes its ratios over the steps the horizon cuts short.
 
         Row k of the (len(times) + 1, 1) price array is the price after k
         holds. One cumprod over [x, f_0, f_1, ...] multiplies in the same
         order as step_batch holding one step at a time, so the prices are
         the same to the last bit. Rows past the horizon are not meaningful.
         """
-        delta = np.minimum(np.maximum(self.horizon - times, 0.0), h)
-        path = np.cumprod(np.concatenate((x, self._gbm_factor(delta, noise))))
+        # times rise, so the last one is the first to come within h of it
+        if self.horizon - times[-1] < h:
+            steps = self._gbm_factor(np.minimum(np.maximum(self.horizon - times, 0.0), h),
+                                     noise)
+        path = np.cumprod(np.concatenate((x, steps)))
         # a GBM price is never 0; one that underflows there stays 0, or turns
         # NaN at an infinite factor, so the last price shows it
         if not path[-1] > 0:

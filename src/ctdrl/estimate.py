@@ -37,6 +37,13 @@ BOOTSTRAP_RESAMPLES = 200
 # at n = 10000, m = 512; 64 was about 2% and 200 about 10% slower.
 _BLOCK = 16
 
+# Most EM steps a phase of a rollout may take, measured as (end - start) /
+# step. A rollout lists its steps first, so a finer grid would fill the
+# memory or overflow the list's length before its first draw. This is far
+# above any grid run: the benchmark's gap-rates takes at most 4,064 steps a
+# phase (h = 2**-7 with 32 substeps) and the test suite at most 16,352.
+_MAX_PHASE_STEPS = 10**7
+
 # Substream tags so independent estimates never share a noise stream.
 _TAG_ACTION = 12
 _TAG_BOOT = 13
@@ -64,7 +71,8 @@ def _grid_errors(t, h, horizon, cfg: SimConfig) -> list:
     """One message per EM step of the window [t, t + h) and of the tail to
     the horizon that a rollout cannot take: a window step h / substeps that
     underflows to 0, or a phase whose step count (end - start) / step is not
-    finite (a rollout counts its steps out into a list)."""
+    finite or is above _MAX_PHASE_STEPS (a rollout counts its steps out into
+    a list)."""
     try:
         dt = h / cfg.substeps
     except OverflowError:  # an integer substeps past the float range
@@ -73,10 +81,18 @@ def _grid_errors(t, h, horizon, cfg: SimConfig) -> list:
         return [f"the window step h / substeps underflows to 0, got h={h!r} and "
                 f"substeps={cfg.substeps}"]
     tail = (cfg.tail_dt, "tail_dt") if cfg.tail_dt is not None else (dt, "h / substeps")
-    phases = (("window", t, t + h, dt, "h / substeps"), ("tail", t + h, horizon, *tail))
-    return [f"the {phase} [{start!r}, {end!r}] takes a non-finite number of steps of "
-            f"{name}={step!r}" for phase, start, end, step, name in phases
-            if not math.isfinite((end - start) / step)]
+    errors = []
+    for phase, start, end, step, name in (("window", t, t + h, dt, "h / substeps"),
+                                          ("tail", t + h, horizon, *tail)):
+        count = (end - start) / step
+        if not math.isfinite(count):
+            errors.append(f"the {phase} [{start!r}, {end!r}] takes a non-finite number "
+                          f"of steps of {name}={step!r}")
+        elif count > _MAX_PHASE_STEPS:
+            errors.append(f"the {phase} [{start!r}, {end!r}] takes {count:.4g} steps of "
+                          f"{name}={step!r}, more than the {_MAX_PHASE_STEPS} a phase may "
+                          f"take")
+    return errors
 
 
 def mc_action_return_dist(
@@ -93,7 +109,7 @@ def mc_action_return_dist(
     and before the horizon, or h is not positive and finite with the window
     [t, t + h) ending by the horizon; and naming the step, before any draw,
     when the window step h / substeps underflows to 0 or the window or the
-    tail takes a non-finite number of steps.
+    tail takes a non-finite number of steps or more than _MAX_PHASE_STEPS.
     """
     for name, index in (("action", action), ("a", a)):
         if not (_is_integer(index) and 0 <= index < mdp.n_actions):

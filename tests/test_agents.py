@@ -153,6 +153,40 @@ def test_explore_action_endpoints():
     assert chi2 < 6.635  # dof 1 critical value at p = 0.01
 
 
+class GreedyCallAgent:
+    """Greedy action 1 everywhere, with each greedy call recorded as
+    (method, rows)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def act_greedy_batch(self, t, X):
+        self.calls.append(("batch", len(X)))
+        return np.ones(len(X), dtype=np.int64)
+
+    def act_greedy(self, t, x):
+        self.calls.append(("one", 1))
+        return 1
+
+
+@pytest.mark.parametrize("t, coins, calls", [
+    pytest.param(np.zeros(4), [0.0, 0.0, 0.0, 0.0], [], id="every_row_explores"),
+    pytest.param(np.zeros(0), [], [], id="no_rows"),
+    pytest.param(np.zeros(4), [0.9, 0.9, 0.9, 0.9], [("batch", 4)], id="every_row_greedy"),
+    pytest.param(np.zeros(4), [0.0, 0.9, 0.0, 0.9], [("batch", 2)], id="mixed"),
+    pytest.param(0.0, [0.9, 0.0, 0.9, 0.0], [("one", 1)], id="one_state"),
+])
+def test_explore_action_forwards_only_its_greedy_rows(t, coins, calls):
+    agent = GreedyCallAgent()
+    coins = np.array(coins)
+    random_actions = np.zeros(coins.size, dtype=np.int64)
+    X = np.zeros((np.size(t), 1)) if np.ndim(t) else np.zeros(1)
+    actions = explore_action(agent, t, X, np.full(coins.size, 0.5), coins, random_actions)
+    assert agent.calls == calls
+    assert actions.dtype == np.int64 and actions is not random_actions
+    np.testing.assert_array_equal(actions, coins >= 0.5)
+
+
 def scalar_epsilon(schedule, step):
     """The per-step schedule formula, on Python floats."""
     if schedule.decay_steps <= 0:
@@ -578,16 +612,16 @@ def test_store_subsampled_rules():
     rng = np.random.default_rng(1)
     buf = ReplayBuffer(10**6)
     for _ in range(50):
-        assert store_subsampled(buf, single_transition(done=False), 1.0, rng)
-        assert store_subsampled(buf, single_transition(done=True), 1e-9, rng)
+        assert store_subsampled(buf, single_transition(done=False), False, 1.0, rng)
+        assert store_subsampled(buf, single_transition(done=True), True, 1e-9, rng)
     for h in (0.0, -0.1, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="h must be positive and finite"):
-            store_subsampled(buf, single_transition(), h, rng)
+            store_subsampled(buf, single_transition(), False, h, rng)
 
     kept = 0
     offers = 100_000
     for _ in range(offers):
-        kept += store_subsampled(buf, single_transition(done=False), 0.1, rng)
+        kept += store_subsampled(buf, single_transition(done=False), False, 0.1, rng)
     assert abs(kept / offers - 0.1) < 0.01
 
 
@@ -601,10 +635,13 @@ def test_store_subsampled_draws_one_double_per_non_terminal_row():
     buf = ReplayBuffer(64)
     for h in (1e-9, 0.3, 1.0, 4.0):
         for row in rows:
-            kept = store_subsampled(buf, row, h, rng)
+            kept = store_subsampled(buf, row, bool(row["done"]), h, rng)
             assert kept == (row["done"] or twin.random() < min(1.0, h))
             assert rng.bit_generator.state == twin.bit_generator.state
     np.testing.assert_array_equal(buf.ring["done"][:3], [True, True, True])
+    # the flag handed over decides, not the row's own field
+    assert store_subsampled(buf, rows[1], True, 1e-9, rng)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("h", [0.0, -0.25, np.nan, np.inf, -np.inf])
@@ -753,7 +790,10 @@ class BanditEnv:
     def reset(self, rng=None):
         return np.zeros(1)
 
-    def hold_path(self, times, x, noise, h):
+    def hold_steps(self, noise, h):
+        return noise
+
+    def hold_path(self, times, x, noise, steps, h):
         X = np.ones((times.size + 1, 1))
         X[0] = x
         return X, np.ones(times.size, dtype=bool)
@@ -969,7 +1009,7 @@ def per_step_train(agent, env, total_updates, cfg):
                 a, margin = greedy_with_margin(agent, t, x)
             X, r, done = env.step_batch(t, x, [a], h, TapeRng(noise[k]))
             tr = _records(t, x, a, r[0], X[0], done[0])[0]
-            store_subsampled(buffer, tr, h, subsample_rng)
+            store_subsampled(buffer, tr, bool(done[0]), h, subsample_rng)
             transitions.append(tr)
             margins.append(margin)
             steps += 1
@@ -989,8 +1029,9 @@ def recorded_train(monkeypatch, agent, env, total_updates, cfg):
     store, train_step, add = (agents_module.store_subsampled, type(agent).train_step,
                               ReplayBuffer.add)
 
-    def recording_store(buffer, row, h, rng):
-        kept = store(buffer, row, h, rng)
+    def recording_store(buffer, row, done, h, rng):
+        assert done == row["done"]
+        kept = store(buffer, row, done, h, rng)
         calls.append((buffer, row, kept))
         return kept
 
@@ -1014,12 +1055,16 @@ def same_transition(a, b):
     return a.dtype == b.dtype and all(np.array_equal(a[name], b[name]) for name in FIELDS)
 
 
-def oracle_case(kind, h, horizon, seed, tilt=0.1):
+def oracle_case(kind, h, horizon, seed, tilt=0.1, eps=None):
+    """An env, an agent and a config for the per-step oracle: epsilon decays
+    from 1 to 0.02 over 8 time units, or stays at ``eps`` when one is given."""
     env = OptionTradingEnv(GbmParams(0.0, 0.3), horizon=horizon)
+    schedule = (ExplorationSchedule(1.0, 0.02, int(8 / h)) if eps is None
+                else ExplorationSchedule(eps, eps, 0))
     base = dict(
         state_dim=1, n_actions=2, h=h, hidden=(8, 8), lr=1e-3, discount=0.999,
-        horizon=horizon, terminal_reward=env.terminal_reward,
-        schedule=ExplorationSchedule(1.0, 0.02, int(8 / h)), seed=seed,
+        horizon=horizon, terminal_reward=env.terminal_reward, schedule=schedule,
+        seed=seed,
     )
     # Tilt the hold output (action 0's head, or its advantage for DAU) so
     # that the untrained greedy policy holds at the reset state by ``tilt``
@@ -1058,34 +1103,62 @@ _ORACLE_TILTS = {
 }
 
 
+# The exploration extremes, per kind and h: (epsilon, horizon, updates, what
+# the case covers). Epsilon 1 acts at random throughout, so many episodes
+# last one step and stops at the reset state come in runs; epsilon 0 acts
+# greedily throughout, on a horizon long enough for a hold walk to fill a
+# window, its chunks doubling up to the window's end.
+_EXTREME_CASES = {
+    0.2: ((1.0, 0.93, 60, ("reset stop run",)), (0.0, 100.0, 60, ("window-long walk",))),
+    0.005: ((1.0, 0.2237, 25, ("reset stop run",)),
+            (0.0, 100.0, 25, ("window-long walk",))),
+}
+
+
 # The DSUP cases keep the ids they had before the other kinds joined.
-@pytest.mark.parametrize("kind,h,horizon,updates,tilt,covers", [
-    pytest.param(kind, h, horizon, updates, tilt, covers,
-                 id=("" if kind == "dsup" else f"{kind}-")
-                 + f"{h}-{horizon}-{updates}-{tilt}-covers{i}")
-    for kind, tilts in _ORACLE_TILTS.items()
-    for i, ((h, horizon, updates, covers), tilt) in enumerate(zip(_ORACLE_CASES, tilts))
+@pytest.mark.parametrize("kind,h,horizon,updates,tilt,covers,eps", [
+    *(pytest.param(kind, h, horizon, updates, tilt, covers, None,
+                   id=("" if kind == "dsup" else f"{kind}-")
+                   + f"{h}-{horizon}-{updates}-{tilt}-covers{i}")
+      for kind, tilts in _ORACLE_TILTS.items()
+      for i, ((h, horizon, updates, covers), tilt) in enumerate(zip(_ORACLE_CASES, tilts))),
+    *(pytest.param(kind, h, horizon, updates, 0.1, covers, eps,
+                   id=f"{kind}-eps{eps:g}-{h}-{horizon}-{updates}")
+      for kind in ("dsup", "qrdqn")
+      for h, cases in _EXTREME_CASES.items()
+      for eps, horizon, updates, covers in cases),
 ])
 def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, updates,
-                                                tilt, covers):
-    env, agent, cfg = oracle_case(kind, h, horizon, 5, tilt)
+                                                tilt, covers, eps):
+    env, agent, cfg = oracle_case(kind, h, horizon, 5, tilt, eps)
     calls, taken, _ = recorded_train(monkeypatch, agent, env, updates, cfg)
-    env, oracle_agent, cfg = oracle_case(kind, h, horizon, 5, tilt)
+    env, oracle_agent, cfg = oracle_case(kind, h, horizon, 5, tilt, eps)
     expected, margins, reset_greedy, oracle_buffer, oracle_taken = per_step_train(
         oracle_agent, env, updates, cfg)
 
     n = int(round(1 / h))
     assert len(calls) == len(expected) == updates * n
     # What the case is there to cover: greedy holds past the reset state
-    # always, plus episodes cut at the horizon, episodes that go on across a
-    # window boundary, or a greedy action at reset that training changes.
+    # (unless every action is random), plus episodes cut at the horizon,
+    # episodes that go on across a window boundary, a greedy action at reset
+    # that training changes, two stops at the reset state in a row, or a
+    # window of holds only.
     coverage = {
         "horizon cut": any(tr["done"] and tr["a"] == 0 for tr in expected),
         "window crossing": any(expected[k]["t"] > 0 for k in range(n, len(expected), n)),
         "reset flip": len(set(reset_greedy)) > 1,
+        "reset stop run": any(a["t"] == b["t"] == 0 and a["done"] and b["done"]
+                              for a, b in zip(expected, expected[1:])),
+        "window-long walk": any(not any(tr["a"] or tr["done"] for tr in expected[k:k + n])
+                                for k in range(0, len(expected), n)),
     }
-    assert any(np.isfinite(m) and tr["a"] == 0 and tr["t"] > 0
-               for tr, m in zip(expected, margins))
+    if eps == 1.0:
+        assert np.isinf(margins).all()
+    else:
+        assert any(np.isfinite(m) and tr["a"] == 0 and tr["t"] > 0
+                   for tr, m in zip(expected, margins))
+    if eps == 0.0:
+        assert np.isfinite(margins).all()
     assert all(coverage[name] for name in covers), coverage
 
     # A batched forward may round a utility differently from the one-row
@@ -1097,6 +1170,8 @@ def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, u
     flips = sum(calls[k][1]["a"] != expected[k]["a"] for k in small
                 if k == agree or same_transition(calls[k - 1][1], expected[k - 1]))
     print(f"h={h}: {small.size} greedy margins <= 1e-12, {flips} action flips")
+    # an exploration extreme is compared in full, parameters included
+    assert eps is None or not small.size
     if small.size:
         return
     buffer = calls[0][0]
@@ -1109,11 +1184,11 @@ def test_windowed_train_matches_per_step_oracle(monkeypatch, kind, h, horizon, u
         assert np.array_equal(value, oracle_agent.named_params()[name]), name
 
 
-def test_train_stores_every_interaction_once(monkeypatch):
-    """The call count a benchmark's updates-taken check relies on: one
-    store_subsampled call per interaction, and every replay insert made by
-    an accepting call."""
-    h, updates = 0.005, 12
+@pytest.mark.parametrize("h, updates", [(0.2, 60), (0.005, 12)], ids=["0.2", "0.005"])
+def test_train_stores_every_interaction_once(monkeypatch, h, updates):
+    """The call count a benchmark's updates-taken check relies on, at both
+    of its decision frequencies: one store_subsampled call per interaction,
+    and every replay insert made by an accepting call."""
     env, agent, cfg = oracle_case("dsup", h, 100.0, 9)
     calls, taken, inserts = recorded_train(monkeypatch, agent, env, updates, cfg)
     n = int(math.floor(1 / h + 1e-9))

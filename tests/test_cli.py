@@ -227,9 +227,9 @@ def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, val
 
 # An EM grid that a rollout cannot step exits 2 and writes nothing: a window
 # step h / substeps that underflows to 0 (once a ZeroDivisionError after the
-# config was written), or a window or tail with a non-finite step count (once
-# an OverflowError). No grid of a finite but huge count is run here: the
-# rollout lists its steps, and that list could fill the memory.
+# config was written), or a window or tail with a non-finite step count, or a
+# finite one above the cap (once an OverflowError from the rollout's list of
+# steps, or a list long enough to fill the memory).
 @pytest.mark.parametrize("command, sets, keys", [
     ("gap-rates", ["tail_dt=5e-324", "horizon=0.25"], ["h_grid", "tail_dt"]),
     ("gap-rates", ["h_grid=5e-324,0.25,0.125"], ["h_grid", "substeps"]),
@@ -237,6 +237,9 @@ def test_bad_value_exits_2_and_names_the_key(tmp_path, capsys, command, key, val
     ("superiority-demo", ["tail_dt=5e-324"], ["omega_grid", "tail_dt"]),
     ("superiority-demo", ["omega_grid=1e308", "tail_dt=none"], ["omega_grid", "substeps"]),
     ("superiority-demo", [f"substeps={10**400}"], ["omega_grid", "substeps"]),
+    ("gap-rates", ["tail_dt=1e-300", "horizon=0.25"], ["h_grid", "tail_dt"]),
+    ("gap-rates", [f"substeps={10**9}", "tail_dt=0.25"], ["h_grid", "substeps"]),
+    ("superiority-demo", ["tail_dt=1e-300"], ["omega_grid", "tail_dt"]),
 ])
 def test_em_grid_a_rollout_cannot_step_exits_2(tmp_path, capsys, command, sets, keys):
     out = tmp_path / "x"

@@ -60,6 +60,42 @@ def make_option_env(**kw):
     return OptionTradingEnv(params, **kw)
 
 
+def hold_path(env, times, x, noise, h):
+    """hold_path with its full-step ratios computed over the given rows."""
+    return env.hold_path(times, x, noise, env.hold_steps(noise, h), h)
+
+
+class TapeRng:
+    """Hands step_batch one given normal in place of a fresh draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.value)
+
+
+@pytest.mark.parametrize("h, horizon", [(0.2, 100.0), (0.2, 1.3), (0.005, 0.0231)])
+def test_option_hold_path_matches_step_batch_bit_for_bit(h, horizon):
+    """Full-step ratios computed once over a window, and the ratios a path
+    near the horizon recomputes over its cut steps, give the prices that
+    step_batch gives holding one step at a time."""
+    env = make_option_env(horizon=horizon)
+    noise = np.random.default_rng(4).standard_normal(12)
+    steps = env.hold_steps(noise, h)
+    times = np.cumsum(np.concatenate(([0.0], np.full(11, h))))
+    live = int(np.sum(times < horizon - 1e-9))
+    x, t = np.array([1.0]), 0.0
+    for start in range(0, live, 4):
+        end = min(start + 4, live)
+        path, ends = env.hold_path(times[start:end], x, noise[start:end],
+                                   steps[start:end], h)
+        for k in range(end - start):
+            X, _, done = env.step_batch(t, x, [0], h, TapeRng(noise[start + k]))
+            assert X[0, 0] == path[k + 1, 0] and done[0] == ends[k]
+            x, t = X[0], t + h
+
+
 def test_option_step_execute_pays_through_terminal_channel():
     env = make_option_env()
     rng = np.random.default_rng(0)
@@ -108,7 +144,7 @@ def test_option_price_underflow_is_a_simulation_error():
     with pytest.raises(SimulationError, match="underflowed"):
         env.step_batch(0.0, [[1.0]], [0], 0.2, rng)
     with pytest.raises(SimulationError, match="underflowed"):
-        env.hold_path(np.array([0.0, 0.2]), np.array([1.0]), np.zeros(2), 0.2)
+        hold_path(env, np.array([0.0, 0.2]), np.array([1.0]), np.zeros(2), 0.2)
     # a stop moves no price
     X, _, done = env.step_batch(0.0, [[1.0]], [1], 0.2, rng)
     assert X[0, 0] == 1.0 and done.all()
@@ -116,10 +152,10 @@ def test_option_price_underflow_is_a_simulation_error():
     env = make_option_env(gbm=GbmParams(-1000.0, 0.0))
     with pytest.raises(SimulationError, match="underflowed"):
         env.step_batch(0.0, [[1e-300]], [0], 0.2, rng)
-    path, _ = env.hold_path(np.array([0.0, 0.2]), np.array([1e-100]), np.zeros(2), 0.2)
+    path, _ = hold_path(env, np.array([0.0, 0.2]), np.array([1e-100]), np.zeros(2), 0.2)
     assert np.all(path > 0)
     with pytest.raises(SimulationError, match="underflowed"):
-        env.hold_path(np.array([0.0, 0.2, 0.4]), np.array([1e-100]), np.zeros(3), 0.2)
+        hold_path(env, np.array([0.0, 0.2, 0.4]), np.array([1e-100]), np.zeros(3), 0.2)
 
 
 def test_gbm_params_validation():

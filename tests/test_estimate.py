@@ -85,8 +85,15 @@ def test_mc_action_return_dist_names_a_bad_argument(name, value):
     (0.25, SimConfig(substeps=10**400), "the window step h / substeps underflows to 0"),
     (0.25, SimConfig(tail_dt=5e-324), "the tail [0.25, 1.0] takes a non-finite number "
                                       "of steps of tail_dt=5e-324"),
-    (1e-300, SimConfig(substeps=10**20), "the tail [1e-300, 1.0] takes a non-finite "
-                                         "number of steps of h / substeps=1e-320"),
+    (1e-310, SimConfig(substeps=10**5), "the tail [1e-310, 1.0] takes a non-finite "
+                                        "number of steps of h / substeps=1e-315"),
+    # finite counts past the cap: [step] * k raised OverflowError at k near
+    # 1e299, and a k near 1e9 would have tried to fill the memory
+    (0.25, SimConfig(tail_dt=1e-300), "the tail [0.25, 1.0] takes 7.5e+299 steps of "
+                                      "tail_dt=1e-300, more than the 10000000 a phase "
+                                      "may take"),
+    (0.25, SimConfig(substeps=10**9, tail_dt=0.25), "the window [0.0, 0.25] takes 1e+09 "
+                                                    "steps of h / substeps=2.5e-10"),
 ])
 def test_mc_action_return_dist_names_a_step_it_cannot_take(monkeypatch, h, cfg, named):
     def no_rollout(*args, **kwargs):
@@ -98,10 +105,13 @@ def test_mc_action_return_dist_names_a_step_it_cannot_take(monkeypatch, h, cfg, 
 
 
 def test_grid_errors_take_the_finest_grid_a_rollout_can_count():
-    # 2**-1000 / 2**30 is a subnormal window step, and 0.75 / 2**-1020 a
-    # finite tail step count
-    assert estimate._grid_errors(0.0, 2.0**-1000, 2.0**-1000, SimConfig(substeps=2**30)) == []
-    assert estimate._grid_errors(0.0, 0.25, 1.0, SimConfig(tail_dt=2.0**-1020)) == []
+    # 2**-1010 / 2**20 is a subnormal window step, and each phase below takes
+    # exactly the cap of steps
+    cap = estimate._MAX_PHASE_STEPS
+    assert estimate._grid_errors(0.0, 2.0**-1010, 2.0**-1010, SimConfig(substeps=2**20)) == []
+    assert estimate._grid_errors(0.0, 0.25, 1.0, SimConfig(substeps=cap, tail_dt=0.75)) == []
+    assert estimate._grid_errors(0.0, 0.25, 1.0, SimConfig(tail_dt=0.75 / cap)) == []
+    assert len(estimate._grid_errors(0.0, 0.25, 1.0, SimConfig(tail_dt=0.75 / (cap + 1)))) == 1
 
 def test_mc_action_return_mean_matches_martingale_value():
     env = brownian_gap_env()
